@@ -170,9 +170,6 @@ def build_parser() -> _Parser:
                        help="write the certificate here instead of stdout")
         p.add_argument("--summary", action="store_true",
                        help="print a one-line human summary to stderr")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="parallelism hint (accepted; searches run "
-                            "single-threaded)")
 
     p = sub.add_parser("check-spectrum", help="exact spectral-pair verdict")
     p.add_argument("--gamma", required=True, help="rational list, e.g. 0,1/2")
@@ -410,20 +407,21 @@ def _argv_from_job(path: str) -> list[str]:
     args = job.get("args", {})
     if not isinstance(args, dict):
         raise InputError("--job: 'args' must be an object")
+    # --flag=value keeps a value that starts with '-' from reading as a flag
     for key, value in sorted(args.items()):
         flag = f"--{key}"
         if isinstance(value, bool):
             if value:
                 argv.append(flag)
         else:
-            argv.extend([flag, str(value)])
+            argv.append(f"{flag}={value}")
     for key in ("output", "summary"):
         if key in job:
             if key == "summary":
                 if job[key]:
                     argv.append("--summary")
             else:
-                argv.extend([f"--{key}", str(job[key])])
+                argv.append(f"--{key}={job[key]}")
     return argv
 
 

@@ -130,7 +130,9 @@ def cyclotomic_poly(m: int) -> IntPolynomial:
         if m % d == 0:
             product = product * cyclotomic_poly(d)
     quot, rem = divmod(numerator, product)
-    assert rem.is_zero()
+    if not rem.is_zero():
+        raise AssertionError(f"x^{m} - 1 is not divisible by its proper "
+                             f"cyclotomic factors")
     return quot
 
 

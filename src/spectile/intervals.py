@@ -174,7 +174,7 @@ def build_omega(p: int, family: Sequence, breakpoints: Sequence[RationalLike],
     """
     if p < 1:
         raise ValueError("p must be positive")
-    sets = [a if isinstance(a, IntSet) else IntSet.of(a) for a in family]
+    sets = [IntSet.of(a) for a in family]
     if not sets:
         raise ValueError("family must be nonempty")
     rs = [as_fraction(r) for r in breakpoints]
@@ -198,7 +198,8 @@ def build_omega(p: int, family: Sequence, breakpoints: Sequence[RationalLike],
         for k in a:
             pieces.append((r1 + Fraction(k, p), r2 + Fraction(k, p)))
     omega = IntervalUnion.of(pieces)
-    assert measure(omega) == 1
+    if measure(omega) != 1:
+        raise AssertionError(f"built union has measure {measure(omega)}, not 1")
     return omega
 
 
@@ -233,9 +234,20 @@ def is_p_tile(omega: IntervalUnion, p: int) -> bool:
     """Does omega cover almost every real point exactly p times under
     (1/p)Z-translations?  True iff every fiber cell has p elements."""
     verdict = all(len(cell.fiber) == p for cell in fibers(omega, p).cells)
-    if verdict:
-        assert measure(omega) == 1
+    if verdict and measure(omega) != 1:
+        raise AssertionError(
+            f"every fiber has {p} elements but the measure is {measure(omega)}")
     return verdict
+
+
+def spectrum_base(gamma, p: int) -> FinitePointSet:
+    """Gamma as a point set, checked to be the base of a candidate spectrum
+    Gamma + pZ: p points in [0, p), one of them 0."""
+    gamma = FinitePointSet.of(gamma)
+    if len(gamma) != p:
+        raise ValueError(f"spectrum base has {len(gamma)} elements, expected {p}")
+    PeriodicSpectrum(gamma, p)
+    return gamma
 
 
 def spectral_verdict(omega: IntervalUnion, gamma, p: int) -> bool:
@@ -245,23 +257,18 @@ def spectral_verdict(omega: IntervalUnion, gamma, p: int) -> bool:
     (Gamma, (1/p)fiber) is a spectral pair, which the spectra module
     decides through vanishing sums of roots of unity.
     """
-    gamma = gamma if isinstance(gamma, FinitePointSet) else FinitePointSet.of(gamma)
-    _validate_gamma(gamma, p)
-    for cell in fibers(omega, p).cells:
+    gamma = spectrum_base(gamma, p)
+    return _cells_are_spectral(fibers(omega, p), gamma)
+
+
+def _cells_are_spectral(decomposition: FiberDecomposition,
+                        gamma: FinitePointSet) -> bool:
+    p = decomposition.p
+    for cell in decomposition.cells:
         scaled = FinitePointSet.of(Fraction(k, p) for k in cell.fiber)
         if not is_spectrum(gamma, scaled):
             return False
     return True
-
-
-def _validate_gamma(gamma: FinitePointSet, p: int) -> None:
-    if len(gamma) != p:
-        raise ValueError(f"spectrum base has {len(gamma)} elements, expected {p}")
-    if Fraction(0) not in gamma.points:
-        raise ValueError("spectrum base must contain 0")
-    for g in gamma:
-        if not 0 <= g < p:
-            raise ValueError(f"base point {g} outside [0, {p})")
 
 
 def assemble_tiling(omega: IntervalUnion, p: int, residues: Iterable[int],
@@ -272,7 +279,14 @@ def assemble_tiling(omega: IntervalUnion, p: int, residues: Iterable[int],
     is then re-verified exactly before the certificate is returned.
     """
     complement = PeriodicSet.of(residues, m)
-    for cell in fibers(omega, p).cells:
+    return _assemble_from_cells(omega, fibers(omega, p), complement)
+
+
+def _assemble_from_cells(omega: IntervalUnion,
+                         decomposition: FiberDecomposition,
+                         complement: PeriodicSet) -> OmegaTilingCertificate:
+    p, m = decomposition.p, complement.period
+    for cell in decomposition.cells:
         if not tiles_cyclic(cell.fiber, complement.residues, m):
             raise CommonComplementError(
                 f"fiber {tuple(cell.fiber)} on cell [{cell.lo}, {cell.hi}) "

@@ -47,6 +47,8 @@ class FinitePointSet:
 
     @classmethod
     def of(cls, points: Iterable[RationalLike]) -> "FinitePointSet":
+        if isinstance(points, FinitePointSet):
+            return points
         return cls(tuple(sorted(set(as_fraction(p) for p in points))))
 
     def __iter__(self) -> Iterator[Fraction]:
@@ -88,6 +90,8 @@ class IntSet:
 
     @classmethod
     def of(cls, elements: Iterable[int]) -> "IntSet":
+        if isinstance(elements, IntSet):
+            return elements
         return cls(tuple(sorted(set(int(e) for e in elements))))
 
     def __iter__(self) -> Iterator[int]:
@@ -120,8 +124,8 @@ def is_spectrum(g: FinitePointSet | Iterable[RationalLike],
                 b: FinitePointSet | Iterable[RationalLike]) -> bool:
     """Exact spectral-pair verdict: |B| = |G| and every pair b != b' in B
     satisfies  sum_{g in G} e^(2 pi i (b - b') g) == 0."""
-    g = g if isinstance(g, FinitePointSet) else FinitePointSet.of(g)
-    b = b if isinstance(b, FinitePointSet) else FinitePointSet.of(b)
+    g = FinitePointSet.of(g)
+    b = FinitePointSet.of(b)
     if len(g) != len(b):
         return False
     for b1, b2 in combinations(b.points, 2):
@@ -138,7 +142,7 @@ def admissible_differences(g: FinitePointSet | Iterable[RationalLike],
     These are precisely the differences allowed between elements of an
     integer set A for which (1/p)A is a spectrum of G.
     """
-    g = g if isinstance(g, FinitePointSet) else FinitePointSet.of(g)
+    g = FinitePointSet.of(g)
     if len(g) == 0:
         raise ValueError("point set must be nonempty")
     if len(g) != p:
@@ -160,7 +164,7 @@ def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
     difference admissible; equivalently all A for which (1/p)A is a spectrum
     of G.  Backtracking over candidates in ascending order, so the output is
     already sorted lexicographically."""
-    g = g if isinstance(g, FinitePointSet) else FinitePointSet.of(g)
+    g = FinitePointSet.of(g)
     if p < 1:
         raise ValueError("p must be positive")
     if len(g) != p:
@@ -191,7 +195,7 @@ def brute_force_spectra(g: FinitePointSet | Iterable[RationalLike],
                         p: int, n_max: int) -> list[IntSet]:
     """Independent oracle for enumerate_spectra: test every p-subset of
     {0, ..., n_max} containing 0 directly with is_spectrum."""
-    g = g if isinstance(g, FinitePointSet) else FinitePointSet.of(g)
+    g = FinitePointSet.of(g)
     if p < 1:
         raise ValueError("p must be positive")
     if len(g) != p:

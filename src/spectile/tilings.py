@@ -3,16 +3,17 @@
 A finite set A of integers tiles Z by a periodic complement R + mZ exactly
 when A is distinct mod m and the residues (a + r) mod m cover Z_m once each.
 Everything here reduces to that cyclic check, so all verdicts are exact.
-Complement searches are backtracking exact cover over Z_m with coverage
-tables kept as integer bitmasks; a search that finds nothing within its
-period bound is inconclusive, never a refutation.
+Both complement searches run one backtracking exact cover over Z_m, with
+the coverage tables of all members packed into one integer bitmask; a
+search that finds nothing within its period bound is inconclusive, never a
+refutation.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .spectra import IntSet
 
@@ -67,19 +68,13 @@ class TilingCertificate:
     checked_window: tuple[int, int]
 
 
-def _as_elements(tile) -> tuple[int, ...]:
-    if isinstance(tile, IntSet):
-        return tile.elements
-    return IntSet.of(tile).elements
-
-
 def tiles_cyclic(tile, residues: Iterable[int], m: int) -> bool:
     """Exact test of A + (R + mZ) = Z with every integer covered once:
     A distinct mod m, |A|*|R| = m, and the sums (a + r) mod m pairwise
     distinct."""
     if m < 1:
         raise ValueError("modulus must be positive")
-    a = _as_elements(tile)
+    a = IntSet.of(tile).elements
     r = sorted(set(x % m for x in residues))
     a_mod = set(x % m for x in a)
     if len(a_mod) != len(a):
@@ -103,7 +98,7 @@ def is_tiling_of_Z(tile, complement: PeriodicSet) -> bool:
 
 def certify_tiling(tile, complement: PeriodicSet) -> TilingCertificate:
     """Verify and package a tiling of Z; raises ValueError if it fails."""
-    tile = tile if isinstance(tile, IntSet) else IntSet.of(tile)
+    tile = IntSet.of(tile)
     if not is_tiling_of_Z(tile, complement):
         raise ValueError(
             f"{tuple(tile)} does not tile Z by residues {complement.residues} "
@@ -111,55 +106,72 @@ def certify_tiling(tile, complement: PeriodicSet) -> TilingCertificate:
     return TilingCertificate(tile, complement, (0, complement.period))
 
 
-def _rotated_masks(elements: Sequence[int], m: int) -> list[int]:
-    """masks[t] marks the residues of (elements + t) mod m."""
-    full = (1 << m) - 1
-    base = 0
-    for x in elements:
-        base |= 1 << (x % m)
-    return [((base << t) | (base >> (m - t))) & full if t else base
-            for t in range(m)]
+def _exact_covers(members: Sequence[IntSet], m: int,
+                  deadline: Optional[float] = None,
+                  ) -> Iterator[tuple[int, ...]]:
+    """Every residue set R with 0 in R such that each member + (R + mZ)
+    tiles Z, in search order.
+
+    The coverage tables of all K members sit side by side in one integer,
+    member j owning bits [j*m, (j+1)*m), so one AND tests a translate
+    against every table.  Search: place the translate 0 first, then take
+    the smallest residue u uncovered in the first table and branch on the
+    translates u - a mod m, a in the first member, in ascending order.
+    Each valid R is reached by exactly one branch sequence.  Every member
+    has the same size and is distinct mod m, so each field fills at the
+    same rate and a full first table means every table is full.
+
+    deadline is an absolute time.monotonic() value, checked before the
+    first node and then every _POLL_INTERVAL nodes; passing it raises
+    SearchTimeout.
+    """
+    p = len(members[0])
+    if not p or m % p:
+        return
+    bits = ["0"] * (len(members) * m)
+    for offset, a in zip(range(0, len(bits), m), members):
+        for x in a.elements:
+            bits[offset + x % m] = "1"
+    if bits.count("1") != len(bits) // m * p:
+        return  # some member is not distinct mod m
+    base = int("".join(reversed(bits)), 2)
+    first_field = (1 << m) - 1
+    full = (1 << len(bits)) - 1
+    rep = full // first_field
+    masks = []  # masks[t]: every field rotated left by t
+    for t in range(m):
+        low = rep * ((1 << t) - 1)  # bits [0, t) of every field
+        masks.append(((base << t) & (full ^ low)) | ((base >> (m - t)) & low))
+    # branches[u]: translates covering u in the first table, descending,
+    # so that they pop off the stack in ascending order
+    branches = [sorted(((u - x) % m for x in members[0]), reverse=True)
+                for u in range(m)]
+    nodes = 0
+    stack = [(masks[0], (0,))]
+    while stack:
+        if (deadline is not None and nodes % _POLL_INTERVAL == 0
+                and time.monotonic() > deadline):
+            raise SearchTimeout(
+                f"common-complement search passed its deadline at period {m}")
+        nodes += 1
+        covered, chosen = stack.pop()
+        gap = (covered & first_field) ^ first_field
+        if not gap:
+            yield tuple(sorted(chosen))
+            continue
+        u = (gap & -gap).bit_length() - 1
+        for t in branches[u]:
+            mask = masks[t]
+            if not mask & covered:
+                stack.append((covered | mask, chosen + (t,)))
 
 
 def find_complements(tile, m: int) -> list[tuple[int, ...]]:
     """All residue sets R with 0 in R and tiles_cyclic(tile, R, m), sorted
-    lexicographically.
-
-    Exact cover by backtracking: place the translate 0 first, then
-    repeatedly take the smallest uncovered residue u and branch on the
-    translates u - a mod m, a in tile.  Each valid R is reached by exactly
-    one branch sequence, so no deduplication is needed.
-    """
+    lexicographically; the single-member case of the exact-cover search."""
     if m < 1:
         raise ValueError("modulus must be positive")
-    a = _as_elements(tile)
-    if not a or m % len(a) != 0:
-        return []
-    if len(set(x % m for x in a)) != len(a):
-        return []
-    a_mod = sorted(x % m for x in a)
-    masks = _rotated_masks(a_mod, m)
-    full = (1 << m) - 1
-    results: list[tuple[int, ...]] = []
-    chosen = [0]
-
-    def extend(covered: int) -> None:
-        if covered == full:
-            results.append(tuple(sorted(chosen)))
-            return
-        gap = ~covered & full
-        u = (gap & -gap).bit_length() - 1
-        for t in sorted((u - x) % m for x in a_mod):
-            mask = masks[t]
-            if mask & covered:
-                continue
-            chosen.append(t)
-            extend(covered | mask)
-            chosen.pop()
-
-    extend(masks[0])
-    results.sort()
-    return results
+    return sorted(_exact_covers([IntSet.of(tile)], m))
 
 
 def find_common_complement(family, m_max: int, *,
@@ -168,17 +180,14 @@ def find_common_complement(family, m_max: int, *,
     """Smallest-period complement shared by every member of the family.
 
     Tries periods m = p, 2p, ..., m_max (p the common cardinality; other
-    periods cannot satisfy |A|*|R| = m).  Within one period the search is a
-    joint exact cover holding one coverage table per member: take the
-    smallest residue uncovered in the first table, branch on translates
-    u - a mod m with a from the first member in ascending order, and accept
-    a translate only if it collides with no table.  Returns the first hit,
-    which therefore has minimal period; None when the bound is exhausted.
+    periods cannot satisfy |A|*|R| = m) and returns the first exact cover
+    found for all members at once, which therefore has minimal period;
+    None when the bound is exhausted.
 
     deadline is an absolute time.monotonic() value; passing it raises
     SearchTimeout so the caller can report an honest partial result.
     """
-    sets = [s if isinstance(s, IntSet) else IntSet.of(s) for s in family]
+    sets = [IntSet.of(s) for s in family]
     if not sets:
         raise ValueError("family must be nonempty")
     p = len(sets[0])
@@ -187,48 +196,7 @@ def find_common_complement(family, m_max: int, *,
     if any(len(s) != p for s in sets):
         raise ValueError("family members must share one cardinality")
     for m in range(p, m_max + 1, p):
-        found = _common_complement_mod(sets, m, deadline)
+        found = next(_exact_covers(sets, m, deadline), None)
         if found is not None:
             return PeriodicSet(found, m)
     return None
-
-
-def _common_complement_mod(sets: list[IntSet], m: int,
-                           deadline: Optional[float],
-                           ) -> Optional[tuple[int, ...]]:
-    reduced = []
-    for s in sets:
-        a_mod = sorted(x % m for x in s)
-        if len(set(a_mod)) != len(a_mod):
-            return None
-        reduced.append(a_mod)
-    masks = [_rotated_masks(a_mod, m) for a_mod in reduced]
-    full = (1 << m) - 1
-    first = reduced[0]
-    nodes = 0
-
-    def extend(covered: list[int], chosen: list[int],
-               ) -> Optional[tuple[int, ...]]:
-        nonlocal nodes
-        nodes += 1
-        if nodes % _POLL_INTERVAL == 0 and deadline is not None:
-            if time.monotonic() > deadline:
-                raise SearchTimeout(
-                    f"common-complement search passed its deadline at period {m}")
-        if covered[0] == full:
-            return tuple(sorted(chosen))
-        gap = ~covered[0] & full
-        u = (gap & -gap).bit_length() - 1
-        for t in sorted((u - x) % m for x in first):
-            if any(table[t] & cov for table, cov in zip(masks, covered)):
-                continue
-            hit = extend([cov | table[t] for table, cov in zip(masks, covered)],
-                         chosen + [t])
-            if hit is not None:
-                return hit
-        return None
-
-    if deadline is not None and time.monotonic() > deadline:
-        raise SearchTimeout(
-            f"common-complement search passed its deadline at period {m}")
-    return extend([table[0] for table in masks], [0])

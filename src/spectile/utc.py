@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .intervals import (IntervalUnion, OmegaTilingCertificate, PeriodicSpectrum,
-                        assemble_tiling, build_omega, fibers, spectral_verdict)
+from .intervals import (IntervalUnion, OmegaTilingCertificate,
+                        _assemble_from_cells, _cells_are_spectral, build_omega,
+                        fibers, spectrum_base)
 from .spectra import (FinitePointSet, IntSet, as_fraction, enumerate_spectra,
                       is_spectrum)
 from .tilings import (PeriodicSet, SearchTimeout, find_common_complement,
@@ -60,14 +61,6 @@ class RoundTripReport:
     consistency: bool
 
 
-def _validated_gamma(gamma, p: int) -> FinitePointSet:
-    gamma = gamma if isinstance(gamma, FinitePointSet) else FinitePointSet.of(gamma)
-    if len(gamma) != p:
-        raise ValueError(f"base has {len(gamma)} elements, expected {p}")
-    PeriodicSpectrum(gamma, p)
-    return gamma
-
-
 def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
                time_budget: Optional[float] = None) -> UtcReport:
     """Enumerate every integer spectrum of Gamma within {0..n_max}, then
@@ -78,7 +71,7 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
     optional wall-clock budget in seconds, gives an inconclusive verdict.
     """
     start = time.monotonic()
-    gamma = _validated_gamma(gamma, p)
+    gamma = spectrum_base(gamma, p)
     deadline = start + time_budget if time_budget is not None else None
     family = enumerate_spectra(gamma, p, n_max)
     if not family:
@@ -111,8 +104,8 @@ def roundtrip(p: int, gamma, family, breakpoints, m_max: int, *,
     consistency is true only when every stage agrees.
     """
     start = time.monotonic()
-    gamma = _validated_gamma(gamma, p)
-    sets = tuple(a if isinstance(a, IntSet) else IntSet.of(a) for a in family)
+    gamma = spectrum_base(gamma, p)
+    sets = tuple(IntSet.of(a) for a in family)
     for i, a in enumerate(sets):
         scaled = FinitePointSet.of(Fraction(k, p) for k in a)
         if not is_spectrum(gamma, scaled):
@@ -121,18 +114,18 @@ def roundtrip(p: int, gamma, family, breakpoints, m_max: int, *,
                 f"spectrum of the base")
     rs = tuple(as_fraction(r) for r in breakpoints)
     omega = build_omega(p, sets, rs)
-    spectral_ok = spectral_verdict(omega, gamma, p)
+    decomposition = fibers(omega, p)
+    spectral_ok = _cells_are_spectral(decomposition, gamma)
     deadline = start + time_budget if time_budget is not None else None
     try:
         complement = find_common_complement(
-            fibers(omega, p).fiber_family(), m_max, deadline=deadline)
+            decomposition.fiber_family(), m_max, deadline=deadline)
     except SearchTimeout:
         complement = None
     certificate = None
     consistency = False
     if complement is not None:
-        certificate = assemble_tiling(omega, p, complement.residues,
-                                      complement.period)
+        certificate = _assemble_from_cells(omega, decomposition, complement)
         consistency = spectral_ok and all(
             is_tiling_of_Z(a, complement) for a in sets)
     return RoundTripReport(p, gamma, sets, rs, omega, spectral_ok,

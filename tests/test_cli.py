@@ -155,6 +155,14 @@ def test_job_file_runs_and_validates(tmp_path, capsys):
     assert run(["--job", str(job)]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "true"
 
+    # a list that starts with '-' must still reach its flag as a value
+    job.write_text(json.dumps({
+        "command": "check-spectrum",
+        "args": {"gamma": "0,1/2", "b": "-1,0"},
+    }))
+    assert run(["--job", str(job)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "true"
+
     job.write_text(json.dumps({"command": "nope", "args": {}}))
     assert run(["--job", str(job)]) == 1
     capsys.readouterr()

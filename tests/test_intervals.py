@@ -1,13 +1,17 @@
 """Interval unions: construction, fibers, exact tiling checks, and the
 floating-point Gram cross-checks."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from corpus import NEGATIVE_CORPUS, OMEGA_2, SPECTRAL_CORPUS, UNIT, iu
+import spectile
 from spectile import (CommonComplementError, IntervalUnion, IntSet,
                       PeriodicSet, PeriodicSpectrum, assemble_tiling,
                       build_omega, divisibility_check, fibers, gram_entry,
@@ -246,3 +250,40 @@ def test_fiber_family_deduplicates_in_order():
                         [0, F(1, 6), F(1, 3), F(1, 2)])
     fam = fibers(omega, 2).fiber_family()
     assert fam == [IntSet.of([0, 1]), IntSet.of([0, 3])]
+
+
+OPTIMIZED_INVARIANTS = """
+from fractions import Fraction as F
+import spectile.cyclotomic as cyclotomic
+import spectile.intervals as intervals
+
+intervals.measure = lambda omega: 2
+for label, call in [
+        ("build_omega", lambda: intervals.build_omega(2, [[0, 1], [0, 3]],
+                                                      [0, F(1, 4), F(1, 2)])),
+        ("is_p_tile", lambda: intervals.is_p_tile(
+            intervals.IntervalUnion.of([(0, 1)]), 1))]:
+    try:
+        call()
+    except AssertionError:
+        pass
+    else:
+        raise SystemExit(label + " accepted a union of the wrong measure")
+
+cyclotomic._x_power_minus_one = lambda m: cyclotomic.IntPolynomial.of(
+    [-2] + [0] * (m - 1) + [1])
+try:
+    cyclotomic.cyclotomic_poly(2)
+except AssertionError:
+    pass
+else:
+    raise SystemExit("cyclotomic_poly accepted a nonzero remainder")
+"""
+
+
+def test_invariant_checks_survive_python_O():
+    src = os.path.dirname(os.path.dirname(spectile.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_INVARIANTS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -6,10 +6,13 @@ import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectile import (IntSet, PeriodicSet, SearchTimeout, certify_tiling,
                       find_common_complement, find_complements, is_tiling_of_Z,
                       tiles_cyclic)
+from spectile.tilings import _exact_covers
 
 
 def brute_force_complements(tile, m):
@@ -89,6 +92,43 @@ def test_find_complements_matches_brute_force():
         assert found == brute_force_complements(tile, m), (tile, m)
         for r in found:
             assert tiles_cyclic(tile, r, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tile=st.sets(st.integers(-12, 24), min_size=1, max_size=6),
+       m=st.integers(1, 12))
+def test_find_complements_property_matches_brute_force(tile, m):
+    assert find_complements(tile, m) == brute_force_complements(tile, m)
+
+
+@st.composite
+def families(draw):
+    p = draw(st.integers(1, 4))
+    member = st.lists(st.integers(0, 20), min_size=p, max_size=p, unique=True)
+    return draw(st.lists(member, min_size=1, max_size=5)), draw(
+        st.integers(1, 16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=families())
+def test_find_common_complement_property_matches_brute_force(case):
+    family, m_max = case
+    p = len(family[0])
+    sets = [IntSet.of(a) for a in family]
+    expected = None
+    for m in range(p, m_max + 1, p):
+        covers = [r for r in brute_force_complements(family[0], m)
+                  if all(tiles_cyclic(a, r, m) for a in family)]
+        # the packed K-member search lists exactly the common covers
+        assert sorted(_exact_covers(sets, m)) == covers, (family, m)
+        if covers and expected is None:
+            expected = m, covers
+    got = find_common_complement(family, m_max)
+    if expected is None:
+        assert got is None
+    else:
+        assert got.period == expected[0]
+        assert got.residues in expected[1]
 
 
 def test_find_complements_sorted_output():

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import spectile.intervals
+import spectile.utc
 from spectile import (INCONCLUSIVE, NO_SPECTRA, VERIFIED, IntSet,
                       InvalidFamilyError, enumerate_spectra, is_tiling_of_Z,
                       measure, roundtrip, utc_verify, verify_omega_tiling)
@@ -137,3 +139,18 @@ def test_roundtrip_family_must_match_enumeration():
     assert IntSet.of([0, 7]) in found
     trip = roundtrip(2, [0, 1], [[0, 7]], [0, F(1, 2)], 4)
     assert trip.consistency
+
+
+def test_roundtrip_makes_one_fiber_pass(monkeypatch):
+    calls = []
+    real = spectile.intervals.fibers
+
+    def counting(omega, p):
+        calls.append(p)
+        return real(omega, p)
+
+    monkeypatch.setattr(spectile.intervals, "fibers", counting)
+    monkeypatch.setattr(spectile.utc, "fibers", counting)
+    report = roundtrip(2, [0, 1], [[0, 1], [0, 3]], [0, F(1, 4), F(1, 2)], 8)
+    assert report.consistency and report.omega_tiling is not None
+    assert calls == [2]
