@@ -5,9 +5,8 @@ from .cyclotomic import (IntPolynomial, ResidueMultiset, cyclotomic_poly,
                          root_sum_is_zero, root_sum_value)
 from .intervals import (CommonComplementError, FiberCell, FiberDecomposition,
                         IntervalUnion, OmegaTilingCertificate,
-                        PeriodicSpectrum, assemble_tiling, build_omega,
-                        divisibility_check, fibers, gram_entry, gram_matrix,
-                        is_p_tile, measure, normalize,
+                        PeriodicSpectrum, assemble_tiling, build_omega, fibers,
+                        gram_entry, gram_matrix, is_p_tile, measure, normalize,
                         period_identity_residual, spectral_verdict,
                         verify_omega_tiling)
 from .spectra import (FinitePointSet, IntSet, ResourceLimitError,
@@ -32,7 +31,7 @@ __all__ = [
     "tiles_cyclic",
     "CommonComplementError", "FiberCell", "FiberDecomposition",
     "IntervalUnion", "OmegaTilingCertificate", "PeriodicSpectrum",
-    "assemble_tiling", "build_omega", "divisibility_check", "fibers",
+    "assemble_tiling", "build_omega", "fibers",
     "gram_entry", "gram_matrix", "is_p_tile", "measure", "normalize",
     "period_identity_residual", "spectral_verdict", "verify_omega_tiling",
     "INCONCLUSIVE", "NO_SPECTRA", "VERIFIED", "InvalidFamilyError",

@@ -2,11 +2,13 @@
 
 Exit codes: 0 for verified/true verdicts, 2 for inconclusive or negative
 verdicts (bounded search exhausted, tiling check false, tolerance
-exceeded), 1 for invalid input.  Exact data crosses the boundary as
-integers or "num/den" strings only; floats appear solely in measured
-numerical results and tolerances.  Certificates are deterministic:
-re-running an identical job reproduces the file byte for byte except for
-the timing field, which is excluded from the input hash.
+exceeded), 1 for invalid input, with a message that names the flag.
+Exact data crosses the boundary as integers or "num/den" strings only:
+each flag is read by the converter given as its argparse ``type``, and
+every exact value is written by ``canonical_json``.  Floats appear solely
+in measured numerical results and tolerances.  Certificates are
+deterministic: re-running an identical job reproduces the file byte for
+byte except for the timing field, which is excluded from the input hash.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -37,7 +40,7 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 _INTERVAL_RE = re.compile(rf"^\[({_RATIONAL}),({_RATIONAL})\)$")
 
 
-class InputError(Exception):
+class InputError(argparse.ArgumentTypeError):
     """Invalid command-line or job-file input; maps to exit code 1."""
 
 
@@ -48,94 +51,101 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def parse_rational(text: str, field: str) -> Fraction:
+def _split(text: str, sep: str, what: str) -> list[str]:
+    parts = [p for p in text.split(sep) if p.strip()]
+    if not parts:
+        raise InputError(f"empty {what}")
+    return parts
+
+
+def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise InputError(
-            f"{field}: {text!r} is not an exact rational; use 'num' or 'num/den'")
+            f"{text!r} is not an exact rational; use 'num' or 'num/den'")
     return Fraction(text)
 
 
-def parse_rational_list(text: str, field: str) -> list[Fraction]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise InputError(f"{field}: empty list")
-    return [parse_rational(p, field) for p in parts]
+def parse_rational_list(text: str) -> list[Fraction]:
+    return [parse_rational(p) for p in _split(text, ",", "list")]
 
 
-def parse_int(text: str, field: str) -> int:
+def parse_point_set(text: str) -> FinitePointSet:
+    return FinitePointSet.of(parse_rational_list(text))
+
+
+def parse_int(text: str) -> int:
     text = text.strip()
     if not _INT_RE.match(text):
-        raise InputError(f"{field}: {text!r} is not an integer")
+        raise InputError(f"{text!r} is not an integer")
     return int(text)
 
 
-def parse_int_list(text: str, field: str) -> list[int]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise InputError(f"{field}: empty list")
-    return [parse_int(p, field) for p in parts]
+def parse_int_set(text: str) -> IntSet:
+    return IntSet.of(parse_int(p) for p in _split(text, ",", "list"))
 
 
-def parse_positive_int(text: str, field: str, minimum: int = 1) -> int:
-    value = parse_int(text, field)
+def parse_family(text: str) -> list[IntSet]:
+    return [parse_int_set(g) for g in _split(text, ";", "family")]
+
+
+def parse_positive_int(text: str, minimum: int = 1) -> int:
+    value = parse_int(text)
     if value < minimum:
-        raise InputError(f"{field}: {value} is below the minimum of {minimum}")
+        raise InputError(f"{value} is below the minimum of {minimum}")
     return value
 
 
-def parse_float(text: str, field: str) -> float:
+def parse_non_negative_int(text: str) -> int:
+    return parse_positive_int(text, minimum=0)
+
+
+def parse_positive_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise InputError(f"{field}: {text!r} is not a number") from None
+        raise InputError(f"{text!r} is not a number") from None
+    # nan would switch a deadline or a tolerance check off without a word
+    if not math.isfinite(value):
+        raise InputError(f"{text!r} is not a finite number")
     if value <= 0:
-        raise InputError(f"{field}: must be positive")
+        raise InputError("must be positive")
     return value
 
 
-def parse_family(text: str, field: str) -> list[IntSet]:
-    groups = [g for g in text.split(";") if g.strip()]
-    if not groups:
-        raise InputError(f"{field}: empty family")
-    return [IntSet.of(parse_int_list(g, field)) for g in groups]
-
-
-def parse_interval_union(text: str, field: str) -> IntervalUnion:
+def parse_interval_union(text: str) -> IntervalUnion:
     pairs = []
-    for piece in text.split(";"):
-        piece = piece.strip()
-        if not piece:
-            continue
-        m = _INTERVAL_RE.match(piece)
+    for piece in _split(text, ";", "interval union"):
+        m = _INTERVAL_RE.match(piece.strip())
         if not m:
             raise InputError(
-                f"{field}: {piece!r} is not a half-open interval '[a,b)'")
+                f"{piece.strip()!r} is not a half-open interval '[a,b)'")
         pairs.append((Fraction(m.group(1)), Fraction(m.group(2))))
-    if not pairs:
-        raise InputError(f"{field}: empty interval union")
     try:
         return IntervalUnion.of(pairs)
     except ValueError as exc:
-        raise InputError(f"{field}: {exc}") from None
+        raise InputError(str(exc)) from None
 
 
-def frac_str(value: Fraction) -> str:
-    return str(value)
-
-
-def intervals_json(omega: IntervalUnion) -> list[str]:
-    return [f"[{a},{b})" for a, b in omega.intervals]
-
-
-def periodic_set_json(pset: Optional[PeriodicSet]):
-    if pset is None:
-        return None
-    return {"residues": list(pset.residues), "period": pset.period}
+def _exact(value):
+    """The certificate form of an exact value: "num/den" strings for
+    rationals, "[a,b)" strings for intervals, lists for point sets."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, IntSet):
+        return value.elements
+    if isinstance(value, FinitePointSet):
+        return [str(x) for x in value.points]
+    if isinstance(value, IntervalUnion):
+        return [f"[{a},{b})" for a, b in value.intervals]
+    if isinstance(value, PeriodicSet):
+        return {"residues": value.residues, "period": value.period}
+    raise TypeError(f"{type(value).__name__} has no certificate form")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                      default=_exact) + "\n"
 
 
 def input_hash(command: str, inputs: dict, bounds: dict) -> str:
@@ -164,6 +174,17 @@ def build_parser() -> _Parser:
     parser.add_argument("--job", metavar="FILE",
                         help="read the job from a JSON file instead of flags")
     sub = parser.add_subparsers(dest="command")
+    points = dict(type=parse_point_set, required=True)
+    positive = dict(type=parse_positive_int, required=True)
+    n_max = dict(type=parse_non_negative_int, required=True)
+    family = dict(type=parse_family, required=True,
+                  help="semicolon-separated integer lists, e.g. '0,1;0,3'")
+    breakpoints = dict(type=parse_rational_list, required=True,
+                       help="rational list running 0..1/p")
+    omega = dict(type=parse_interval_union, required=True,
+                 help="intervals, e.g. '[0,3/4);[7/4,2)'")
+    budget = dict(type=parse_positive_float,
+                  help="wall-clock seconds before giving up")
 
     def common(p):
         p.add_argument("--output", metavar="FILE",
@@ -172,71 +193,71 @@ def build_parser() -> _Parser:
                        help="print a one-line human summary to stderr")
 
     p = sub.add_parser("check-spectrum", help="exact spectral-pair verdict")
-    p.add_argument("--gamma", required=True, help="rational list, e.g. 0,1/2")
-    p.add_argument("--b", required=True, help="rational list, e.g. 0,1")
+    p.add_argument("--gamma", **points, help="rational list, e.g. 0,1/2")
+    p.add_argument("--b", **points, help="rational list, e.g. 0,1")
     common(p)
 
     p = sub.add_parser("enum-spectra",
                        help="all integer spectra of gamma within a bound")
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--n-max", required=True)
+    p.add_argument("--gamma", **points)
+    p.add_argument("--p", **positive)
+    p.add_argument("--n-max", **n_max)
     common(p)
 
     p = sub.add_parser("find-complement",
                        help="all complements of a tile in Z_m containing 0")
-    p.add_argument("--a", required=True, help="integer list, e.g. 0,1")
-    p.add_argument("--m", required=True)
+    p.add_argument("--a", type=parse_int_set, required=True,
+                   help="integer list, e.g. 0,1")
+    p.add_argument("--m", **positive)
     common(p)
 
     p = sub.add_parser("utc-verify",
                        help="common-complement search over all spectra in bounds")
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--n-max", required=True)
-    p.add_argument("--m-max", required=True)
-    p.add_argument("--time-budget", help="wall-clock seconds before giving up")
+    p.add_argument("--gamma", **points)
+    p.add_argument("--p", **positive)
+    p.add_argument("--n-max", **n_max)
+    p.add_argument("--m-max", **positive)
+    p.add_argument("--time-budget", **budget)
     common(p)
 
     p = sub.add_parser("build-omega",
                        help="measure-one interval union from a family and breakpoints")
-    p.add_argument("--p", required=True)
-    p.add_argument("--family", required=True,
-                   help="semicolon-separated integer lists, e.g. '0,1;0,3'")
-    p.add_argument("--breakpoints", required=True,
-                   help="rational list running 0..1/p")
+    p.add_argument("--p", **positive)
+    p.add_argument("--family", **family)
+    p.add_argument("--breakpoints", **breakpoints)
     common(p)
 
     p = sub.add_parser("verify-omega",
                        help="exact tiling check of R by omega + (1/p)(R + mZ)")
-    p.add_argument("--omega", required=True,
-                   help="intervals, e.g. '[0,3/4);[7/4,2)'")
-    p.add_argument("--t-residues", required=True)
-    p.add_argument("--t-period", required=True)
-    p.add_argument("--p", default="1")
+    p.add_argument("--omega", **omega)
+    p.add_argument("--t-residues", type=parse_int_set, required=True)
+    p.add_argument("--t-period", **positive)
+    p.add_argument("--p", type=parse_positive_int, default="1")
     common(p)
 
     p = sub.add_parser("roundtrip",
                        help="spectral family -> omega -> tiling of R, verified")
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--family", required=True)
-    p.add_argument("--breakpoints", required=True)
-    p.add_argument("--m-max", required=True)
-    p.add_argument("--time-budget")
+    p.add_argument("--gamma", **points)
+    p.add_argument("--p", **positive)
+    p.add_argument("--family", **family)
+    p.add_argument("--breakpoints", **breakpoints)
+    p.add_argument("--m-max", **positive)
+    p.add_argument("--time-budget", **budget)
     common(p)
 
     p = sub.add_parser("gram-check",
                        help="floating-point Gram cross-checks for an interval union")
-    p.add_argument("--omega", required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--gamma",
+    p.add_argument("--omega", **omega)
+    p.add_argument("--p", **positive)
+    p.add_argument("--gamma", type=parse_point_set,
                    help="base of the spectrum for the truncated Gram matrix")
-    p.add_argument("--lam", help="frequency for the period-identity residual")
-    p.add_argument("--lam-prime")
-    p.add_argument("--tolerance", default="1e-9",
+    p.add_argument("--lam", type=parse_rational,
+                   help="frequency for the period-identity residual")
+    p.add_argument("--lam-prime", type=parse_rational)
+    p.add_argument("--tolerance", type=parse_positive_float, default="1e-9",
                    help="bound for the period-identity residual")
-    p.add_argument("--gram-tolerance", default="1e-8",
+    p.add_argument("--gram-tolerance", type=parse_positive_float,
+                   default="1e-8",
                    help="bound for Gram off-diagonal and diagonal deviation")
     common(p)
 
@@ -244,94 +265,63 @@ def build_parser() -> _Parser:
 
 
 def _cmd_check_spectrum(ns):
-    gamma = FinitePointSet.of(parse_rational_list(ns.gamma, "--gamma"))
-    b = FinitePointSet.of(parse_rational_list(ns.b, "--b"))
-    ok = is_spectrum(gamma, b)
-    inputs = {"gamma": [frac_str(g) for g in gamma],
-              "b": [frac_str(x) for x in b]}
+    ok = is_spectrum(ns.gamma, ns.b)
+    inputs = {"gamma": ns.gamma, "b": ns.b}
     result = {"is_spectrum": ok}
     return ("true" if ok else "false", 0 if ok else 2, inputs, {}, result)
 
 
 def _cmd_enum_spectra(ns):
-    p = parse_positive_int(ns.p, "--p")
-    n_max = parse_positive_int(ns.n_max, "--n-max", minimum=0)
-    gamma = FinitePointSet.of(parse_rational_list(ns.gamma, "--gamma"))
-    sets = enumerate_spectra(gamma, p, n_max)
-    inputs = {"gamma": [frac_str(g) for g in gamma], "p": p}
-    bounds = {"n_max": n_max}
-    result = {"spectra": [list(a) for a in sets], "count": len(sets)}
+    sets = enumerate_spectra(ns.gamma, ns.p, ns.n_max)
+    inputs = {"gamma": ns.gamma, "p": ns.p}
+    bounds = {"n_max": ns.n_max}
+    result = {"spectra": sets, "count": len(sets)}
     return ("complete-within-bounds", 0, inputs, bounds, result)
 
 
 def _cmd_find_complement(ns):
-    a = IntSet.of(parse_int_list(ns.a, "--a"))
-    m = parse_positive_int(ns.m, "--m")
-    found = find_complements(a, m)
-    inputs = {"a": list(a), "m": m}
-    result = {"complements": [list(r) for r in found], "count": len(found)}
+    found = find_complements(ns.a, ns.m)
+    inputs = {"a": ns.a, "m": ns.m}
+    result = {"complements": found, "count": len(found)}
     verdict = "found" if found else "none-at-this-period"
     return (verdict, 0 if found else 2, inputs, {}, result)
 
 
 def _cmd_utc_verify(ns):
-    p = parse_positive_int(ns.p, "--p")
-    n_max = parse_positive_int(ns.n_max, "--n-max", minimum=0)
-    m_max = parse_positive_int(ns.m_max, "--m-max")
-    budget = parse_float(ns.time_budget, "--time-budget") \
-        if ns.time_budget else None
-    gamma = FinitePointSet.of(parse_rational_list(ns.gamma, "--gamma"))
-    report = utc_verify(p, gamma, n_max, m_max, time_budget=budget)
-    inputs = {"gamma": [frac_str(g) for g in gamma], "p": p}
-    bounds = {"n_max": n_max, "m_max": m_max}
-    result = {"spectra": [list(a) for a in report.spectra_found],
-              "certificate": periodic_set_json(report.certificate)}
+    report = utc_verify(ns.p, ns.gamma, ns.n_max, ns.m_max,
+                        time_budget=ns.time_budget)
+    inputs = {"gamma": ns.gamma, "p": ns.p}
+    bounds = {"n_max": ns.n_max, "m_max": ns.m_max}
+    result = {"spectra": report.spectra_found,
+              "certificate": report.certificate}
     code = 0 if report.verdict == VERIFIED else 2
     return (report.verdict, code, inputs, bounds, result)
 
 
 def _cmd_build_omega(ns):
-    p = parse_positive_int(ns.p, "--p")
-    family = parse_family(ns.family, "--family")
-    breakpoints = parse_rational_list(ns.breakpoints, "--breakpoints")
-    omega = build_omega(p, family, breakpoints)
-    inputs = {"p": p, "family": [list(a) for a in family],
-              "breakpoints": [frac_str(r) for r in breakpoints]}
-    result = {"omega": intervals_json(omega),
-              "measure": frac_str(measure(omega))}
+    omega = build_omega(ns.p, ns.family, ns.breakpoints)
+    inputs = {"p": ns.p, "family": ns.family, "breakpoints": ns.breakpoints}
+    result = {"omega": omega, "measure": measure(omega)}
     return ("constructed", 0, inputs, {}, result)
 
 
 def _cmd_verify_omega(ns):
-    omega = parse_interval_union(ns.omega, "--omega")
-    residues = parse_int_list(ns.t_residues, "--t-residues")
-    period = parse_positive_int(ns.t_period, "--t-period")
-    p = parse_positive_int(ns.p, "--p")
-    pset = PeriodicSet.of(residues, period)
-    ok = verify_omega_tiling(omega, pset, p)
-    inputs = {"omega": intervals_json(omega),
-              "t": periodic_set_json(pset), "p": p}
+    pset = PeriodicSet.of(ns.t_residues, ns.t_period)
+    ok = verify_omega_tiling(ns.omega, pset, ns.p)
+    inputs = {"omega": ns.omega, "t": pset, "p": ns.p}
     result = {"tiles": ok}
     return ("true" if ok else "false", 0 if ok else 2, inputs, {}, result)
 
 
 def _cmd_roundtrip(ns):
-    p = parse_positive_int(ns.p, "--p")
-    m_max = parse_positive_int(ns.m_max, "--m-max")
-    budget = parse_float(ns.time_budget, "--time-budget") \
-        if ns.time_budget else None
-    gamma = FinitePointSet.of(parse_rational_list(ns.gamma, "--gamma"))
-    family = parse_family(ns.family, "--family")
-    breakpoints = parse_rational_list(ns.breakpoints, "--breakpoints")
-    report = roundtrip(p, gamma, family, breakpoints, m_max,
-                       time_budget=budget)
-    inputs = {"gamma": [frac_str(g) for g in gamma], "p": p,
-              "family": [list(a) for a in report.family],
-              "breakpoints": [frac_str(r) for r in report.breakpoints]}
-    bounds = {"m_max": m_max}
-    result = {"omega": intervals_json(report.omega),
+    report = roundtrip(ns.p, ns.gamma, ns.family, ns.breakpoints, ns.m_max,
+                       time_budget=ns.time_budget)
+    inputs = {"gamma": ns.gamma, "p": ns.p, "family": report.family,
+              "breakpoints": report.breakpoints}
+    bounds = {"m_max": ns.m_max}
+    result = {"omega": report.omega,
               "spectral_ok": report.spectral_ok,
-              "complement": periodic_set_json(report.projected_complement),
+              "complement": report.projected_complement,
               "consistency": report.consistency}
     if report.consistency:
         return ("consistent", 0, inputs, bounds, result)
@@ -339,41 +329,34 @@ def _cmd_roundtrip(ns):
 
 
 def _cmd_gram_check(ns):
-    omega = parse_interval_union(ns.omega, "--omega")
-    p = parse_positive_int(ns.p, "--p")
-    tol = parse_float(ns.tolerance, "--tolerance")
-    gram_tol = parse_float(ns.gram_tolerance, "--gram-tolerance")
-    if not ns.gamma and not (ns.lam or ns.lam_prime):
+    if ns.gamma is None and ns.lam is None and ns.lam_prime is None:
         raise InputError("gram-check needs --gamma and/or --lam/--lam-prime")
-    inputs = {"omega": intervals_json(omega), "p": p}
-    bounds = {"tolerance": tol, "gram_tolerance": gram_tol}
+    if (ns.lam is None) != (ns.lam_prime is None):
+        raise InputError("--lam and --lam-prime must be given together")
+    inputs = {"omega": ns.omega, "p": ns.p}
+    bounds = {"tolerance": ns.tolerance, "gram_tolerance": ns.gram_tolerance}
     result = {}
     ok = True
-    if ns.lam or ns.lam_prime:
-        if not (ns.lam and ns.lam_prime):
-            raise InputError("--lam and --lam-prime must be given together")
-        lam = parse_rational(ns.lam, "--lam")
-        lam_prime = parse_rational(ns.lam_prime, "--lam-prime")
-        residual = period_identity_residual(omega, p, lam, lam_prime)
-        inputs["lam"] = frac_str(lam)
-        inputs["lam_prime"] = frac_str(lam_prime)
+    if ns.lam is not None:
+        residual = period_identity_residual(ns.omega, ns.p, ns.lam, ns.lam_prime)
+        inputs["lam"] = ns.lam
+        inputs["lam_prime"] = ns.lam_prime
         result["period_identity_residual"] = residual
-        ok = ok and residual < tol
-    if ns.gamma:
-        gamma = parse_rational_list(ns.gamma, "--gamma")
-        spectrum = PeriodicSpectrum.of(gamma, p)
-        lambdas = spectrum.points_within(3 * p)
-        entries = gram_matrix(omega, lambdas)
+        ok = ok and residual < ns.tolerance
+    if ns.gamma is not None:
+        spectrum = PeriodicSpectrum(ns.gamma, ns.p)
+        lambdas = spectrum.points_within(3 * ns.p)
+        entries = gram_matrix(ns.omega, lambdas)
         off = max((abs(entries[i][j])
                    for i in range(len(lambdas)) for j in range(len(lambdas))
                    if i != j), default=0.0)
         diag = max((abs(entries[i][i] - 1) for i in range(len(lambdas))),
                    default=0.0)
-        inputs["gamma"] = [frac_str(g) for g in spectrum.gamma]
-        result["frequencies"] = [frac_str(x) for x in lambdas]
+        inputs["gamma"] = ns.gamma
+        result["frequencies"] = lambdas
         result["max_off_diagonal"] = off
         result["max_diagonal_deviation"] = diag
-        ok = ok and off < gram_tol and diag < gram_tol
+        ok = ok and off < ns.gram_tolerance and diag < ns.gram_tolerance
     verdict = "within-tolerance" if ok else "tolerance-exceeded"
     return (verdict, 0 if ok else 2, inputs, bounds, result)
 
@@ -403,40 +386,24 @@ def _argv_from_job(path: str) -> list[str]:
     command = job["command"]
     if command not in _HANDLERS:
         raise InputError(f"--job: unknown command {command!r}")
-    argv = [command]
     args = job.get("args", {})
     if not isinstance(args, dict):
         raise InputError("--job: 'args' must be an object")
+    args = {**args, **{k: job[k] for k in ("output", "summary") if k in job}}
     # --flag=value keeps a value that starts with '-' from reading as a flag
-    for key, value in sorted(args.items()):
-        flag = f"--{key}"
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-        else:
-            argv.append(f"{flag}={value}")
-    for key in ("output", "summary"):
-        if key in job:
-            if key == "summary":
-                if job[key]:
-                    argv.append("--summary")
-            else:
-                argv.append(f"--{key}={job[key]}")
-    return argv
+    return [command] + [f"--{key}" if value is True else f"--{key}={value}"
+                        for key, value in sorted(args.items())
+                        if value is not False]
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        if "--job" in argv:
-            at = argv.index("--job")
-            if at + 1 >= len(argv):
-                raise InputError("--job: missing file argument")
-            if len(argv) != 2:
-                raise InputError("--job replaces all other arguments")
-            argv = _argv_from_job(argv[at + 1])
         parser = build_parser()
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
+        if ns.job is not None:
+            if ns.command:
+                raise InputError("--job replaces all other arguments")
+            ns = parser.parse_args(_argv_from_job(ns.job))
         if not ns.command:
             raise InputError("no command given; see --help")
         started = time.monotonic()
@@ -459,10 +426,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if ns.summary:
             print(f"{ns.command}: {verdict}", file=sys.stderr)
         return code
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError) as exc:
+    except (InputError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

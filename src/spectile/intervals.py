@@ -395,10 +395,3 @@ def normalize(omega: IntervalUnion) -> tuple[IntervalUnion, Fraction]:
         raise ValueError("cannot normalize an empty union")
     return omega.scale(1 / total), total
 
-
-def divisibility_check(n: int, k: int) -> bool:
-    """Does k divide n?  Used to reject a claimed spectrum period k/n for a
-    measure-n integer-endpoint union before deeper work."""
-    if n < 1 or k < 1:
-        raise ValueError("arguments must be positive")
-    return n % k == 0

@@ -1,11 +1,16 @@
 """Command-line contract: exit codes, canonical certificates, job files,
 and re-verification of emitted certificates through the library."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectile import PeriodicSet, is_tiling_of_Z
 from spectile.cli import (canonical_json, parse_interval_union, parse_rational,
@@ -65,9 +70,28 @@ def test_exit_one_on_invalid_input(capsys):
         ["no-such-command"],
         [],
     ]
-    for argv in cases:
+    # a non-finite float would switch the deadline or the check off
+    non_finite = [
+        (["utc-verify", "--p", "2", "--gamma", "0,1", "--n-max", "5",
+          "--m-max", "8", "--time-budget", "nan"], "--time-budget"),
+        (["roundtrip", "--p", "2", "--gamma", "0,1", "--family", "0,1;0,3",
+          "--breakpoints", "0,1/4,1/2", "--m-max", "4",
+          "--time-budget", "inf"], "--time-budget"),
+        (["gram-check", "--omega", "[0,1)", "--p", "1", "--lam", "0",
+          "--lam-prime", "2", "--tolerance", "nan"], "--tolerance"),
+        (["gram-check", "--omega", "[0,1)", "--p", "1", "--lam", "0",
+          "--lam-prime", "2", "--tolerance", "inf"], "--tolerance"),
+        (["gram-check", "--omega", "[0,1)", "--p", "2", "--gamma", "0,1/2",
+          "--gram-tolerance", "-inf"], "--gram-tolerance"),
+    ]
+    for argv in cases + [argv for argv, _ in non_finite]:
         assert run(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:")
+    for argv, flag in non_finite:
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: argument {flag}:"), argv
 
 
 def test_diagnostics_name_the_field(capsys):
@@ -154,6 +178,27 @@ def test_job_file_runs_and_validates(tmp_path, capsys):
     }))
     assert run(["--job", str(job)]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "true"
+    assert run([f"--job={job}"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "true"
+
+    # the job replaces every other argument, in either form of the flag
+    for flag in (["--job", str(job)], [f"--job={job}"]):
+        assert run(flag + ["check-spectrum", "--gamma", "0,1/2",
+                           "--b", "0,2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    # top-level output and summary keys read as entries of args
+    out = tmp_path / "cert.json"
+    job.write_text(json.dumps({
+        "command": "check-spectrum",
+        "args": {"gamma": "0,1/2", "b": "0,1"},
+        "output": str(out), "summary": True,
+    }))
+    assert run([f"--job={job}"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "check-spectrum: true" in captured.err
+    assert json.loads(out.read_text())["verdict"] == "true"
 
     # a list that starts with '-' must still reach its flag as a value
     job.write_text(json.dumps({
@@ -183,12 +228,103 @@ def test_summary_goes_to_stderr(capsys):
 
 
 def test_parse_helpers_reject_loose_input():
-    assert parse_rational("-7/2", "f") == -3.5
+    assert parse_rational("-7/2") == -3.5
     for bad in ["1.5", "1/0", "1/-2", "", "two"]:
         with pytest.raises(InputError):
-            parse_rational(bad, "f")
+            parse_rational(bad)
     with pytest.raises(InputError):
-        parse_interval_union("[1,0)", "f")
+        parse_interval_union("[1,0)")
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+def _csv(values):
+    return ",".join(str(v) for v in values)
+
+
+@st.composite
+def cli_jobs(draw):
+    """argv for one small job whose inputs are rational lists, integer
+    families or interval unions, given unsorted and with repeats."""
+    kind = draw(st.sampled_from(
+        ["check-spectrum", "utc-verify", "build-omega", "verify-omega"]))
+    if kind == "check-spectrum":
+        gamma, b = (draw(st.lists(_RATIONALS, min_size=1, max_size=4))
+                    for _ in range(2))
+        return [kind, f"--gamma={_csv(gamma)}", f"--b={_csv(b)}"]
+    p = draw(st.integers(1, 3))
+    if kind == "utc-verify":
+        rest = draw(st.sets(
+            st.fractions(0, p, max_denominator=4).filter(lambda x: 0 < x < p),
+            min_size=p - 1, max_size=p - 1))
+        return [kind, f"--gamma={_csv([0, *rest])}", f"--p={p}",
+                f"--n-max={draw(st.integers(0, 8))}",
+                f"--m-max={draw(st.integers(1, 8))}"]
+    k = draw(st.integers(1, 3))
+    family = draw(st.lists(st.lists(st.integers(-4, 9), min_size=p,
+                                    max_size=p, unique=True),
+                           min_size=k, max_size=k))
+    step = Fraction(1, p)
+    cuts = sorted(draw(st.sets(
+        st.fractions(0, step, max_denominator=12).filter(
+            lambda x: 0 < x < step),
+        min_size=k - 1, max_size=k - 1)))
+    breakpoints = [0, *cuts, step]
+    if kind == "build-omega":
+        return [kind, f"--p={p}",
+                f"--family={';'.join(_csv(a) for a in family)}",
+                f"--breakpoints={_csv(breakpoints)}"]
+    # the union of the lifted cells, listed piece by piece and unmerged
+    pieces = [f"[{lo + Fraction(a, p)},{hi + Fraction(a, p)})"
+              for lo, hi, members in zip(breakpoints, breakpoints[1:], family)
+              for a in members]
+    residues = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3))
+    return [kind, f"--omega={';'.join(pieces)}", f"--p={p}",
+            f"--t-residues={_csv(residues)}",
+            f"--t-period={draw(st.integers(1, 8))}"]
+
+
+def _flag_text(value):
+    """A certificate value written back as flag text."""
+    if not isinstance(value, list):
+        return str(value)
+    if isinstance(value[0], list):
+        return ";".join(_csv(v) for v in value)
+    return (";" if str(value[0]).startswith("[") else ",").join(
+        str(v) for v in value)
+
+
+def _argv_from_certificate(cert):
+    argv = [cert["command"]]
+    for key, value in {**cert["inputs"], **cert["bounds"]}.items():
+        if key == "t":
+            argv += [f"--t-residues={_flag_text(value['residues'])}",
+                     f"--t-period={value['period']}"]
+        else:
+            argv.append(f"--{key.replace('_', '-')}={_flag_text(value)}")
+    return argv
+
+
+def _certificate_of(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    assert code in (0, 2), argv
+    return code, json.loads(out.getvalue())
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_jobs())
+def test_certificate_inputs_read_back_to_the_same_job(argv):
+    """The flag readers and the certificate writer are inverse: the inputs
+    a certificate echoes, passed back as flags, make the same job."""
+    code, cert = _certificate_of(argv)
+    again_code, again = _certificate_of(_argv_from_certificate(cert))
+    assert again_code == code
+    assert again["input_hash"] == cert["input_hash"]
+    assert again["verdict"] == cert["verdict"]
+    assert again["inputs"] == cert["inputs"]
 
 
 def test_module_entry_point():

@@ -14,7 +14,7 @@ from corpus import NEGATIVE_CORPUS, OMEGA_2, SPECTRAL_CORPUS, UNIT, iu
 import spectile
 from spectile import (CommonComplementError, IntervalUnion, IntSet,
                       PeriodicSet, PeriodicSpectrum, assemble_tiling,
-                      build_omega, divisibility_check, fibers, gram_entry,
+                      build_omega, fibers, gram_entry,
                       gram_matrix, is_p_tile, measure, normalize,
                       period_identity_residual, spectral_verdict,
                       verify_omega_tiling)
@@ -226,14 +226,6 @@ def test_normalize_examples():
     assert normalize(UNIT) == (UNIT, 1)
     with pytest.raises(ValueError):
         normalize(IntervalUnion(()))
-
-
-def test_divisibility_check():
-    assert divisibility_check(4, 2)
-    assert not divisibility_check(4, 3)
-    assert divisibility_check(1, 1)
-    with pytest.raises(ValueError):
-        divisibility_check(0, 1)
 
 
 def test_periodic_spectrum_points_within():
