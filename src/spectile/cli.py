@@ -390,6 +390,12 @@ def _argv_from_job(path: str) -> list[str]:
     if not isinstance(args, dict):
         raise InputError("--job: 'args' must be an object")
     args = {**args, **{k: job[k] for k in ("output", "summary") if k in job}}
+    for key, value in args.items():
+        if not isinstance(value, (str, int, float)):  # bool is an int
+            kind = {list: "a list", dict: "an object"}.get(type(value), "null")
+            raise InputError(
+                f"--job: {key!r} is {kind}; only strings, numbers and "
+                f"booleans are allowed")
     # --flag=value keeps a value that starts with '-' from reading as a flag
     return [command] + [f"--{key}" if value is True else f"--{key}={value}"
                         for key, value in sorted(args.items())

@@ -206,27 +206,42 @@ def build_omega(p: int, family: Sequence, breakpoints: Sequence[RationalLike],
 def fibers(omega: IntervalUnion, p: int) -> FiberDecomposition:
     """Decompose [0, 1/p) into cells on which the fiber of omega is constant.
 
-    Cell boundaries are the interval endpoints reduced mod 1/p; between two
-    consecutive boundaries no membership x + k/p in omega can change, so the
-    fiber is read off at the exact rational midpoint of each cell.
+    One sweep over the interval endpoints reduced mod 1/p.  Write each
+    endpoint as a = q_a/p + r_a with 0 <= r_a < 1/p.  For x in [0, 1/p) the
+    interval [a, b) puts k in the fiber exactly when
+
+        q_a + [x < r_a] <= k < q_b + [x < r_b],
+
+    so the fiber changes only at the residues: at r_a the integer q_a joins,
+    at r_b the integer q_b leaves.  The sweep starts from the fiber at 0,
+    then walks the distinct nonzero residues in ascending order, emitting
+    one cell per gap and applying that residue's leaves and joins between
+    cells.  The intervals are disjoint and non-adjacent, so no integer
+    leaves and joins at the same residue.  Cost: O(n log n) for n
+    intervals, plus the size of the output.  The empty union has one cell
+    with the empty fiber.
     """
     if p < 1:
         raise ValueError("p must be positive")
     step = Fraction(1, p)
-    cuts = {Fraction(0)}
+    fiber: set[int] = set()
+    joins: dict[Fraction, list[int]] = {}
+    leaves: dict[Fraction, list[int]] = {}
     for a, b in omega.intervals:
-        cuts.add(a % step)
-        cuts.add(b % step)
-    bounds = sorted(cuts) + [step]
+        q_a, r_a = divmod(a, step)
+        q_b, r_b = divmod(b, step)
+        fiber.update(range(q_a + (r_a > 0), q_b + (r_b > 0)))
+        if r_a:
+            joins.setdefault(r_a, []).append(q_a)
+        if r_b:
+            leaves.setdefault(r_b, []).append(q_b)
     cells = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        if lo == hi:
-            continue
-        x = (lo + hi) / 2
-        ks: list[int] = []
-        for a, b in omega.intervals:
-            ks.extend(range(math.ceil((a - x) * p), math.ceil((b - x) * p)))
-        cells.append(FiberCell(lo, hi, IntSet.of(ks)))
+    lo = Fraction(0)
+    for hi in sorted(joins.keys() | leaves.keys()) + [step]:
+        cells.append(FiberCell(lo, hi, IntSet(tuple(sorted(fiber)))))
+        fiber.difference_update(leaves.get(hi, ()))
+        fiber.update(joins.get(hi, ()))
+        lo = hi
     return FiberDecomposition(p, tuple(cells))
 
 

@@ -10,10 +10,11 @@ module.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .cyclotomic import ResidueMultiset, root_sum_is_zero
 
@@ -21,9 +22,17 @@ RationalLike = Union[Fraction, int, str]
 
 BRUTE_FORCE_GUARD = 10**7
 
+# deadline polls happen once per this many search nodes
+_POLL_INTERVAL = 1024
+
 
 class ResourceLimitError(RuntimeError):
     """Raised when a brute-force enumeration would exceed its safety guard."""
+
+
+class SearchTimeout(RuntimeError):
+    """Raised when a spectrum enumeration or a complement search passes its
+    cooperative deadline."""
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -159,11 +168,17 @@ def admissible_differences(g: FinitePointSet | Iterable[RationalLike],
 
 
 def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
-                      p: int, n_max: int) -> list[IntSet]:
+                      p: int, n_max: int, *,
+                      deadline: Optional[float] = None) -> list[IntSet]:
     """All A within {0, ..., n_max} with 0 in A, |A| = p, and every pairwise
     difference admissible; equivalently all A for which (1/p)A is a spectrum
     of G.  Backtracking over candidates in ascending order, so the output is
-    already sorted lexicographically."""
+    already sorted lexicographically.
+
+    deadline is an absolute time.monotonic() value, checked before the
+    first node and then every _POLL_INTERVAL nodes; passing it raises
+    SearchTimeout.
+    """
     g = FinitePointSet.of(g)
     if p < 1:
         raise ValueError("p must be positive")
@@ -175,8 +190,16 @@ def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
                if n_max >= 1 else set())
     results: list[IntSet] = []
     chosen = [0]
+    nodes = 0
 
     def extend(start: int) -> None:
+        nonlocal nodes
+        if deadline is not None:
+            if nodes % _POLL_INTERVAL == 0 and time.monotonic() > deadline:
+                raise SearchTimeout(
+                    f"spectrum enumeration passed its deadline after "
+                    f"{len(results)} spectra")
+            nodes += 1
         if len(chosen) == p:
             results.append(IntSet(tuple(chosen)))
             return

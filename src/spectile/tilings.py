@@ -15,14 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .spectra import IntSet
-
-# deadline polls happen once per this many search nodes
-_POLL_INTERVAL = 1024
-
-
-class SearchTimeout(RuntimeError):
-    """Raised when a complement search passes its cooperative deadline."""
+from .spectra import _POLL_INTERVAL, IntSet, SearchTimeout
 
 
 @dataclass(frozen=True, order=True)

@@ -68,12 +68,18 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
 
     The verdict is verified-with-certificate only after every family member
     has been re-checked against the certificate.  Exhausting m_max, or the
-    optional wall-clock budget in seconds, gives an inconclusive verdict.
+    optional wall-clock budget in seconds, gives an inconclusive verdict;
+    the budget bounds the enumeration and the search together, and a budget
+    that ends during the enumeration reports no spectra.
     """
     start = time.monotonic()
     gamma = spectrum_base(gamma, p)
     deadline = start + time_budget if time_budget is not None else None
-    family = enumerate_spectra(gamma, p, n_max)
+    try:
+        family = enumerate_spectra(gamma, p, n_max, deadline=deadline)
+    except SearchTimeout:
+        return UtcReport(p, gamma, n_max, m_max, (), INCONCLUSIVE, None,
+                         time.monotonic() - start)
     if not family:
         return UtcReport(p, gamma, n_max, m_max, (), NO_SPECTRA, None,
                          time.monotonic() - start)

@@ -218,6 +218,21 @@ def test_job_file_runs_and_validates(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_job_file_rejects_non_scalar_values(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    for value, kind in [(["0", "1/2"], "a list"), ({"a": 1}, "an object"),
+                        (None, "null")]:
+        job.write_text(json.dumps({
+            "command": "check-spectrum",
+            "args": {"gamma": value, "b": "0,1"},
+        }))
+        assert run(["--job", str(job)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"'gamma' is {kind}" in captured.err
+        assert "only strings, numbers and booleans" in captured.err
+
+
 def test_summary_goes_to_stderr(capsys):
     code = run(["check-spectrum", "--gamma", "0,1/2", "--b", "0,1",
                 "--summary"])

@@ -1,6 +1,7 @@
 """Interval unions: construction, fibers, exact tiling checks, and the
 floating-point Gram cross-checks."""
 
+import math
 import os
 import random
 import subprocess
@@ -9,12 +10,15 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import NEGATIVE_CORPUS, OMEGA_2, SPECTRAL_CORPUS, UNIT, iu
 import spectile
-from spectile import (CommonComplementError, IntervalUnion, IntSet,
-                      PeriodicSet, PeriodicSpectrum, assemble_tiling,
-                      build_omega, fibers, gram_entry,
+from spectile import (CommonComplementError, FiberCell,
+                      FiberDecomposition, IntervalUnion, IntSet, PeriodicSet,
+                      PeriodicSpectrum, assemble_tiling, build_omega,
+                      enumerate_spectra, fibers, gram_entry,
                       gram_matrix, is_p_tile, measure, normalize,
                       period_identity_residual, spectral_verdict,
                       verify_omega_tiling)
@@ -110,6 +114,56 @@ def test_fiber_round_trip_random():
             mid = (cell.lo + cell.hi) / 2
             owner = max(i for i in range(n) if rs[i] <= mid)
             assert cell.fiber == family[owner], (family, rs, cell)
+
+
+def midpoint_fibers(omega, p):
+    """Oracle for fibers: cut [0, 1/p) at every endpoint reduced mod 1/p
+    and read each cell's fiber off at its midpoint, scanning every
+    interval for every cell."""
+    step = F(1, p)
+    cuts = {F(0)}
+    for a, b in omega.intervals:
+        cuts.add(a % step)
+        cuts.add(b % step)
+    bounds = sorted(cuts) + [step]
+    cells = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        x = (lo + hi) / 2
+        ks = []
+        for a, b in omega.intervals:
+            ks.extend(range(math.ceil((a - x) * p), math.ceil((b - x) * p)))
+        cells.append(FiberCell(lo, hi, IntSet.of(ks)))
+    return FiberDecomposition(p, tuple(cells))
+
+
+@st.composite
+def unions_with_p(draw):
+    """A period p in 1..9 and a union whose endpoints lie on the grid
+    (1/p)Z or off it, may be negative, and may be more than 1/p apart;
+    fewer than two endpoints give the empty union."""
+    p = draw(st.integers(1, 9))
+    ends = draw(st.lists(
+        st.builds(F, st.integers(-30, 30), st.sampled_from([1, p, 2 * p, 7])),
+        max_size=12, unique=True))
+    ends.sort()
+    return IntervalUnion.of(zip(ends[::2], ends[1::2])), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(unions_with_p())
+def test_fibers_match_midpoint_oracle(case):
+    omega, p = case
+    assert fibers(omega, p) == midpoint_fibers(omega, p)
+
+
+def test_fibers_of_a_96_member_family_are_its_members_in_order():
+    gamma = [0, F(1, 2), 2, F(5, 2)]
+    family = enumerate_spectra(gamma, 4, 40)[:96]
+    assert len(family) == 96
+    rs = [F(i, 4 * 96) for i in range(97)]
+    dec = fibers(build_omega(4, family, rs), 4)
+    assert [(c.lo, c.hi) for c in dec.cells] == list(zip(rs, rs[1:]))
+    assert [c.fiber for c in dec.cells] == family
 
 
 def test_is_p_tile_examples():

@@ -1,13 +1,15 @@
 """Spectral-pair verdicts and bounded spectrum enumeration."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from spectile import (FinitePointSet, IntSet, ResourceLimitError,
-                      admissible_differences, as_fraction, brute_force_spectra,
-                      enumerate_spectra, exponential_sum_vanishes, is_spectrum)
+                      SearchTimeout, admissible_differences, as_fraction,
+                      brute_force_spectra, enumerate_spectra,
+                      exponential_sum_vanishes, is_spectrum)
 
 
 def test_as_fraction_rejects_floats():
@@ -123,6 +125,16 @@ def test_enumerate_matches_brute_force():
     for gamma, p, n_max in cases:
         assert enumerate_spectra(gamma, p, n_max) == \
             brute_force_spectra(gamma, p, n_max)
+
+
+def test_enumerate_spectra_deadline():
+    with pytest.raises(SearchTimeout):
+        enumerate_spectra(range(9), 9, 36, deadline=time.monotonic() - 1)
+    # a deadline that does not pass leaves the output unchanged, across
+    # more than one poll interval of search nodes
+    gamma = [0, F(1, 2), 2, F(5, 2)]
+    assert enumerate_spectra(gamma, 4, 80, deadline=time.monotonic() + 3600) \
+        == enumerate_spectra(gamma, 4, 80)
 
 
 def test_brute_force_pigeonhole_and_guard():

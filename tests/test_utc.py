@@ -66,6 +66,14 @@ def test_utc_verify_time_budget_exhaustion():
     assert report.certificate is None
 
 
+def test_utc_verify_budget_bounds_enumeration():
+    # 65,536 spectra without a budget; a spent budget stops the enumeration
+    report = utc_verify(9, range(9), 36, 81, time_budget=0)
+    assert report.verdict == INCONCLUSIVE
+    assert report.spectra_found == ()
+    assert report.certificate is None
+
+
 def test_utc_verify_monotonicity():
     small = utc_verify(2, [0, 1], 3, 8)
     large = utc_verify(2, [0, 1], 7, 8)
