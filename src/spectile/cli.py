@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .intervals import (IntervalUnion, PeriodicSpectrum, build_omega,
                         gram_matrix, measure, period_identity_residual,
-                        verify_omega_tiling)
+                        spectrum_base, verify_omega_tiling)
 from .spectra import FinitePointSet, IntSet, enumerate_spectra, is_spectrum
 from .tilings import PeriodicSet, find_complements
 from .utc import VERIFIED, roundtrip, utc_verify
@@ -344,7 +344,7 @@ def _cmd_gram_check(ns):
         result["period_identity_residual"] = residual
         ok = ok and residual < ns.tolerance
     if ns.gamma is not None:
-        spectrum = PeriodicSpectrum(ns.gamma, ns.p)
+        spectrum = PeriodicSpectrum(spectrum_base(ns.gamma, ns.p), ns.p)
         lambdas = spectrum.points_within(3 * ns.p)
         entries = gram_matrix(ns.omega, lambdas)
         off = max((abs(entries[i][j])

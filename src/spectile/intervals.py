@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .spectra import (FinitePointSet, IntSet, RationalLike, as_fraction,
-                      is_spectrum)
+from .spectra import (FinitePointSet, IntSet, RationalLike, _base_points,
+                      as_fraction, is_spectrum)
 from .tilings import PeriodicSet, tiles_cyclic
 
 NumberLike = Union[Fraction, int, float, str]
@@ -258,9 +258,7 @@ def is_p_tile(omega: IntervalUnion, p: int) -> bool:
 def spectrum_base(gamma, p: int) -> FinitePointSet:
     """Gamma as a point set, checked to be the base of a candidate spectrum
     Gamma + pZ: p points in [0, p), one of them 0."""
-    gamma = FinitePointSet.of(gamma)
-    if len(gamma) != p:
-        raise ValueError(f"spectrum base has {len(gamma)} elements, expected {p}")
+    gamma = _base_points(gamma, p)
     PeriodicSpectrum(gamma, p)
     return gamma
 
@@ -270,20 +268,12 @@ def spectral_verdict(omega: IntervalUnion, gamma, p: int) -> bool:
 
     By the fiber criterion this holds iff on every cell the pair
     (Gamma, (1/p)fiber) is a spectral pair, which the spectra module
-    decides through vanishing sums of roots of unity.
+    decides through vanishing sums of roots of unity.  Each distinct fiber
+    is tested once, however many cells carry it.
     """
     gamma = spectrum_base(gamma, p)
-    return _cells_are_spectral(fibers(omega, p), gamma)
-
-
-def _cells_are_spectral(decomposition: FiberDecomposition,
-                        gamma: FinitePointSet) -> bool:
-    p = decomposition.p
-    for cell in decomposition.cells:
-        scaled = FinitePointSet.of(Fraction(k, p) for k in cell.fiber)
-        if not is_spectrum(gamma, scaled):
-            return False
-    return True
+    return all(is_spectrum(gamma, [Fraction(k, p) for k in a])
+               for a in fibers(omega, p).fiber_family())
 
 
 def assemble_tiling(omega: IntervalUnion, p: int, residues: Iterable[int],

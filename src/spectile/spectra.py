@@ -143,6 +143,17 @@ def is_spectrum(g: FinitePointSet | Iterable[RationalLike],
     return True
 
 
+def _base_points(g: FinitePointSet | Iterable[RationalLike],
+                 p: int) -> FinitePointSet:
+    """G as a point set, checked to have p elements for a positive p."""
+    g = FinitePointSet.of(g)
+    if p < 1:
+        raise ValueError("p must be positive")
+    if len(g) != p:
+        raise ValueError(f"point set has {len(g)} elements, expected p = {p}")
+    return g
+
+
 def admissible_differences(g: FinitePointSet | Iterable[RationalLike],
                            p: int, d_max: int) -> tuple[int, ...]:
     """All nonzero integers d with |d| <= d_max such that
@@ -151,11 +162,7 @@ def admissible_differences(g: FinitePointSet | Iterable[RationalLike],
     These are precisely the differences allowed between elements of an
     integer set A for which (1/p)A is a spectrum of G.
     """
-    g = FinitePointSet.of(g)
-    if len(g) == 0:
-        raise ValueError("point set must be nonempty")
-    if len(g) != p:
-        raise ValueError(f"point set has {len(g)} elements, expected p = {p}")
+    g = _base_points(g, p)
     if d_max < 1:
         raise ValueError("d_max must be positive")
     out = []
@@ -179,11 +186,7 @@ def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
     first node and then every _POLL_INTERVAL nodes; passing it raises
     SearchTimeout.
     """
-    g = FinitePointSet.of(g)
-    if p < 1:
-        raise ValueError("p must be positive")
-    if len(g) != p:
-        raise ValueError(f"point set has {len(g)} elements, expected p = {p}")
+    g = _base_points(g, p)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     allowed = (set(d for d in admissible_differences(g, p, n_max) if d > 0)
@@ -218,11 +221,7 @@ def brute_force_spectra(g: FinitePointSet | Iterable[RationalLike],
                         p: int, n_max: int) -> list[IntSet]:
     """Independent oracle for enumerate_spectra: test every p-subset of
     {0, ..., n_max} containing 0 directly with is_spectrum."""
-    g = FinitePointSet.of(g)
-    if p < 1:
-        raise ValueError("p must be positive")
-    if len(g) != p:
-        raise ValueError(f"point set has {len(g)} elements, expected p = {p}")
+    g = _base_points(g, p)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if math.comb(max(n_max, 0), p - 1) > BRUTE_FORCE_GUARD:

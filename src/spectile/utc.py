@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .intervals import (IntervalUnion, OmegaTilingCertificate,
-                        _assemble_from_cells, _cells_are_spectral, build_omega,
-                        fibers, spectrum_base)
+                        _assemble_from_cells, build_omega, fibers,
+                        spectrum_base)
 from .spectra import (FinitePointSet, IntSet, as_fraction, enumerate_spectra,
                       is_spectrum)
 from .tilings import (PeriodicSet, SearchTimeout, find_common_complement,
@@ -103,25 +103,29 @@ def roundtrip(p: int, gamma, family, breakpoints, m_max: int, *,
     """Run one instance of the construction that turns a spectral family
     into a tiling of R.
 
-    Checks that each (1/p)A_i is a spectrum of Gamma, builds the measure-one
-    union omega from the breakpoints, confirms Gamma + pZ is a spectrum of
-    omega, searches the fibers for a common complement within m_max, and on
-    success assembles and exactly verifies the tiling of R by (1/p)(R + mZ).
-    consistency is true only when every stage agrees.
+    Checks that each distinct (1/p)A_i is a spectrum of Gamma, builds the
+    measure-one union omega from the breakpoints, and computes its fibers.
+    By the fiber criterion Gamma + pZ is a spectrum of omega iff every
+    fiber is, so spectral_ok holds when the distinct fibers are exactly the
+    members just checked, in order.  It then searches the fibers for a
+    common complement within m_max and, on success, checks it on every
+    fiber cell (hence on every member) and exactly verifies the tiling of
+    R by (1/p)(R + mZ).  consistency is true only when every stage agrees.
     """
     start = time.monotonic()
     gamma = spectrum_base(gamma, p)
     sets = tuple(IntSet.of(a) for a in family)
-    for i, a in enumerate(sets):
+    members = list(dict.fromkeys(sets))
+    for a in members:
         scaled = FinitePointSet.of(Fraction(k, p) for k in a)
         if not is_spectrum(gamma, scaled):
             raise InvalidFamilyError(
-                f"family member {i} = {tuple(a)} scaled by 1/{p} is not a "
-                f"spectrum of the base")
+                f"family member {sets.index(a)} = {tuple(a)} scaled by 1/{p} "
+                f"is not a spectrum of the base")
     rs = tuple(as_fraction(r) for r in breakpoints)
     omega = build_omega(p, sets, rs)
     decomposition = fibers(omega, p)
-    spectral_ok = _cells_are_spectral(decomposition, gamma)
+    spectral_ok = decomposition.fiber_family() == members
     deadline = start + time_budget if time_budget is not None else None
     try:
         complement = find_common_complement(
@@ -129,10 +133,8 @@ def roundtrip(p: int, gamma, family, breakpoints, m_max: int, *,
     except SearchTimeout:
         complement = None
     certificate = None
-    consistency = False
     if complement is not None:
         certificate = _assemble_from_cells(omega, decomposition, complement)
-        consistency = spectral_ok and all(
-            is_tiling_of_Z(a, complement) for a in sets)
     return RoundTripReport(p, gamma, sets, rs, omega, spectral_ok,
-                           complement, certificate, consistency)
+                           complement, certificate,
+                           spectral_ok and certificate is not None)

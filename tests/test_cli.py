@@ -67,6 +67,8 @@ def test_exit_one_on_invalid_input(capsys):
          "--breakpoints", "0,1/4,1/2", "--m-max", "4"],
         ["build-omega", "--p", "2", "--family", "0,1", "--breakpoints", "0,1"],
         ["gram-check", "--omega", "[0,1)", "--p", "1"],
+        # 2Z is orthogonal on [0,1) but has one point per period, not two
+        ["gram-check", "--omega", "[0,1)", "--p", "2", "--gamma", "0"],
         ["no-such-command"],
         [],
     ]

@@ -5,12 +5,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spectile.intervals
+import spectile.tilings
 import spectile.utc
 from spectile import (INCONCLUSIVE, NO_SPECTRA, VERIFIED, IntSet,
-                      InvalidFamilyError, enumerate_spectra, is_tiling_of_Z,
-                      measure, roundtrip, utc_verify, verify_omega_tiling)
+                      InvalidFamilyError, assemble_tiling, build_omega,
+                      enumerate_spectra, fibers, find_common_complement,
+                      is_spectrum, is_tiling_of_Z, measure, roundtrip,
+                      spectral_verdict, utc_verify, verify_omega_tiling)
 from corpus import OMEGA_2
 
 
@@ -162,3 +167,79 @@ def test_roundtrip_makes_one_fiber_pass(monkeypatch):
     report = roundtrip(2, [0, 1], [[0, 1], [0, 3]], [0, F(1, 4), F(1, 2)], 8)
     assert report.consistency and report.omega_tiling is not None
     assert calls == [2]
+
+
+def _counting(monkeypatch, calls, name, *modules):
+    real = getattr(modules[0], name)
+
+    def counted(*args):
+        calls[name] += 1
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+
+
+def test_roundtrip_checks_each_distinct_member_once(monkeypatch):
+    # (0, 1) repeats adjacently and again after (0, 3): three fiber cells,
+    # two distinct members
+    calls = dict.fromkeys(["is_spectrum", "is_tiling_of_Z", "tiles_cyclic",
+                           "verify_omega_tiling"], 0)
+    _counting(monkeypatch, calls, "is_spectrum",
+              spectile.utc, spectile.intervals)
+    _counting(monkeypatch, calls, "is_tiling_of_Z",
+              spectile.utc, spectile.tilings)
+    _counting(monkeypatch, calls, "tiles_cyclic", spectile.intervals)
+    _counting(monkeypatch, calls, "verify_omega_tiling", spectile.intervals)
+    family = [[0, 1], [0, 1], [0, 3], [0, 1]]
+    rs = [0, F(1, 8), F(1, 4), F(3, 8), F(1, 2)]
+    report = roundtrip(2, [0, 1], family, rs, 8)
+    assert report.spectral_ok and report.consistency
+    assert calls == {"is_spectrum": 2, "is_tiling_of_Z": 0, "tiles_cyclic": 3,
+                     "verify_omega_tiling": 1}
+
+    # a repeated invalid member is reported at its first index
+    with pytest.raises(InvalidFamilyError) as err:
+        roundtrip(2, [0, 1], [[0, 1], [0, 2], [0, 3], [0, 2]],
+                  [0, F(1, 8), F(1, 4), F(3, 8), F(1, 2)], 8)
+    assert "member 1 = (0, 2)" in str(err.value)
+
+
+_BASES = [(2, (0, 1), 7), (3, (0, 1, 2), 5), (4, (0, F(1, 2), 2, F(5, 2)), 12)]
+_POOLS = [enumerate_spectra(gamma, p, n_max) for p, gamma, n_max in _BASES]
+
+
+@st.composite
+def _roundtrip_instances(draw):
+    i = draw(st.integers(0, len(_BASES) - 1))
+    p, gamma, _ = _BASES[i]
+    family = draw(st.lists(st.sampled_from(_POOLS[i]), min_size=1,
+                           max_size=5))
+    cuts = sorted(draw(st.sets(st.integers(1, 23), min_size=len(family) - 1,
+                               max_size=len(family) - 1)))
+    rs = [F(0)] + [F(c, 24 * p) for c in cuts] + [F(1, p)]
+    return p, gamma, family, rs, draw(st.integers(1, 16))
+
+
+def _composed_roundtrip(p, gamma, family, rs, m_max):
+    """The round trip as its stages compose, each deciding for itself."""
+    for a in family:
+        assert is_spectrum(gamma, [F(k, p) for k in a])
+    omega = build_omega(p, family, rs)
+    spectral_ok = spectral_verdict(omega, gamma, p)
+    complement = find_common_complement(fibers(omega, p).fiber_family(), m_max)
+    if complement is None:
+        return spectral_ok, None, None, False
+    tiling = assemble_tiling(omega, p, complement.residues, complement.period)
+    consistency = spectral_ok and all(is_tiling_of_Z(a, complement)
+                                      for a in family)
+    return spectral_ok, complement, tiling, consistency
+
+
+@settings(max_examples=150, deadline=None)
+@given(_roundtrip_instances())
+def test_roundtrip_matches_composed_stages(instance):
+    report = roundtrip(*instance)
+    assert (report.spectral_ok, report.projected_complement,
+            report.omega_tiling, report.consistency) == \
+        _composed_roundtrip(*instance)
