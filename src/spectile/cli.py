@@ -2,7 +2,8 @@
 
 Exit codes: 0 for verified/true verdicts, 2 for inconclusive or negative
 verdicts (bounded search exhausted, tiling check false, tolerance
-exceeded), 1 for invalid input, with a message that names the flag.
+exceeded), 1 for invalid input, with a message that names the flag, and
+3 for an internal error: a result that failed its own re-verification.
 Exact data crosses the boundary as integers or "num/den" strings only:
 each flag is read by the converter given as its argparse ``type``, and
 every exact value is written by ``canonical_json``.  Floats appear solely
@@ -435,6 +436,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (InputError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

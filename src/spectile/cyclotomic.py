@@ -2,14 +2,16 @@
 
 A sum of roots of unity  sum_e zeta_m^e  (over a multiset of exponents e)
 vanishes exactly when the m-th cyclotomic polynomial divides the mask
-polynomial  sum_e x^e.  Everything here runs on Python integers, so the
-zero/nonzero verdicts carry no rounding error.  A floating-point evaluator
-is provided alongside as an independent cross-check.
+polynomial  sum_e x^e,  which is decided on the length-m mask by one
+cyclic shift-and-subtract per prime of m.  Everything here runs on Python
+integers, so the zero/nonzero verdicts carry no rounding error.  A
+floating-point evaluator is provided alongside as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -46,72 +48,38 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial.of(out)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return IntPolynomial.of(out)
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for j, d in enumerate(other.coeffs):
-                out[i + j] += c * d
-        return IntPolynomial.of(out)
-
-    def __divmod__(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        """Quotient and remainder; the divisor must be monic so that the
-        division stays inside the integers."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if not divisor.is_monic():
-            raise ValueError("divisor must be monic for exact integer division")
-        rem = list(self.coeffs)
-        d = divisor.coeffs
-        dn = len(d)
-        if len(rem) < dn:
-            return IntPolynomial(()), IntPolynomial.of(rem)
-        quot = [0] * (len(rem) - dn + 1)
-        for i in range(len(rem) - dn, -1, -1):
-            c = rem[i + dn - 1]
-            if c == 0:
-                continue
-            quot[i] = c
-            for j in range(dn):
-                rem[i + j] -= c * d[j]
-        return IntPolynomial.of(quot), IntPolynomial.of(rem[: dn - 1])
-
-    def evaluate(self, x: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+def _prime_factors(m: int) -> tuple[int, ...]:
+    """The distinct primes dividing m, ascending."""
+    q = next((q for q in range(2, math.isqrt(m) + 1) if m % q == 0), m)
+    if q == 1:
+        return ()
+    while m % q == 0:
+        m //= q
+    return (q,) + _prime_factors(m)
 
 
-def _x_power_minus_one(m: int) -> IntPolynomial:
-    return IntPolynomial.of([-1] + [0] * (m - 1) + [1])
+def _cyclotomic_divides(mask: list[int]) -> bool:
+    """Does Phi_m divide f = sum_e mask[e] x^e, where m = len(mask)?
+
+    x^m - 1 is squarefree, the product of Phi_d over the d dividing m, and
+    P = prod_{q | m prime} (x^(m/q) - 1) has every such factor but Phi_m.
+    So Phi_m divides f iff x^m - 1 divides f * P.  Mod x^m - 1, multiplying
+    by x^(-k) - 1 (a unit times x^k - 1) is a cyclic shift-and-subtract.
+    """
+    m = len(mask)
+    for q in _prime_factors(m):
+        k = m // q
+        mask = [a - b for a, b in zip(mask[k:] + mask[:k], mask)]
+    return not any(mask)
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m: int) -> IntPolynomial:
-    """The m-th cyclotomic polynomial, computed by dividing x^m - 1 by the
-    cyclotomic polynomials of the proper divisors of m.  Cached per process.
+    """The m-th cyclotomic polynomial.  For m > 1 it is the Moebius product
+    prod_{k | m squarefree} (1 - x^(m/k))^mu(k), a polynomial of degree
+    phi(m) < m, so it is built as a power series mod x^m from (1 - x^d)
+    steps alone.  Cached per process.
 
     >>> cyclotomic_poly(1).coeffs
     (-1, 1)
@@ -124,16 +92,18 @@ def cyclotomic_poly(m: int) -> IntPolynomial:
         raise ValueError("modulus must be a positive integer")
     if m == 1:
         return IntPolynomial((-1, 1))
-    numerator = _x_power_minus_one(m)
-    product = IntPolynomial((1,))
-    for d in range(1, m):
-        if m % d == 0:
-            product = product * cyclotomic_poly(d)
-    quot, rem = divmod(numerator, product)
-    if not rem.is_zero():
-        raise AssertionError(f"x^{m} - 1 is not divisible by its proper "
-                             f"cyclotomic factors")
-    return quot
+    steps = [(m, 1)]  # (m/k, mu(k)) over the squarefree divisors k of m
+    for q in _prime_factors(m):
+        steps += [(d // q, -mu) for d, mu in steps]
+    coeffs = [1] + [0] * (m - 1)
+    for d, mu in steps:
+        # times (1 - x^d) runs downwards, over (1 - x^d) runs upwards
+        for i in range(m - 1, d - 1, -1) if mu > 0 else range(d, m):
+            coeffs[i] -= mu * coeffs[i - d]
+    poly = IntPolynomial.of(coeffs)
+    if poly.coeffs[-1] != 1 or not _cyclotomic_divides(coeffs):
+        raise AssertionError(f"cyclotomic_poly({m}) failed its self-check")
+    return poly
 
 
 @dataclass(frozen=True)
@@ -167,22 +137,18 @@ class ResidueMultiset:
 
 
 def root_sum_is_zero(multiset: ResidueMultiset) -> bool:
-    """Exact test of  sum_e zeta_m^e == 0  via cyclotomic divisibility of the
-    mask polynomial.  The empty sum counts as zero.
+    """Exact test of  sum_e zeta_m^e == 0,  that is of Phi_m dividing the
+    mask polynomial, by the shift test.  The empty sum counts as zero.
 
     >>> root_sum_is_zero(ResidueMultiset.of(2, [0, 1]))
     True
     >>> root_sum_is_zero(ResidueMultiset.of(4, [0, 1]))
     False
     """
-    if not multiset.entries:
-        return True
-    m = multiset.modulus
-    mask = [0] * m
+    mask = [0] * multiset.modulus
     for e in multiset.entries:
         mask[e] += 1
-    _, rem = divmod(IntPolynomial.of(mask), cyclotomic_poly(m))
-    return rem.is_zero()
+    return _cyclotomic_divides(mask)
 
 
 def root_sum_value(multiset: ResidueMultiset) -> complex:

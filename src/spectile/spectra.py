@@ -13,8 +13,9 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .cyclotomic import ResidueMultiset, root_sum_is_zero
 
@@ -41,6 +42,16 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError("float input is not exact; pass a Fraction, int, or 'num/den' string")
     return Fraction(value)
+
+
+def _as_int(value) -> int:
+    """Coerce to an exact int: ints pass through, floats raise TypeError,
+    and other values that are not integers raise ValueError."""
+    if not isinstance(value, int):
+        value = as_fraction(value)
+        if value.denominator != 1:
+            raise ValueError(f"{value} is not an integer")
+    return int(value)
 
 
 @dataclass(frozen=True, order=True)
@@ -101,7 +112,7 @@ class IntSet:
     def of(cls, elements: Iterable[int]) -> "IntSet":
         if isinstance(elements, IntSet):
             return elements
-        return cls(tuple(sorted(set(int(e) for e in elements))))
+        return cls(tuple(sorted(set(_as_int(e) for e in elements))))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
@@ -119,14 +130,31 @@ class IntSet:
         return IntSet(tuple(e - base for e in self.elements))
 
 
+def _vanishing_test(points: Iterable[Fraction], q: int) -> Callable[[int], bool]:
+    """Test of  sum_{g in points} e^(2 pi i g d / q) == 0  for integers d,
+    deciding each order s once.
+
+    With D the lcm of the denominators, M = q*D and n_g = D*g, the sum is
+    sum_g zeta_M^(n_g d).  Write s = M / gcd(d, M) and d = (M/s) d' with
+    gcd(d', s) = 1: the sum is the image of  sum_g zeta_s^(n_g)  under the
+    Galois automorphism zeta_s -> zeta_s^d', which is injective, so the
+    answer depends on d only through s.  s = 1 gives the point count.
+    """
+    points = tuple(points)
+    den = math.lcm(*(x.denominator for x in points))
+    numerators = [x.numerator * (den // x.denominator) for x in points]
+    modulus = q * den
+
+    @lru_cache(maxsize=None)
+    def order_vanishes(s: int) -> bool:
+        return root_sum_is_zero(ResidueMultiset.of(s, numerators))
+
+    return lambda d: order_vanishes(modulus // math.gcd(d, modulus))
+
+
 def exponential_sum_vanishes(points: Iterable[Fraction], delta: Fraction) -> bool:
     """Exact test of  sum_{g in points} e^(2 pi i delta g) == 0."""
-    terms = [delta * g for g in points]
-    if not terms:
-        return True
-    m = math.lcm(*(t.denominator for t in terms))
-    entries = ((t.numerator * (m // t.denominator)) % m for t in terms)
-    return root_sum_is_zero(ResidueMultiset.of(m, entries))
+    return _vanishing_test(points, delta.denominator)(delta.numerator)
 
 
 def is_spectrum(g: FinitePointSet | Iterable[RationalLike],
@@ -137,10 +165,10 @@ def is_spectrum(g: FinitePointSet | Iterable[RationalLike],
     b = FinitePointSet.of(b)
     if len(g) != len(b):
         return False
-    for b1, b2 in combinations(b.points, 2):
-        if not exponential_sum_vanishes(g.points, b2 - b1):
-            return False
-    return True
+    den = math.lcm(*(x.denominator for x in b.points))
+    numerators = [x.numerator * (den // x.denominator) for x in b.points]
+    vanishes = _vanishing_test(g.points, den)
+    return all(vanishes(y - x) for x, y in combinations(numerators, 2))
 
 
 def _base_points(g: FinitePointSet | Iterable[RationalLike],
@@ -165,13 +193,8 @@ def admissible_differences(g: FinitePointSet | Iterable[RationalLike],
     g = _base_points(g, p)
     if d_max < 1:
         raise ValueError("d_max must be positive")
-    out = []
-    for d in range(1, d_max + 1):
-        # conjugation makes the test symmetric in d -> -d
-        if exponential_sum_vanishes(g.points, Fraction(d, p)):
-            out.append(-d)
-            out.append(d)
-    return tuple(sorted(out))
+    vanishes = _vanishing_test(g.points, p)
+    return tuple(d for d in range(-d_max, d_max + 1) if d and vanishes(d))
 
 
 def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
@@ -180,7 +203,7 @@ def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
     """All A within {0, ..., n_max} with 0 in A, |A| = p, and every pairwise
     difference admissible; equivalently all A for which (1/p)A is a spectrum
     of G.  Backtracking over candidates in ascending order, so the output is
-    already sorted lexicographically.
+    already sorted lexicographically.  Candidate sets are bitsets.
 
     deadline is an absolute time.monotonic() value, checked before the
     first node and then every _POLL_INTERVAL nodes; passing it raises
@@ -189,13 +212,13 @@ def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
     g = _base_points(g, p)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    allowed = (set(d for d in admissible_differences(g, p, n_max) if d > 0)
-               if n_max >= 1 else set())
+    vanishes = _vanishing_test(g.points, p)
+    allowed = sum(1 << d for d in range(1, n_max + 1) if vanishes(d))
     results: list[IntSet] = []
     chosen = [0]
     nodes = 0
 
-    def extend(start: int) -> None:
+    def extend(cand: int) -> None:
         nonlocal nodes
         if deadline is not None:
             if nodes % _POLL_INTERVAL == 0 and time.monotonic() > deadline:
@@ -206,14 +229,17 @@ def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
         if len(chosen) == p:
             results.append(IntSet(tuple(chosen)))
             return
-        room = p - len(chosen)
-        for c in range(start, n_max - room + 2):
-            if all(c - a in allowed for a in chosen):
-                chosen.append(c)
-                extend(c + 1)
-                chosen.pop()
+        last = n_max - (p - len(chosen)) + 1  # leaves room for the rest
+        while cand:
+            c = (cand & -cand).bit_length() - 1
+            if c > last:
+                break
+            cand &= cand - 1
+            chosen.append(c)
+            extend(cand & (allowed << c))
+            chosen.pop()
 
-    extend(1)
+    extend(allowed)
     return results
 
 

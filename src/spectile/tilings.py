@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .spectra import _POLL_INTERVAL, IntSet, SearchTimeout
+from .spectra import _POLL_INTERVAL, IntSet, SearchTimeout, _as_int
 
 
 @dataclass(frozen=True, order=True)
@@ -39,7 +39,7 @@ class PeriodicSet:
     def of(cls, residues: Iterable[int], period: int) -> "PeriodicSet":
         if period < 1:
             raise ValueError("period must be positive")
-        return cls(tuple(sorted(set(int(r) % period for r in residues))), period)
+        return cls(tuple(sorted(set(_as_int(r) % period for r in residues))), period)
 
     def __contains__(self, n: int) -> bool:
         return n % self.period in self.residues
@@ -68,7 +68,7 @@ def tiles_cyclic(tile, residues: Iterable[int], m: int) -> bool:
     if m < 1:
         raise ValueError("modulus must be positive")
     a = IntSet.of(tile).elements
-    r = sorted(set(x % m for x in residues))
+    r = sorted(set(_as_int(x) % m for x in residues))
     a_mod = set(x % m for x in a)
     if len(a_mod) != len(a):
         return False

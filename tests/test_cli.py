@@ -96,6 +96,19 @@ def test_exit_one_on_invalid_input(capsys):
         assert captured.err.startswith(f"error: argument {flag}:"), argv
 
 
+def test_exit_three_on_internal_error(monkeypatch, capsys):
+    # a certificate that fails its own re-verification is a fault of the
+    # program, not of the input, so it must not read as exit code 1
+    monkeypatch.setattr("spectile.utc.is_tiling_of_Z", lambda a, c: False)
+    code = run(["utc-verify", "--gamma", "0,1/2,2,5/2", "--p", "4",
+                "--n-max", "9", "--m-max", "16"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")
+    assert captured.err.count("\n") == 1
+
+
 def test_diagnostics_name_the_field(capsys):
     run(["check-spectrum", "--gamma", "0,0.5", "--b", "0,1"])
     assert "--gamma" in capsys.readouterr().err

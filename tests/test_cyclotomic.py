@@ -1,4 +1,4 @@
-"""Exact polynomial arithmetic and vanishing sums of roots of unity,
+"""Cyclotomic polynomials and vanishing sums of roots of unity,
 cross-checked against sympy and direct float evaluation."""
 
 import doctest
@@ -28,35 +28,9 @@ def test_polynomial_construction_trims_and_rejects():
         IntPolynomial((1, 0))
 
 
-def test_polynomial_arithmetic_identities():
-    rng = random.Random(101)
-    for _ in range(50):
-        f = IntPolynomial.of([rng.randint(-5, 5) for _ in range(rng.randint(0, 6))])
-        g = IntPolynomial.of([rng.randint(-5, 5) for _ in range(rng.randint(0, 6))])
-        assert (f + g) - g == f
-        assert f * g == g * f
-        x = rng.randint(-3, 3)
-        assert (f * g).evaluate(x) == f.evaluate(x) * g.evaluate(x)
-        assert (f + g).evaluate(x) == f.evaluate(x) + g.evaluate(x)
-
-
-def test_divmod_reconstructs_and_requires_monic():
-    rng = random.Random(202)
-    for _ in range(50):
-        f = IntPolynomial.of([rng.randint(-9, 9) for _ in range(rng.randint(0, 8))])
-        d = IntPolynomial.of([rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + [1])
-        q, r = divmod(f, d)
-        assert q * d + r == f
-        assert r.degree < d.degree
-    with pytest.raises(ValueError):
-        divmod(IntPolynomial.of([1, 1]), IntPolynomial.of([2, 2]))
-    with pytest.raises(ZeroDivisionError):
-        divmod(IntPolynomial.of([1, 1]), IntPolynomial.of([]))
-
-
 def test_cyclotomic_matches_sympy():
     x = sympy.Symbol("x")
-    for m in range(1, 61):
+    for m in range(1, 211):
         ours = cyclotomic_poly(m).coeffs
         theirs = tuple(reversed(sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()))
         assert ours == theirs, f"cyclotomic mismatch at m={m}"
@@ -123,3 +97,40 @@ def test_float_value_matches_direct_sum():
     direct = sum(complex(math.cos(2 * math.pi * e / 7),
                          math.sin(2 * math.pi * e / 7)) for e in ms.entries)
     assert abs(root_sum_value(ms) - direct) < 1e-12
+
+
+def sympy_root_sum_is_zero(ms: ResidueMultiset) -> bool:
+    x = sympy.Symbol("x")
+    mask = [0] * ms.modulus
+    for e in ms.entries:
+        mask[e] += 1
+    f = sympy.Poly(list(reversed(mask)), x)
+    return f.rem(sympy.Poly(sympy.cyclotomic_poly(ms.modulus, x), x)).is_zero
+
+
+def test_root_sum_matches_sympy_remainder():
+    # unions of rotated prime cosets, plus for moduli with three primes
+    # q1, q2, q3 the vanishing sum (nontrivial q1-th roots) * (nontrivial
+    # q2-th roots) + (nontrivial q3-th roots) = (-1)(-1) + (-1), which is
+    # no union of prime cosets; noise makes about half of them nonzero
+    rng = random.Random(505)
+    moduli = [30, 60, 105, 210] * 15 + [rng.randint(1, 210) for _ in range(140)]
+    verdicts = []
+    for m in moduli:
+        primes = sympy.primefactors(m)
+        entries = []
+        for _ in range(rng.randint(0, 2) if primes else 0):
+            q, r = rng.choice(primes), rng.randrange(m)
+            entries += [r + k * (m // q) for k in range(q)]
+        if len(primes) >= 3 and rng.random() < 0.8:
+            q1, q2, q3 = rng.sample(primes, 3)
+            r = rng.randrange(m)
+            entries += [r + i * (m // q1) + j * (m // q2)
+                        for i in range(1, q1) for j in range(1, q2)]
+            entries += [r + k * (m // q3) for k in range(1, q3)]
+        if rng.random() < 0.4:
+            entries += [rng.randrange(m) for _ in range(rng.randint(1, 3))]
+        ms = ResidueMultiset.of(m, entries)
+        verdicts.append(root_sum_is_zero(ms))
+        assert verdicts[-1] == sympy_root_sum_is_zero(ms), (m, ms.entries)
+    assert 50 < sum(verdicts) < len(verdicts) - 50

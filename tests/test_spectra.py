@@ -1,15 +1,22 @@
 """Spectral-pair verdicts and bounded spectrum enumeration."""
 
+import math
 import random
 import time
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+import sympy
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from spectile import (FinitePointSet, IntSet, ResourceLimitError,
+from spectile import (FinitePointSet, IntSet, PeriodicSet, ResourceLimitError,
                       SearchTimeout, admissible_differences, as_fraction,
-                      brute_force_spectra, enumerate_spectra,
-                      exponential_sum_vanishes, is_spectrum)
+                      brute_force_spectra, build_omega, enumerate_spectra,
+                      exponential_sum_vanishes, is_spectrum, tiles_cyclic)
+
+X = sympy.Symbol("x")
 
 
 def test_as_fraction_rejects_floats():
@@ -44,6 +51,21 @@ def test_int_set_basics():
     assert IntSet.of([5, 7]).canonicalize().elements == (0, 2)
     with pytest.raises(ValueError):
         IntSet((2, 2))
+
+
+def test_integer_inputs_refuse_non_integers():
+    with pytest.raises(TypeError):
+        tiles_cyclic([0, 1.5], [0], 2)
+    with pytest.raises(TypeError):
+        tiles_cyclic([0, 1], [0.5], 2)
+    with pytest.raises(TypeError):
+        build_omega(2, [[0, 1.2], [0, 3]], [0, F(1, 4), F(1, 2)])
+    with pytest.raises(ValueError):
+        IntSet.of([0, F(1, 2)])
+    with pytest.raises(ValueError):
+        PeriodicSet.of(["1/2"], 2)
+    assert IntSet.of([F(4, 2), "3", 0]).elements == (0, 2, 3)
+    assert PeriodicSet.of([F(-1), 2], 4).residues == (2, 3)
 
 
 def test_exponential_sum_vanishes_known_cases():
@@ -148,3 +170,80 @@ def test_spectrum_size_must_match_p():
         enumerate_spectra([0, 1, 2], 2, 5)
     with pytest.raises(ValueError):
         brute_force_spectra([0, 1], 3, 5)
+
+
+def sympy_sum_vanishes(points, delta) -> bool:
+    """Definition-level oracle: write the delta*g as m-th roots of unity for
+    one modulus m and divide their mask polynomial by Phi_m in sympy."""
+    terms = [delta * g for g in points]
+    m = math.lcm(*(t.denominator for t in terms))
+    mask = [0] * m
+    for t in terms:
+        mask[t.numerator * (m // t.denominator) % m] += 1
+    f = sympy.Poly(list(reversed(mask)), X)
+    return f.rem(sympy.Poly(sympy.cyclotomic_poly(m, X), X)).is_zero
+
+
+# integer sets H with a spectrum K
+INTEGER_PAIRS = [
+    (range(n), [F(j, n) for j in range(n)]) for n in range(1, 6)] + [
+    ([0, 1, 4, 5], [0, F(1, 8), F(1, 2), F(5, 8)]),
+    ([0, 1, 2, 6, 7, 8], [0, F(1, 12), F(1, 3), F(5, 12), F(2, 3), F(3, 4)]),
+]
+RATIONALS = st.builds(F, st.integers(-12, 12), st.integers(1, 7))
+
+
+@st.composite
+def candidate_pairs(draw):
+    """G = c*H + t with B = K/c + u, each frequency moved by a multiple of
+    1/c (a spectral pair), then perhaps one frequency moved off it."""
+    h, k = draw(st.sampled_from(INTEGER_PAIRS))
+    c = draw(st.builds(F, st.integers(1, 4), st.integers(1, 5)))
+    c *= draw(st.sampled_from([1, -1]))
+    t, u = draw(RATIONALS), draw(RATIONALS)
+    g = [c * x + t for x in h]
+    b = [x / c + u + draw(st.integers(-3, 3)) / c for x in k]
+    if draw(st.booleans()):
+        b[draw(st.integers(0, len(b) - 1))] += draw(RATIONALS)
+    return g, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(candidate_pairs())
+@example(([0, F(2, 3), F(4, 3)], [0, F(1, 2), 1]))  # G inside (2/3)Z
+@example(([0, F(2, 3), F(8, 3), F(10, 3)], [0, F(3, 16), F(3, 4), F(15, 16)]))
+def test_is_spectrum_matches_sympy_oracle(case):
+    g, b = case
+    g, b = FinitePointSet.of(g), FinitePointSet.of(b)
+    expected = len(g) == len(b) and all(
+        sympy_sum_vanishes(g.points, y - x)
+        for x, y in combinations(b.points, 2))
+    assert is_spectrum(g, b) == expected
+
+
+@st.composite
+def bases(draw):
+    """p points of [0, p) with denominators 1-4, one of them 0; half are
+    sums of two progressions, which have more spectra than random sets."""
+    p = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        p1 = draw(st.sampled_from([d for d in range(1, p + 1) if p % d == 0]))
+        x, y = (F(draw(st.integers(1, 4 * p - 1)), draw(st.integers(1, 4)))
+                for _ in range(2))
+        points = {(x * i + y * j) % p for i in range(p1)
+                  for j in range(p // p1)}
+    else:
+        points = {F(0)} | set(draw(st.lists(
+            st.builds(lambda n, d: F(n % (p * d), d),
+                      st.integers(1, 24), st.integers(1, 4)),
+            min_size=p - 1, max_size=p - 1)))
+    assume(len(points) == p)
+    return sorted(points), p
+
+
+@settings(max_examples=80, deadline=None)
+@given(bases(), st.integers(0, 14))
+def test_enumerate_spectra_matches_brute_force_on_random_bases(base, n_max):
+    gamma, p = base
+    assert enumerate_spectra(gamma, p, n_max) == \
+        brute_force_spectra(gamma, p, n_max)
