@@ -130,7 +130,13 @@ class IntSet:
         return IntSet(tuple(e - base for e in self.elements))
 
 
-def _vanishing_test(points: Iterable[Fraction], q: int) -> Callable[[int], bool]:
+def _over_common_denominator(points: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """(D, [D*x for x in points]) with D the lcm of the denominators."""
+    den = math.lcm(*(x.denominator for x in points))
+    return den, [x.numerator * (den // x.denominator) for x in points]
+
+
+def _vanishing_test(points: tuple[Fraction, ...], q: int) -> Callable[[int], bool]:
     """Test of  sum_{g in points} e^(2 pi i g d / q) == 0  for integers d,
     deciding each order s once.
 
@@ -138,23 +144,25 @@ def _vanishing_test(points: Iterable[Fraction], q: int) -> Callable[[int], bool]
     sum_g zeta_M^(n_g d).  Write s = M / gcd(d, M) and d = (M/s) d' with
     gcd(d', s) = 1: the sum is the image of  sum_g zeta_s^(n_g)  under the
     Galois automorphism zeta_s -> zeta_s^d', which is injective, so the
-    answer depends on d only through s.  s = 1 gives the point count.
+    answer depends on d only through s.  s = 1 gives the point count.  Times
+    zeta_s^(-n_0), which keeps the verdict, the sum has order s/t with t the
+    gcd of s and every n_g - n_0, so its mask has length s/t, not s.
     """
-    points = tuple(points)
-    den = math.lcm(*(x.denominator for x in points))
-    numerators = [x.numerator * (den // x.denominator) for x in points]
+    den, numerators = _over_common_denominator(points)
+    shifts = [n - numerators[0] for n in numerators]
     modulus = q * den
 
     @lru_cache(maxsize=None)
     def order_vanishes(s: int) -> bool:
-        return root_sum_is_zero(ResidueMultiset.of(s, numerators))
+        t = math.gcd(s, *shifts)
+        return root_sum_is_zero(ResidueMultiset.of(s // t, (n // t for n in shifts)))
 
     return lambda d: order_vanishes(modulus // math.gcd(d, modulus))
 
 
 def exponential_sum_vanishes(points: Iterable[Fraction], delta: Fraction) -> bool:
     """Exact test of  sum_{g in points} e^(2 pi i delta g) == 0."""
-    return _vanishing_test(points, delta.denominator)(delta.numerator)
+    return _vanishing_test(tuple(points), delta.denominator)(delta.numerator)
 
 
 def is_spectrum(g: FinitePointSet | Iterable[RationalLike],
@@ -165,8 +173,7 @@ def is_spectrum(g: FinitePointSet | Iterable[RationalLike],
     b = FinitePointSet.of(b)
     if len(g) != len(b):
         return False
-    den = math.lcm(*(x.denominator for x in b.points))
-    numerators = [x.numerator * (den // x.denominator) for x in b.points]
+    den, numerators = _over_common_denominator(b.points)
     vanishes = _vanishing_test(g.points, den)
     return all(vanishes(y - x) for x, y in combinations(numerators, 2))
 

@@ -70,17 +70,11 @@ def tiles_cyclic(tile, residues: Iterable[int], m: int) -> bool:
     a = IntSet.of(tile).elements
     r = sorted(set(_as_int(x) % m for x in residues))
     a_mod = set(x % m for x in a)
-    if len(a_mod) != len(a):
-        return False
-    if len(a) * len(r) != m:
+    if len(a_mod) != len(a) or len(a) * len(r) != m:
         return False
     covered = set()
     for t in r:
-        for x in a_mod:
-            y = (x + t) % m
-            if y in covered:
-                return False
-            covered.add(y)
+        covered.update((x + t) % m for x in a_mod)
     return len(covered) == m
 
 

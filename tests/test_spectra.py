@@ -75,6 +75,27 @@ def test_exponential_sum_vanishes_known_cases():
     assert not exponential_sum_vanishes([F(0)], F(0))
 
 
+def test_order_drops_the_common_factor_of_the_points(monkeypatch):
+    # Each sum is decided on a mask of the reduced order, never of
+    # q * lcm(denominators): {0, 10^9} with B = {0, 1/10^9} sums 1 + 1.
+    import spectile.spectra as spectra
+    decide = spectra.root_sum_is_zero
+    orders = []
+
+    def recording(multiset):
+        orders.append(multiset.modulus)
+        if multiset.modulus > 1000:
+            raise AssertionError(f"mask of length {multiset.modulus}")
+        return decide(multiset)
+
+    monkeypatch.setattr(spectra, "root_sum_is_zero", recording)
+    assert is_spectrum([0, 10**9], [0, F(1, 10**9)]) is False
+    assert is_spectrum([0, 10**9], [0, F(1, 2 * 10**9)]) is True
+    assert is_spectrum([F(1, 3), 1, F(5, 3)], [0, F(1, 2), 1]) is True
+    assert exponential_sum_vanishes([F(7, 10**6), F(7, 10**6) + 5], F(1, 10))
+    assert orders == [1, 2, 3, 3, 2]
+
+
 def test_is_spectrum_examples():
     assert is_spectrum([0, F(1, 2)], [0, 1])
     assert not is_spectrum([0, F(1, 2)], [0, 2])
