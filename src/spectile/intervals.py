@@ -7,9 +7,9 @@ integer sets lifted to the grid (1/p)Z, their fiber decomposition
 
 which is constant on the rational cells cut out by the interval endpoints,
 and the resulting exact verdicts: p-tile, spectrum of Gamma + pZ, and
-tilings of R by (1/p)(R + mZ).  Set arithmetic is exact over Fraction;
-the Gram-matrix checks at the bottom are the only floating-point code and
-serve as an independent numerical cross-check, never as the verdict.
+tilings of R by (1/p)(R + mZ).  Endpoints are exact integers over one
+common denominator, with Fraction only at the API boundary; the Gram
+checks at the bottom are the only float code, a cross-check only.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .spectra import (FinitePointSet, IntSet, RationalLike, _base_points,
-                      as_fraction, is_spectrum)
+                      _over_common_denominator, _spectrum_test, as_fraction)
 from .tilings import PeriodicSet, tiles_cyclic
 
 NumberLike = Union[Fraction, int, float, str]
@@ -45,33 +45,17 @@ class IntervalUnion:
         for a, b in self.intervals:
             if not a < b:
                 raise ValueError(f"empty or reversed interval [{a}, {b})")
-        for (_, b1), (a2, _) in zip(self.intervals, self.intervals[1:]):
+        for (a1, b1), (a2, b2) in zip(self.intervals, self.intervals[1:]):
             if not b1 < a2:
-                raise ValueError("intervals must be disjoint and non-adjacent "
-                                 "after merging; use IntervalUnion.of")
+                raise ValueError(f"overlapping or adjacent intervals "
+                                 f"[{a2}, {b2}) and [{a1}, {b1})")
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[RationalLike, RationalLike]],
            ) -> "IntervalUnion":
         """Canonicalize: sort, merge adjacent, reject overlapping input."""
-        raw = []
-        for a, b in pairs:
-            a, b = as_fraction(a), as_fraction(b)
-            if not a < b:
-                raise ValueError(f"empty or reversed interval [{a}, {b})")
-            raw.append((a, b))
-        raw.sort()
-        merged: list[list[Fraction]] = []
-        for a, b in raw:
-            if merged and a < merged[-1][1]:
-                raise ValueError(
-                    f"overlapping intervals at [{a}, {b}) and "
-                    f"[{merged[-1][0]}, {merged[-1][1]})")
-            if merged and a == merged[-1][1]:
-                merged[-1][1] = b
-            else:
-                merged.append([a, b])
-        return cls(tuple((a, b) for a, b in merged))
+        return _merged(*_on_grid(
+            ((as_fraction(a), as_fraction(b)) for a, b in pairs), 1))
 
     @property
     def is_empty(self) -> bool:
@@ -90,6 +74,33 @@ class IntervalUnion:
         if c <= 0:
             raise ValueError("scale factor must be positive")
         return IntervalUnion(tuple((a * c, b * c) for a, b in self.intervals))
+
+
+def _on_grid(pairs: Iterable[tuple[Fraction, Fraction]], p: int,
+             ) -> tuple[int, list[tuple[int, int]]]:
+    """(N, [(N*a, N*b), ...]) with N = lcm(p, endpoint denominators): the
+    intervals on the integer grid (1/N)Z, where 1/p is N // p steps."""
+    if p < 1:
+        raise ValueError("p must be positive")
+    den, grid = _over_common_denominator(
+        tuple(x for a, b in pairs for x in (a, b)) + (Fraction(1, p),))
+    return den, list(zip(grid[:-1:2], grid[1:-1:2]))
+
+
+def _merged(den: int, pairs: list[tuple[int, int]]) -> IntervalUnion:
+    """The union of the intervals [a/den, b/den): one integer sort, then
+    adjacent ones merge; IntervalUnion rejects the overlapping ones."""
+    merged: list[list[int]] = []
+    for a, b in sorted(pairs):
+        if not a < b:
+            raise ValueError("empty or reversed interval "
+                             f"[{Fraction(a, den)}, {Fraction(b, den)})")
+        if merged and a == merged[-1][1]:
+            merged[-1][1] = b
+        else:
+            merged.append([a, b])
+    return IntervalUnion(tuple((Fraction(a, den), Fraction(b, den))
+                               for a, b in merged))
 
 
 def measure(omega: IntervalUnion) -> Fraction:
@@ -172,32 +183,25 @@ def build_omega(p: int, family: Sequence, breakpoints: Sequence[RationalLike],
     and every family member must have exactly p elements; the result then
     has measure 1 and fiber A_i over each cell [r_i, r_{i+1}).
     """
-    if p < 1:
-        raise ValueError("p must be positive")
+    rs = [as_fraction(r) for r in breakpoints]
+    den, cells = _on_grid(zip(rs, rs[1:]), p)
+    step = den // p
     sets = [IntSet.of(a) for a in family]
     if not sets:
         raise ValueError("family must be nonempty")
-    rs = [as_fraction(r) for r in breakpoints]
     if len(rs) != len(sets) + 1:
         raise ValueError(
             f"expected {len(sets) + 1} breakpoints for {len(sets)} sets, "
             f"got {len(rs)}")
-    if rs[0] != 0:
-        raise ValueError("first breakpoint must be 0")
-    if rs[-1] != Fraction(1, p):
-        raise ValueError(f"last breakpoint must be 1/{p}")
-    for r1, r2 in zip(rs, rs[1:]):
-        if not r1 < r2:
-            raise ValueError("breakpoints must be strictly increasing")
+    if cells[0][0] != 0 or cells[-1][1] != step or any(
+            not lo < hi for lo, hi in cells):
+        raise ValueError(f"breakpoints must run 0 = r_1 < ... < 1/{p}")
     for i, a in enumerate(sets):
         if len(a) != p:
             raise ValueError(f"family member {i} has {len(a)} elements, "
                              f"expected {p}")
-    pieces = []
-    for (r1, r2), a in zip(zip(rs, rs[1:]), sets):
-        for k in a:
-            pieces.append((r1 + Fraction(k, p), r2 + Fraction(k, p)))
-    omega = IntervalUnion.of(pieces)
+    omega = _merged(den, [(lo + k * step, hi + k * step)
+                          for (lo, hi), a in zip(cells, sets) for k in a])
     if measure(omega) != 1:
         raise AssertionError(f"built union has measure {measure(omega)}, not 1")
     return omega
@@ -206,41 +210,37 @@ def build_omega(p: int, family: Sequence, breakpoints: Sequence[RationalLike],
 def fibers(omega: IntervalUnion, p: int) -> FiberDecomposition:
     """Decompose [0, 1/p) into cells on which the fiber of omega is constant.
 
-    One sweep over the interval endpoints reduced mod 1/p.  Write each
-    endpoint as a = q_a/p + r_a with 0 <= r_a < 1/p.  For x in [0, 1/p) the
-    interval [a, b) puts k in the fiber exactly when
+    One sweep over the endpoints reduced mod 1/p, on the integer grid.
+    Write each endpoint as a = q_a/p + r_a with 0 <= r_a < 1/p.  For x in
+    [0, 1/p) the interval [a, b) puts k in the fiber exactly when
 
         q_a + [x < r_a] <= k < q_b + [x < r_b],
 
     so the fiber changes only at the residues: at r_a the integer q_a joins,
-    at r_b the integer q_b leaves.  The sweep starts from the fiber at 0,
-    then walks the distinct nonzero residues in ascending order, emitting
-    one cell per gap and applying that residue's leaves and joins between
-    cells.  The intervals are disjoint and non-adjacent, so no integer
-    leaves and joins at the same residue.  Cost: O(n log n) for n
-    intervals, plus the size of the output.  The empty union has one cell
-    with the empty fiber.
+    at r_b the integer q_b leaves.  The intervals are disjoint and
+    non-adjacent, so an integer that joins is absent just before and one
+    that leaves is present: each such event flips one integer.  The sweep
+    starts from the fiber at 0, then walks the distinct nonzero residues in
+    ascending order, emitting one cell per gap and applying that residue's
+    flips between cells.  Cost: O(n log n) for n intervals, plus the size
+    of the output.  The empty union has one cell with the empty fiber.
     """
-    if p < 1:
-        raise ValueError("p must be positive")
-    step = Fraction(1, p)
+    den, ends = _on_grid(omega.intervals, p)
+    step = den // p
     fiber: set[int] = set()
-    joins: dict[Fraction, list[int]] = {}
-    leaves: dict[Fraction, list[int]] = {}
-    for a, b in omega.intervals:
-        q_a, r_a = divmod(a, step)
-        q_b, r_b = divmod(b, step)
+    flips: dict[int, list[int]] = {}
+    for a, b in ends:
+        (q_a, r_a), (q_b, r_b) = divmod(a, step), divmod(b, step)
         fiber.update(range(q_a + (r_a > 0), q_b + (r_b > 0)))
-        if r_a:
-            joins.setdefault(r_a, []).append(q_a)
-        if r_b:
-            leaves.setdefault(r_b, []).append(q_b)
+        for q, r in ((q_a, r_a), (q_b, r_b)):
+            if r:
+                flips.setdefault(r, []).append(q)
     cells = []
     lo = Fraction(0)
-    for hi in sorted(joins.keys() | leaves.keys()) + [step]:
+    for r in sorted(flips) + [step]:
+        hi = Fraction(r, den)
         cells.append(FiberCell(lo, hi, IntSet(tuple(sorted(fiber)))))
-        fiber.difference_update(leaves.get(hi, ()))
-        fiber.update(joins.get(hi, ()))
+        fiber.symmetric_difference_update(flips.get(r, ()))
         lo = hi
     return FiberDecomposition(p, tuple(cells))
 
@@ -271,9 +271,8 @@ def spectral_verdict(omega: IntervalUnion, gamma, p: int) -> bool:
     decides through vanishing sums of roots of unity.  Each distinct fiber
     is tested once, however many cells carry it.
     """
-    gamma = spectrum_base(gamma, p)
-    return all(is_spectrum(gamma, [Fraction(k, p) for k in a])
-               for a in fibers(omega, p).fiber_family())
+    is_spectral = _spectrum_test(spectrum_base(gamma, p), p)
+    return all(map(is_spectral, fibers(omega, p).fiber_family()))
 
 
 def assemble_tiling(omega: IntervalUnion, p: int, residues: Iterable[int],
@@ -306,32 +305,27 @@ def verify_omega_tiling(omega: IntervalUnion, complement: PeriodicSet,
                         p: int = 1) -> bool:
     """Exact check that omega + (1/p)(R + mZ) partitions R.
 
-    The translation set has period L = m/p, so it suffices to reduce the
-    translates omega + r/p mod L and confirm they chain across [0, L)
-    with no gap and no overlap.  All arithmetic is exact.
+    The translation set has period L = m/p.  On the circle R/LZ each
+    interval [a, b) and residue r give an arc of length b - a at
+    (a + r/p) mod L; sorted by start, the arcs partition the circle iff
+    their lengths sum to L and each ends where the next one starts.
+
+    >>> omega = IntervalUnion.of([(0, Fraction(3, 4)), (Fraction(7, 4), 2)])
+    >>> verify_omega_tiling(omega, PeriodicSet.of([0], 2), p=2)
+    True
+    >>> unit = IntervalUnion.of([(0, 1)])  # (1/2)({0, 3} + 4Z): overlaps
+    >>> verify_omega_tiling(unit, PeriodicSet.of([0, 3], 4), p=2)
+    False
     """
-    if p < 1:
-        raise ValueError("p must be positive")
-    length = Fraction(complement.period, p)
-    if measure(omega) * len(complement.residues) != length:
+    den, ends = _on_grid(omega.intervals, p)
+    step = den // p
+    circle = complement.period * step
+    arcs = sorted(((a + r * step) % circle, b - a)
+                  for a, b in ends for r in complement.residues)
+    if sum(size for _, size in arcs) != circle:
         return False
-    pieces = []
-    for a, b in omega.intervals:
-        for r in complement.residues:
-            start = (a + Fraction(r, p)) % length
-            size = b - a
-            if start + size <= length:
-                pieces.append((start, start + size))
-            else:
-                pieces.append((start, length))
-                pieces.append((Fraction(0), start + size - length))
-    pieces.sort()
-    if not pieces or pieces[0][0] != 0:
-        return False
-    for (_, b1), (a2, _) in zip(pieces, pieces[1:]):
-        if b1 != a2:
-            return False
-    return pieces[-1][1] == length
+    return all(start + size == nxt
+               for (start, size), (nxt, _) in zip(arcs, arcs[1:]))
 
 
 def gram_entry(omega: IntervalUnion, lam: NumberLike,
@@ -372,13 +366,9 @@ def period_identity_residual(omega: IntervalUnion, p: int, lam: NumberLike,
 
     which holds exactly whenever every endpoint of omega lies on the grid
     (1/p)Z; the returned magnitude is float roundoff only."""
-    if p < 1:
-        raise ValueError("p must be positive")
-    for a, b in omega.intervals:
-        for endpoint in (a, b):
-            if (endpoint * p).denominator != 1:
-                raise ValueError(
-                    f"endpoint {endpoint} is not a multiple of 1/{p}")
+    if _on_grid(omega.intervals, p)[0] != p:
+        off = next(x for i in omega.intervals for x in i if p % x.denominator)
+        raise ValueError(f"endpoint {off} is not a multiple of 1/{p}")
     exact = not (isinstance(lam, float) or isinstance(lam_prime, float))
     if exact:
         lam, lam_prime = as_fraction(lam), as_fraction(lam_prime)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .cyclotomic import ResidueMultiset, root_sum_is_zero
 
@@ -165,17 +165,21 @@ def exponential_sum_vanishes(points: Iterable[Fraction], delta: Fraction) -> boo
     return _vanishing_test(tuple(points), delta.denominator)(delta.numerator)
 
 
+def _spectrum_test(g: FinitePointSet, q: int) -> Callable[[Sequence[int]], bool]:
+    """Test of whether (1/q)A is a spectrum of G for sets A of distinct
+    integers; one order cache serves every set it tests."""
+    vanishes = _vanishing_test(g.points, q)
+    return lambda a: len(a) == len(g) and all(
+        vanishes(y - x) for x, y in combinations(a, 2))
+
+
 def is_spectrum(g: FinitePointSet | Iterable[RationalLike],
                 b: FinitePointSet | Iterable[RationalLike]) -> bool:
     """Exact spectral-pair verdict: |B| = |G| and every pair b != b' in B
     satisfies  sum_{g in G} e^(2 pi i (b - b') g) == 0."""
-    g = FinitePointSet.of(g)
     b = FinitePointSet.of(b)
-    if len(g) != len(b):
-        return False
     den, numerators = _over_common_denominator(b.points)
-    vanishes = _vanishing_test(g.points, den)
-    return all(vanishes(y - x) for x, y in combinations(numerators, 2))
+    return _spectrum_test(FinitePointSet.of(g), den)(numerators)
 
 
 def _base_points(g: FinitePointSet | Iterable[RationalLike],

@@ -37,6 +37,7 @@ class PeriodicSet:
 
     @classmethod
     def of(cls, residues: Iterable[int], period: int) -> "PeriodicSet":
+        period = _as_int(period)
         if period < 1:
             raise ValueError("period must be positive")
         return cls(tuple(sorted(set(_as_int(r) % period for r in residues))), period)
@@ -65,17 +66,15 @@ def tiles_cyclic(tile, residues: Iterable[int], m: int) -> bool:
     """Exact test of A + (R + mZ) = Z with every integer covered once:
     A distinct mod m, |A|*|R| = m, and the sums (a + r) mod m pairwise
     distinct."""
+    m = _as_int(m)
     if m < 1:
         raise ValueError("modulus must be positive")
     a = IntSet.of(tile).elements
-    r = sorted(set(_as_int(x) % m for x in residues))
+    r = set(_as_int(x) % m for x in residues)
     a_mod = set(x % m for x in a)
     if len(a_mod) != len(a) or len(a) * len(r) != m:
         return False
-    covered = set()
-    for t in r:
-        covered.update((x + t) % m for x in a_mod)
-    return len(covered) == m
+    return len({(x + t) % m for t in r for x in a_mod}) == m
 
 
 def is_tiling_of_Z(tile, complement: PeriodicSet) -> bool:
@@ -156,6 +155,7 @@ def _exact_covers(members: Sequence[IntSet], m: int,
 def find_complements(tile, m: int) -> list[tuple[int, ...]]:
     """All residue sets R with 0 in R and tiles_cyclic(tile, R, m), sorted
     lexicographically; the single-member case of the exact-cover search."""
+    m = _as_int(m)
     if m < 1:
         raise ValueError("modulus must be positive")
     return sorted(_exact_covers([IntSet.of(tile)], m))
@@ -174,6 +174,7 @@ def find_common_complement(family, m_max: int, *,
     deadline is an absolute time.monotonic() value; passing it raises
     SearchTimeout so the caller can report an honest partial result.
     """
+    m_max = _as_int(m_max)
     sets = [IntSet.of(s) for s in family]
     if not sets:
         raise ValueError("family must be nonempty")

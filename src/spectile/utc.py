@@ -18,8 +18,8 @@ from typing import Optional
 from .intervals import (IntervalUnion, OmegaTilingCertificate,
                         _assemble_from_cells, build_omega, fibers,
                         spectrum_base)
-from .spectra import (FinitePointSet, IntSet, as_fraction, enumerate_spectra,
-                      is_spectrum)
+from .spectra import (FinitePointSet, IntSet, _spectrum_test, as_fraction,
+                      enumerate_spectra)
 from .tilings import (PeriodicSet, SearchTimeout, find_common_complement,
                       is_tiling_of_Z)
 
@@ -116,9 +116,9 @@ def roundtrip(p: int, gamma, family, breakpoints, m_max: int, *,
     gamma = spectrum_base(gamma, p)
     sets = tuple(IntSet.of(a) for a in family)
     members = list(dict.fromkeys(sets))
+    is_spectral = _spectrum_test(gamma, p)
     for a in members:
-        scaled = FinitePointSet.of(Fraction(k, p) for k in a)
-        if not is_spectrum(gamma, scaled):
+        if not is_spectral(a):
             raise InvalidFamilyError(
                 f"family member {sets.index(a)} = {tuple(a)} scaled by 1/{p} "
                 f"is not a spectrum of the base")

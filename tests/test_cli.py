@@ -94,6 +94,10 @@ def test_exit_one_on_invalid_input(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: argument {flag}:"), argv
+    # an overlap is named by its endpoints as rationals
+    assert run(["verify-omega", "--omega", "[0,1/2);[1/3,1)", "--t-residues",
+                "0", "--t-period", "1"]) == 1
+    assert "[1/3, 1)" in capsys.readouterr().err
 
 
 def test_exit_three_on_internal_error(monkeypatch, capsys):

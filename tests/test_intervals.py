@@ -21,15 +21,21 @@ from spectile import (CommonComplementError, FiberCell,
                       enumerate_spectra, fibers, gram_entry,
                       gram_matrix, is_p_tile, measure, normalize,
                       period_identity_residual, spectral_verdict,
-                      verify_omega_tiling)
+                      tiles_cyclic, verify_omega_tiling)
 
 
 def test_canonicalization_merges_adjacent_and_rejects_overlap():
     assert iu((0, F(1, 2)), (F(1, 2), 1)) == iu((0, 1))
     assert iu((1, 2), (0, F(1, 2))).intervals == \
         ((F(0), F(1, 2)), (F(1), F(2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\[1/2, 2\) and \[0, 1\)"):
         iu((0, 1), (F(1, 2), 2))
+    # reversed and empty intervals are refused, also where a merge with
+    # the interval before would hide them
+    with pytest.raises(ValueError, match=r"reversed interval \[1, 1/2\)"):
+        iu((0, 1), (1, F(1, 2)))
+    with pytest.raises(ValueError):
+        iu((1, 1), (1, 2))
     with pytest.raises(ValueError):
         iu((1, 1))
     with pytest.raises(TypeError):
@@ -230,6 +236,73 @@ def test_verify_omega_tiling_scaled_and_negative():
     assert not verify_omega_tiling(IntervalUnion(()), PeriodicSet.of([0], 1))
 
 
+def wrap_and_split_tiling(omega, complement, p=1):
+    """Oracle for verify_omega_tiling: reduce each translate omega + r/p
+    mod L = m/p, split the ones that wrap past L, and confirm that the
+    sorted pieces chain across [0, L) with no gap and no overlap."""
+    length = F(complement.period, p)
+    if measure(omega) * len(complement.residues) != length:
+        return False
+    pieces = []
+    for a, b in omega.intervals:
+        for r in complement.residues:
+            start = (a + F(r, p)) % length
+            size = b - a
+            if start + size <= length:
+                pieces.append((start, start + size))
+            else:
+                pieces.append((start, length))
+                pieces.append((F(0), start + size - length))
+    pieces.sort()
+    if not pieces or pieces[0][0] != 0:
+        return False
+    for (_, b1), (a2, _) in zip(pieces, pieces[1:]):
+        if b1 != a2:
+            return False
+    return pieces[-1][1] == length
+
+
+@st.composite
+def omega_tiling_cases(draw):
+    """(omega, R + mZ, p), half of them built to tile: over cells cut from
+    [0, 1/p), fibers that are complete residue systems mod c, with the
+    complement cZ + s mod m, the whole union translated by a rational;
+    optionally spoiled by moving one fiber element.  The other half pair
+    a union from unions_with_p with any residue set, the empty one
+    included, mod any m from 1 to 12."""
+    if draw(st.booleans()):
+        omega, p = draw(unions_with_p())
+        m = draw(st.integers(1, 12))
+        return omega, PeriodicSet.of(draw(st.sets(st.integers(0, m - 1))),
+                                     m), p
+    p, c = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    m = c * draw(st.integers(1, 4))
+    cuts = draw(st.sets(st.integers(1, 23), max_size=3))
+    bounds = [F(0)] + [F(k, 24 * p) for k in sorted(cuts)] + [F(1, p)]
+    pieces = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        ks = {j + c * draw(st.integers(-3, 3)) for j in range(c)}
+        if draw(st.booleans()):
+            ks = ks - {max(ks)} | {max(ks) + 1}
+        pieces.extend((lo + F(k, p), hi + F(k, p)) for k in ks)
+    shift = draw(st.builds(F, st.integers(-30, 30),
+                           st.sampled_from([1, p, 2 * p, 7])))
+    s = draw(st.integers(0, m - 1))
+    complement = PeriodicSet.of((c * i + s for i in range(m // c)), m)
+    return IntervalUnion.of(pieces).translate(shift), complement, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(omega_tiling_cases())
+def test_verify_omega_tiling_matches_oracle_and_fibers(case):
+    omega, complement, p = case
+    by_fibers = all(tiles_cyclic(cell.fiber, complement.residues,
+                                 complement.period)
+                    for cell in fibers(omega, p).cells)
+    assert verify_omega_tiling(omega, complement, p) == \
+        wrap_and_split_tiling(omega, complement, p) == by_fibers
+
+
 def test_gram_entry_examples():
     assert abs(gram_entry(UNIT, 0, 1)) < 1e-12
     assert abs(gram_entry(OMEGA_2, 0, 1)) < 1e-12
@@ -265,7 +338,7 @@ def test_period_identity_examples():
 
 
 def test_period_identity_preconditions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="endpoint 1/3 is not a multiple"):
         period_identity_residual(iu((0, F(1, 3))), 2, 0, 1)
     with pytest.raises(ValueError):
         period_identity_residual(UNIT, 1, 0, 1)

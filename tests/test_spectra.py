@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from spectile import (FinitePointSet, IntSet, PeriodicSet, ResourceLimitError,
                       SearchTimeout, admissible_differences, as_fraction,
                       brute_force_spectra, build_omega, enumerate_spectra,
-                      exponential_sum_vanishes, is_spectrum, tiles_cyclic)
+                      exponential_sum_vanishes, find_common_complement,
+                      find_complements, is_spectrum, tiles_cyclic)
 
 X = sympy.Symbol("x")
 
@@ -64,8 +65,16 @@ def test_integer_inputs_refuse_non_integers():
         IntSet.of([0, F(1, 2)])
     with pytest.raises(ValueError):
         PeriodicSet.of(["1/2"], 2)
+    # a float modulus, period or period bound is refused like any other
+    for call in [lambda: tiles_cyclic([0, 1], [0], 2.0),
+                 lambda: PeriodicSet.of([0], 2.0),
+                 lambda: find_complements([0, 1], 2.0),
+                 lambda: find_common_complement([[0, 1]], 4.0)]:
+        with pytest.raises(TypeError, match="float input is not exact"):
+            call()
     assert IntSet.of([F(4, 2), "3", 0]).elements == (0, 2, 3)
     assert PeriodicSet.of([F(-1), 2], 4).residues == (2, 3)
+    assert PeriodicSet.of([0], F(4, 2)).period == 2
 
 
 def test_exponential_sum_vanishes_known_cases():

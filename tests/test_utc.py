@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectile.intervals
+import spectile.spectra
 import spectile.tilings
 import spectile.utc
 from spectile import (INCONCLUSIVE, NO_SPECTRA, VERIFIED, IntSet,
@@ -182,11 +183,23 @@ def _counting(monkeypatch, calls, name, *modules):
 
 def test_roundtrip_checks_each_distinct_member_once(monkeypatch):
     # (0, 1) repeats adjacently and again after (0, 3): three fiber cells,
-    # two distinct members
-    calls = dict.fromkeys(["is_spectrum", "is_tiling_of_Z", "tiles_cyclic",
+    # two distinct members, one order cache for both
+    calls = dict.fromkeys(["spectrum predicate", "_vanishing_test",
+                           "is_tiling_of_Z", "tiles_cyclic",
                            "verify_omega_tiling"], 0)
-    _counting(monkeypatch, calls, "is_spectrum",
-              spectile.utc, spectile.intervals)
+    real_test = spectile.spectra._spectrum_test
+
+    def counted_test(*args):
+        predicate = real_test(*args)
+
+        def counted(a):
+            calls["spectrum predicate"] += 1
+            return predicate(a)
+        return counted
+
+    for module in (spectile.spectra, spectile.utc, spectile.intervals):
+        monkeypatch.setattr(module, "_spectrum_test", counted_test)
+    _counting(monkeypatch, calls, "_vanishing_test", spectile.spectra)
     _counting(monkeypatch, calls, "is_tiling_of_Z",
               spectile.utc, spectile.tilings)
     _counting(monkeypatch, calls, "tiles_cyclic", spectile.intervals)
@@ -195,7 +208,8 @@ def test_roundtrip_checks_each_distinct_member_once(monkeypatch):
     rs = [0, F(1, 8), F(1, 4), F(3, 8), F(1, 2)]
     report = roundtrip(2, [0, 1], family, rs, 8)
     assert report.spectral_ok and report.consistency
-    assert calls == {"is_spectrum": 2, "is_tiling_of_Z": 0, "tiles_cyclic": 3,
+    assert calls == {"spectrum predicate": 2, "_vanishing_test": 1,
+                     "is_tiling_of_Z": 0, "tiles_cyclic": 3,
                      "verify_omega_tiling": 1}
 
     # a repeated invalid member is reported at its first index
