@@ -31,7 +31,7 @@ from .intervals import (IntervalUnion, PeriodicSpectrum, build_omega,
                         spectrum_base, verify_omega_tiling)
 from .spectra import FinitePointSet, IntSet, enumerate_spectra, is_spectrum
 from .tilings import PeriodicSet, find_complements
-from .utc import VERIFIED, roundtrip, utc_verify
+from .utc import INCONCLUSIVE, VERIFIED, roundtrip, utc_verify
 
 SCHEMA = "spectile-certificate/1"
 
@@ -326,7 +326,7 @@ def _cmd_roundtrip(ns):
               "consistency": report.consistency}
     if report.consistency:
         return ("consistent", 0, inputs, bounds, result)
-    return ("inconclusive-no-complement-in-bounds", 2, inputs, bounds, result)
+    return (INCONCLUSIVE, 2, inputs, bounds, result)
 
 
 def _cmd_gram_check(ns):

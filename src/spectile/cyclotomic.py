@@ -2,16 +2,16 @@
 
 A sum of roots of unity  sum_e zeta_m^e  (over a multiset of exponents e)
 vanishes exactly when the m-th cyclotomic polynomial divides the mask
-polynomial  sum_e x^e,  which is decided on the length-m mask by one
-cyclic shift-and-subtract per prime of m.  Everything here runs on Python
-integers, so the zero/nonzero verdicts carry no rounding error.  A
-floating-point evaluator is provided alongside as an independent cross-check.
+polynomial  sum_e x^e,  decided by one cyclic shift-and-subtract per prime
+of m on the nonzero terms alone.  Everything runs on Python integers, so the
+verdicts carry no rounding error; a float evaluator cross-checks them.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -59,19 +59,23 @@ def _prime_factors(m: int) -> tuple[int, ...]:
     return (q,) + _prime_factors(m)
 
 
-def _cyclotomic_divides(mask: list[int]) -> bool:
-    """Does Phi_m divide f = sum_e mask[e] x^e, where m = len(mask)?
+def _cyclotomic_divides(m: int, terms: dict[int, int]) -> bool:
+    """Does Phi_m divide f = sum_e terms[e] x^e, exponents in [0, m)?
 
     x^m - 1 is squarefree, the product of Phi_d over the d dividing m, and
     P = prod_{q | m prime} (x^(m/q) - 1) has every such factor but Phi_m.
     So Phi_m divides f iff x^m - 1 divides f * P.  Mod x^m - 1, multiplying
-    by x^(-k) - 1 (a unit times x^k - 1) is a cyclic shift-and-subtract.
+    by x^(-k) - 1 (a unit times x^k - 1) is a cyclic shift-and-subtract,
+    done on a dict of at most len(terms) * 2^omega(m) terms, never a mask.
     """
-    m = len(mask)
     for q in _prime_factors(m):
-        k = m // q
-        mask = [a - b for a, b in zip(mask[k:] + mask[:k], mask)]
-    return not any(mask)
+        k, shifted = m // q, {}
+        for e, c in terms.items():
+            shifted[e] = shifted.get(e, 0) - c
+            r = (e - k) % m
+            shifted[r] = shifted.get(r, 0) + c
+        terms = shifted
+    return not any(terms.values())
 
 
 @lru_cache(maxsize=None)
@@ -101,7 +105,7 @@ def cyclotomic_poly(m: int) -> IntPolynomial:
         for i in range(m - 1, d - 1, -1) if mu > 0 else range(d, m):
             coeffs[i] -= mu * coeffs[i - d]
     poly = IntPolynomial.of(coeffs)
-    if poly.coeffs[-1] != 1 or not _cyclotomic_divides(coeffs):
+    if poly.coeffs[-1] != 1 or not _cyclotomic_divides(m, dict(enumerate(coeffs))):
         raise AssertionError(f"cyclotomic_poly({m}) failed its self-check")
     return poly
 
@@ -145,10 +149,7 @@ def root_sum_is_zero(multiset: ResidueMultiset) -> bool:
     >>> root_sum_is_zero(ResidueMultiset.of(4, [0, 1]))
     False
     """
-    mask = [0] * multiset.modulus
-    for e in multiset.entries:
-        mask[e] += 1
-    return _cyclotomic_divides(mask)
+    return _cyclotomic_divides(multiset.modulus, Counter(multiset.entries))
 
 
 def root_sum_value(multiset: ResidueMultiset) -> complex:

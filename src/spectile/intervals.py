@@ -55,7 +55,7 @@ class IntervalUnion:
            ) -> "IntervalUnion":
         """Canonicalize: sort, merge adjacent, reject overlapping input."""
         return _merged(*_on_grid(
-            ((as_fraction(a), as_fraction(b)) for a, b in pairs), 1))
+            ((as_fraction(a), as_fraction(b)) for a, b in pairs), 1))[0]
 
     @property
     def is_empty(self) -> bool:
@@ -87,9 +87,10 @@ def _on_grid(pairs: Iterable[tuple[Fraction, Fraction]], p: int,
     return den, list(zip(grid[:-1:2], grid[1:-1:2]))
 
 
-def _merged(den: int, pairs: list[tuple[int, int]]) -> IntervalUnion:
-    """The union of the intervals [a/den, b/den): one integer sort, then
-    adjacent ones merge; IntervalUnion rejects the overlapping ones."""
+def _merged(den: int, pairs: list[tuple[int, int]]) -> tuple[IntervalUnion, int]:
+    """The union of the intervals [a/den, b/den) and its measure times den:
+    one integer sort, then adjacent ones merge; IntervalUnion rejects the
+    overlapping ones."""
     merged: list[list[int]] = []
     for a, b in sorted(pairs):
         if not a < b:
@@ -99,8 +100,9 @@ def _merged(den: int, pairs: list[tuple[int, int]]) -> IntervalUnion:
             merged[-1][1] = b
         else:
             merged.append([a, b])
-    return IntervalUnion(tuple((Fraction(a, den), Fraction(b, den))
-                               for a, b in merged))
+    return (IntervalUnion(tuple((Fraction(a, den), Fraction(b, den))
+                                for a, b in merged)),
+            sum(b - a for a, b in merged))
 
 
 def measure(omega: IntervalUnion) -> Fraction:
@@ -200,10 +202,10 @@ def build_omega(p: int, family: Sequence, breakpoints: Sequence[RationalLike],
         if len(a) != p:
             raise ValueError(f"family member {i} has {len(a)} elements, "
                              f"expected {p}")
-    omega = _merged(den, [(lo + k * step, hi + k * step)
-                          for (lo, hi), a in zip(cells, sets) for k in a])
-    if measure(omega) != 1:
-        raise AssertionError(f"built union has measure {measure(omega)}, not 1")
+    omega, length = _merged(den, [(lo + k * step, hi + k * step)
+                                  for (lo, hi), a in zip(cells, sets) for k in a])
+    if length != den:
+        raise AssertionError(f"built union has measure {Fraction(length, den)}, not 1")
     return omega
 
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .cyclotomic import ResidueMultiset, root_sum_is_zero
+from .cyclotomic import _cyclotomic_divides
 
 RationalLike = Union[Fraction, int, str]
 
@@ -144,18 +145,15 @@ def _vanishing_test(points: tuple[Fraction, ...], q: int) -> Callable[[int], boo
     sum_g zeta_M^(n_g d).  Write s = M / gcd(d, M) and d = (M/s) d' with
     gcd(d', s) = 1: the sum is the image of  sum_g zeta_s^(n_g)  under the
     Galois automorphism zeta_s -> zeta_s^d', which is injective, so the
-    answer depends on d only through s.  s = 1 gives the point count.  Times
-    zeta_s^(-n_0), which keeps the verdict, the sum has order s/t with t the
-    gcd of s and every n_g - n_0, so its mask has length s/t, not s.
+    answer depends on d only through s; s = 1 gives the point count.  The
+    shift test reads only the exponents n_g mod s, whatever the size of s.
     """
     den, numerators = _over_common_denominator(points)
-    shifts = [n - numerators[0] for n in numerators]
     modulus = q * den
 
     @lru_cache(maxsize=None)
     def order_vanishes(s: int) -> bool:
-        t = math.gcd(s, *shifts)
-        return root_sum_is_zero(ResidueMultiset.of(s // t, (n // t for n in shifts)))
+        return _cyclotomic_divides(s, Counter(n % s for n in numerators))
 
     return lambda d: order_vanishes(modulus // math.gcd(d, modulus))
 
@@ -251,6 +249,7 @@ def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
             chosen.pop()
 
     extend(allowed)
+    del extend  # it refers to itself: break the cycle that holds results
     return results
 
 

@@ -4,6 +4,7 @@ and re-verification of emitted certificates through the library."""
 import contextlib
 import io
 import json
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -368,3 +369,21 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "true"
+
+
+def _cap_address_space():
+    cap = 2**30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def test_prime_order_near_a_billion_runs_in_small_memory():
+    # Sum of two roots of unity of order 10^9 + 7: a dense mask would need
+    # gigabytes, so under a 1 GiB address-space cap a regression fails here
+    # instead of exhausting the host.
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectile", "check-spectrum",
+         "--gamma", "0,1", "--b", "0,1/1000000007"],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=_cap_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "false"

@@ -7,6 +7,8 @@ import random
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spectile import cyclotomic
 from spectile.cyclotomic import (IntPolynomial, ResidueMultiset,
@@ -134,3 +136,56 @@ def test_root_sum_matches_sympy_remainder():
         verdicts.append(root_sum_is_zero(ms))
         assert verdicts[-1] == sympy_root_sum_is_zero(ms), (m, ms.entries)
     assert 50 < sum(verdicts) < len(verdicts) - 50
+
+
+def dense_cyclotomic_divides(m: int, terms: dict[int, int]) -> bool:
+    """Oracle for the sparse kernel: the same shift-and-subtract per prime
+    of m, run on the dense length-m mask."""
+    mask = [0] * m
+    for e, c in terms.items():
+        mask[e] += c
+    for q in sympy.primefactors(m):
+        k = m // q
+        mask = [a - b for a, b in zip(mask[k:] + mask[:k], mask)]
+    return not any(mask)
+
+
+@st.composite
+def signed_sums(draw):
+    """(m, terms) with m <= 30030: signed rotated prime cosets, which
+    vanish, plus repeated exponents, terms that cancel to a zero
+    coefficient, and noise."""
+    m = draw(st.one_of(st.integers(1, 30030),
+                       st.sampled_from([1, 2, 12, 210, 2310, 30030])))
+    primes = sympy.primefactors(m)
+    terms: dict[int, int] = {}
+
+    def add(e, c):
+        terms[e % m] = terms.get(e % m, 0) + c
+
+    coefficients = st.sampled_from([-2, -1, 1, 2])
+    for _ in range(draw(st.integers(0, 3)) if primes else 0):
+        q, r, c = (draw(st.sampled_from(primes)),
+                   draw(st.integers(0, m - 1)), draw(coefficients))
+        for j in range(q):
+            add(r + j * (m // q), c)
+    for e in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+        c = draw(coefficients)
+        add(e, c)
+        add(e, -c)
+    for e in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        for _ in range(draw(st.integers(1, 3))):
+            add(e, draw(coefficients))
+    return m, terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_sums())
+@example((30030, {0: 1, 15015: 1}))  # 1 + (-1)
+@example((30030, {0: 1, 10010: 1, 20020: 1, 1: 0}))  # a coset and a zero
+@example((30030, {0: 1, 1: -1}))
+@example((1, {0: 0}))
+def test_sparse_kernel_matches_dense_mask(case):
+    m, terms = case
+    assert cyclotomic._cyclotomic_divides(m, dict(terms)) == \
+        dense_cyclotomic_divides(m, terms)

@@ -376,12 +376,14 @@ from fractions import Fraction as F
 import spectile.cyclotomic as cyclotomic
 import spectile.intervals as intervals
 
+unit = intervals.IntervalUnion.of([(0, 1)])
+merged = intervals._merged
+intervals._merged = lambda den, pairs: (merged(den, pairs)[0], 2 * den)
 intervals.measure = lambda omega: 2
 for label, call in [
         ("build_omega", lambda: intervals.build_omega(2, [[0, 1], [0, 3]],
                                                       [0, F(1, 4), F(1, 2)])),
-        ("is_p_tile", lambda: intervals.is_p_tile(
-            intervals.IntervalUnion.of([(0, 1)]), 1))]:
+        ("is_p_tile", lambda: intervals.is_p_tile(unit, 1))]:
     try:
         call()
     except AssertionError:
@@ -389,7 +391,7 @@ for label, call in [
     else:
         raise SystemExit(label + " accepted a union of the wrong measure")
 
-cyclotomic._cyclotomic_divides = lambda mask: False
+cyclotomic._cyclotomic_divides = lambda m, terms: False
 try:
     cyclotomic.cyclotomic_poly(2)
 except AssertionError:

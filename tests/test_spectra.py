@@ -1,8 +1,11 @@
 """Spectral-pair verdicts and bounded spectrum enumeration."""
 
+import gc
 import math
 import random
 import time
+import tracemalloc
+import weakref
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -84,25 +87,25 @@ def test_exponential_sum_vanishes_known_cases():
     assert not exponential_sum_vanishes([F(0)], F(0))
 
 
-def test_order_drops_the_common_factor_of_the_points(monkeypatch):
-    # Each sum is decided on a mask of the reduced order, never of
-    # q * lcm(denominators): {0, 10^9} with B = {0, 1/10^9} sums 1 + 1.
-    import spectile.spectra as spectra
-    decide = spectra.root_sum_is_zero
-    orders = []
-
-    def recording(multiset):
-        orders.append(multiset.modulus)
-        if multiset.modulus > 1000:
-            raise AssertionError(f"mask of length {multiset.modulus}")
-        return decide(multiset)
-
-    monkeypatch.setattr(spectra, "root_sum_is_zero", recording)
+def test_large_orders_are_decided_on_their_terms():
+    # {0, 10^9} with B = {0, 1/10^9} sums 1 + 1 at order 10^9
     assert is_spectrum([0, 10**9], [0, F(1, 10**9)]) is False
     assert is_spectrum([0, 10**9], [0, F(1, 2 * 10**9)]) is True
     assert is_spectrum([F(1, 3), 1, F(5, 3)], [0, F(1, 2), 1]) is True
     assert exponential_sum_vanishes([F(7, 10**6), F(7, 10**6) + 5], F(1, 10))
-    assert orders == [1, 2, 3, 3, 2]
+    # a two-term sum of prime order 10^7 + 19 allocates nothing of that size
+    tracemalloc.start()
+    try:
+        assert is_spectrum([0, 1], [0, F(1, 10**7 + 19)]) is False
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"traced peak {peak} bytes"
+    # a prime order near 10^9 and the order 2*3*5*...*23 (nine primes)
+    assert is_spectrum([0, 1], [0, F(1, 10**9 + 7)]) is False
+    primorial = 223092870
+    assert is_spectrum([F(1, primorial), F(1, primorial) + F(1, 2)], [0, 1])
+    assert not is_spectrum([F(1, primorial), F(1, primorial) + F(1, 3)], [0, 1])
 
 
 def test_is_spectrum_examples():
@@ -187,6 +190,19 @@ def test_enumerate_spectra_deadline():
     gamma = [0, F(1, 2), 2, F(5, 2)]
     assert enumerate_spectra(gamma, 4, 80, deadline=time.monotonic() + 3600) \
         == enumerate_spectra(gamma, 4, 80)
+
+
+def test_enumerated_family_is_freed_without_the_collector():
+    # the search leaves no reference cycle, so the family dies with its
+    # last reference even while the cyclic collector is off
+    gc.disable()
+    try:
+        family = enumerate_spectra(range(9), 9, 36)
+        member = weakref.ref(family[0])
+        del family
+        assert member() is None
+    finally:
+        gc.enable()
 
 
 def test_brute_force_pigeonhole_and_guard():
