@@ -330,6 +330,12 @@ def verify_omega_tiling(omega: IntervalUnion, complement: PeriodicSet,
                for (start, size), (nxt, _) in zip(arcs, arcs[1:]))
 
 
+def _frequency(x: NumberLike) -> Union[Fraction, float]:
+    """A float stays a float; anything else becomes an exact Fraction,
+    which Python converts with float() where it meets a float."""
+    return x if isinstance(x, float) else as_fraction(x)
+
+
 def gram_entry(omega: IntervalUnion, lam: NumberLike,
                lam_prime: NumberLike) -> complex:
     """Normalized inner product of the exponentials e_lam and e_lam' over
@@ -340,11 +346,7 @@ def gram_entry(omega: IntervalUnion, lam: NumberLike,
     with mu = lam - lam'; equal frequencies give exactly 1."""
     if omega.is_empty:
         raise ValueError("omega must have positive measure")
-    exact = not (isinstance(lam, float) or isinstance(lam_prime, float))
-    if exact:
-        mu = float(as_fraction(lam) - as_fraction(lam_prime))
-    else:
-        mu = float(lam) - float(lam_prime)
+    mu = float(_frequency(lam) - _frequency(lam_prime))
     if mu == 0.0:
         return complex(1.0)
     total = 0j
@@ -371,9 +373,7 @@ def period_identity_residual(omega: IntervalUnion, p: int, lam: NumberLike,
     if _on_grid(omega.intervals, p)[0] != p:
         off = next(x for i in omega.intervals for x in i if p % x.denominator)
         raise ValueError(f"endpoint {off} is not a multiple of 1/{p}")
-    exact = not (isinstance(lam, float) or isinstance(lam_prime, float))
-    if exact:
-        lam, lam_prime = as_fraction(lam), as_fraction(lam_prime)
+    lam, lam_prime = _frequency(lam), _frequency(lam_prime)
     shifted = lam + p
     denom = float(shifted) - float(lam_prime)
     if denom == 0.0:

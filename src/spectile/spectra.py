@@ -158,9 +158,12 @@ def _vanishing_test(points: tuple[Fraction, ...], q: int) -> Callable[[int], boo
     return lambda d: order_vanishes(modulus // math.gcd(d, modulus))
 
 
-def exponential_sum_vanishes(points: Iterable[Fraction], delta: Fraction) -> bool:
+def exponential_sum_vanishes(points: Iterable[RationalLike],
+                             delta: RationalLike) -> bool:
     """Exact test of  sum_{g in points} e^(2 pi i delta g) == 0."""
-    return _vanishing_test(tuple(points), delta.denominator)(delta.numerator)
+    delta = as_fraction(delta)
+    return _vanishing_test(tuple(map(as_fraction, points)),
+                           delta.denominator)(delta.numerator)
 
 
 def _spectrum_test(g: FinitePointSet, q: int) -> Callable[[Sequence[int]], bool]:

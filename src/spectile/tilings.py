@@ -4,9 +4,10 @@ A finite set A of integers tiles Z by a periodic complement R + mZ exactly
 when A is distinct mod m and the residues (a + r) mod m cover Z_m once each.
 Everything here reduces to that cyclic check, so all verdicts are exact.
 Both complement searches run one backtracking exact cover over Z_m, with
-the coverage tables of all members packed into one integer bitmask; a
-search that finds nothing within its period bound is inconclusive, never a
-refutation.
+coverage tables packed into one integer bitmask, one table per residue
+class mod m among the members, since the cyclic check reads A only mod m.
+A search that finds nothing within its period bound is inconclusive,
+never a refutation.
 """
 
 from __future__ import annotations
@@ -171,6 +172,10 @@ def find_common_complement(family, m_max: int, *,
     found for all members at once, which therefore has minimal period;
     None when the bound is exhausted.
 
+    Whether A + (R + mZ) tiles Z depends only on A mod m, so each period
+    searches the first member of each residue class, in family order: the
+    first member leads, so the first cover is the whole family's first.
+
     deadline is an absolute time.monotonic() value; passing it raises
     SearchTimeout so the caller can report an honest partial result.
     """
@@ -184,7 +189,14 @@ def find_common_complement(family, m_max: int, *,
     if any(len(s) != p for s in sets):
         raise ValueError("family members must share one cardinality")
     for m in range(p, m_max + 1, p):
-        found = next(_exact_covers(sets, m, deadline), None)
-        if found is not None:
-            return PeriodicSet(found, m)
+        reps = {}  # residue set mod m -> its first member
+        for s in sets:
+            key = frozenset([x % m for x in s.elements])
+            if len(key) < p:
+                break  # s is not distinct mod m: no cover of period m
+            reps.setdefault(key, s)
+        else:
+            found = next(_exact_covers(list(reps.values()), m, deadline), None)
+            if found is not None:
+                return PeriodicSet(found, m)
     return None

@@ -67,10 +67,12 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
     search for one complement R + mZ (m <= m_max) tiling Z with all of them.
 
     The verdict is verified-with-certificate only after every family member
-    has been re-checked against the certificate.  Exhausting m_max, or the
-    optional wall-clock budget in seconds, gives an inconclusive verdict;
-    the budget bounds the enumeration and the search together, and a budget
-    that ends during the enumeration reports no spectra.
+    has been re-checked against the certificate; whether A + (R + mZ) tiles
+    Z depends only on the multiset A mod m, so one member per multiset is
+    checked.  Exhausting m_max, or the optional wall-clock budget in
+    seconds, gives an inconclusive verdict; the budget bounds the
+    enumeration and the search together, and a budget that ends during the
+    enumeration reports no spectra.
     """
     start = time.monotonic()
     gamma = spectrum_base(gamma, p)
@@ -90,7 +92,9 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
     if certificate is None:
         return UtcReport(p, gamma, n_max, m_max, tuple(family), INCONCLUSIVE,
                          None, time.monotonic() - start)
-    for a in family:
+    m = certificate.period
+    by_residues = {tuple(sorted(x % m for x in a.elements)): a for a in family}
+    for a in by_residues.values():
         if not is_tiling_of_Z(a, certificate):
             raise AssertionError(
                 f"certificate {certificate} failed re-verification on {tuple(a)}")

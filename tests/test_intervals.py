@@ -337,6 +337,20 @@ def test_period_identity_examples():
     assert period_identity_residual(UNIT, 1, 0, 0) < 1e-10
 
 
+def test_gram_functions_take_a_float_with_an_exact_string():
+    # each frequency converts on its own: "1/2" is exact beside a float
+    assert gram_entry(OMEGA_2, 0.5, "1/2") == gram_entry(OMEGA_2, F(1, 2),
+                                                         F(1, 2)) == 1
+    assert gram_entry(OMEGA_2, "3/4", 0.25) == gram_entry(OMEGA_2, F(3, 4),
+                                                          F(1, 4))
+    assert period_identity_residual(UNIT, 1, 0.5, "1/4") == \
+        period_identity_residual(UNIT, 1, F(1, 2), F(1, 4))
+    with pytest.raises(ValueError, match="must differ"):
+        period_identity_residual(UNIT, 1, 0.5, "3/2")
+    with pytest.raises(ValueError, match="must differ"):
+        period_identity_residual(UNIT, 1, F(1, 2), F(3, 2))
+
+
 def test_period_identity_preconditions():
     with pytest.raises(ValueError, match="endpoint 1/3 is not a multiple"):
         period_identity_residual(iu((0, F(1, 3))), 2, 0, 1)

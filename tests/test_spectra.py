@@ -87,6 +87,18 @@ def test_exponential_sum_vanishes_known_cases():
     assert not exponential_sum_vanishes([F(0)], F(0))
 
 
+def test_exponential_sum_vanishes_exactness_policy():
+    # floats are refused like everywhere else; strings are read exactly
+    with pytest.raises(TypeError):
+        exponential_sum_vanishes([0, 0.5], F(1))
+    with pytest.raises(TypeError):
+        exponential_sum_vanishes([F(0), F(1, 2)], 1.0)
+    for points, delta in [(["0", "1/2"], "1"), (["0", "1/2"], "2"),
+                          (["1/3", "1", "5/3"], "1/2"), ([0, "7/4"], 2)]:
+        assert exponential_sum_vanishes(points, delta) == \
+            exponential_sum_vanishes([F(x) for x in points], F(delta))
+
+
 def test_large_orders_are_decided_on_their_terms():
     # {0, 10^9} with B = {0, 1/10^9} sums 1 + 1 at order 10^9
     assert is_spectrum([0, 10**9], [0, F(1, 10**9)]) is False

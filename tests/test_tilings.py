@@ -6,7 +6,7 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectile import (IntSet, PeriodicSet, SearchTimeout, certify_tiling,
@@ -129,6 +129,55 @@ def test_find_common_complement_property_matches_brute_force(case):
     else:
         assert got.period == expected[0]
         assert got.residues in expected[1]
+
+
+@st.composite
+def shifted_families(draw):
+    """Translated base members and copies of them with each element shifted
+    by a multiple of m, all shuffled: many members in few classes mod m.
+    Some bases share a complement of a drawn tile of Z_m, when it has one;
+    random ones are often not distinct mod the smaller periods."""
+    p = draw(st.integers(1, 4))
+    m = p * draw(st.integers(1, 4))
+    member = st.lists(st.integers(0, 20), min_size=p, max_size=p, unique=True)
+    shifts = st.lists(st.integers(-2, 3), min_size=p, max_size=p)
+    bases = draw(st.lists(member, max_size=2))
+    tile = draw(st.lists(st.integers(1, max(m - 1, 1)), min_size=p - 1,
+                         max_size=p - 1, unique=True))
+    covers = find_complements([0] + tile, m)
+    if covers:
+        partners = find_complements(draw(st.sampled_from(covers)), m)
+        bases += draw(st.lists(st.sampled_from(partners), max_size=3))
+    family = []
+    for base in bases or [draw(member)]:
+        t = draw(st.integers(0, m - 1))
+        family.append([x + t for x in base])
+        for ks in draw(st.lists(shifts, max_size=4)):
+            shifted = {x + t + k * m for x, k in zip(base, ks)}
+            if len(shifted) == p:
+                family.append(sorted(shifted))
+    return draw(st.permutations(family)), draw(st.integers(1, 3 * m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=shifted_families())
+# at period 16 the two classes meet their common covers in different
+# orders, so the answer depends on which member comes first
+@example(case=([[0, 2, 8, 10], [5, 11, 13, 19], [0, 18, 8, 10]], 16))
+@example(case=([[5, 11, 13, 19], [0, 2, 8, 10], [5, 27, 13, 19]], 16))
+def test_find_common_complement_matches_search_over_every_member(case):
+    # the per-class search returns the cover the search over all members
+    # finds first, at the first period that has one
+    family, m_max = case
+    sets = [IntSet.of(a) for a in family]
+    p = len(sets[0])
+    expected = None
+    for m in range(p, m_max + 1, p):
+        found = next(_exact_covers(sets, m), None)
+        if found is not None:
+            expected = PeriodicSet(found, m)
+            break
+    assert find_common_complement(family, m_max) == expected
 
 
 def test_find_complements_sorted_output():

@@ -13,10 +13,11 @@ import spectile.spectra
 import spectile.tilings
 import spectile.utc
 from spectile import (INCONCLUSIVE, NO_SPECTRA, VERIFIED, IntSet,
-                      InvalidFamilyError, assemble_tiling, build_omega,
-                      enumerate_spectra, fibers, find_common_complement,
-                      is_spectrum, is_tiling_of_Z, measure, roundtrip,
-                      spectral_verdict, utc_verify, verify_omega_tiling)
+                      InvalidFamilyError, PeriodicSet, assemble_tiling,
+                      build_omega, enumerate_spectra, fibers,
+                      find_common_complement, is_spectrum, is_tiling_of_Z,
+                      measure, roundtrip, spectral_verdict, utc_verify,
+                      verify_omega_tiling)
 from corpus import OMEGA_2
 
 
@@ -97,6 +98,42 @@ def test_utc_verify_input_validation():
         utc_verify(2, [0, 2], 5, 8)
     with pytest.raises(TypeError):
         utc_verify(2, [0, 0.5], 5, 8)
+
+
+def test_utc_verify_checks_each_residue_class_once(monkeypatch):
+    # all 256 spectra of Z_9 within {0..18} are one class mod 9
+    calls = {"tiles_cyclic": 0}
+    _counting(monkeypatch, calls, "tiles_cyclic", spectile.tilings)
+    searched = []
+    real_covers = spectile.tilings._exact_covers
+
+    def recording(members, *args):
+        searched.append(len(members))
+        return real_covers(members, *args)
+
+    monkeypatch.setattr(spectile.tilings, "_exact_covers", recording)
+    report = utc_verify(9, range(9), 18, 81)
+    assert report.verdict == VERIFIED and len(report.spectra_found) == 256
+    assert calls == {"tiles_cyclic": 1}
+    assert searched == [1]
+
+
+def test_utc_verify_recheck_reaches_a_late_class(monkeypatch):
+    # {0, 2} mod 4 tiles Z with {0, d} for every odd d, so it passes every
+    # spectrum of {0, 1} and fails only on a last member {0, 2}
+    def wrong(family, m_max, *, deadline=None):
+        return PeriodicSet.of([0, 2], 4)
+
+    monkeypatch.setattr(spectile.utc, "find_common_complement", wrong)
+    assert utc_verify(2, [0, 1], 9, 8).certificate == PeriodicSet.of([0, 2], 4)
+    real = spectile.utc.enumerate_spectra
+
+    def with_late_member(*args, **kwargs):
+        return real(*args, **kwargs) + [IntSet.of([0, 2])]
+
+    monkeypatch.setattr(spectile.utc, "enumerate_spectra", with_late_member)
+    with pytest.raises(AssertionError, match=r"re-verification on \(0, 2\)"):
+        utc_verify(2, [0, 1], 9, 8)
 
 
 def test_roundtrip_worked_example():
