@@ -345,7 +345,7 @@ def _cmd_gram_check(ns):
         result["period_identity_residual"] = residual
         ok = ok and residual < ns.tolerance
     if ns.gamma is not None:
-        spectrum = PeriodicSpectrum(spectrum_base(ns.gamma, ns.p), ns.p)
+        spectrum = PeriodicSpectrum(*spectrum_base(ns.gamma, ns.p))
         lambdas = spectrum.points_within(3 * ns.p)
         entries = gram_matrix(ns.omega, lambdas)
         off = max((abs(entries[i][j])

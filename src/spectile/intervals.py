@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .spectra import (FinitePointSet, IntSet, RationalLike, _base_points,
-                      _over_common_denominator, _spectrum_test, as_fraction)
+from .spectra import (FinitePointSet, IntSet, RationalLike, _as_int,
+                      _base_points, _over_common_denominator, _spectrum_test,
+                      as_fraction)
 from .tilings import PeriodicSet, tiles_cyclic
 
 NumberLike = Union[Fraction, int, float, str]
@@ -80,6 +81,7 @@ def _on_grid(pairs: Iterable[tuple[Fraction, Fraction]], p: int,
              ) -> tuple[int, list[tuple[int, int]]]:
     """(N, [(N*a, N*b), ...]) with N = lcm(p, endpoint denominators): the
     intervals on the integer grid (1/N)Z, where 1/p is N // p steps."""
+    p = _as_int(p)
     if p < 1:
         raise ValueError("p must be positive")
     den, grid = _over_common_denominator(
@@ -227,6 +229,7 @@ def fibers(omega: IntervalUnion, p: int) -> FiberDecomposition:
     flips between cells.  Cost: O(n log n) for n intervals, plus the size
     of the output.  The empty union has one cell with the empty fiber.
     """
+    p = _as_int(p)
     den, ends = _on_grid(omega.intervals, p)
     step = den // p
     fiber: set[int] = set()
@@ -257,12 +260,12 @@ def is_p_tile(omega: IntervalUnion, p: int) -> bool:
     return verdict
 
 
-def spectrum_base(gamma, p: int) -> FinitePointSet:
-    """Gamma as a point set, checked to be the base of a candidate spectrum
-    Gamma + pZ: p points in [0, p), one of them 0."""
-    gamma = _base_points(gamma, p)
+def spectrum_base(gamma, p: int) -> tuple[FinitePointSet, int]:
+    """(Gamma, p) checked to be the base and period of a candidate spectrum
+    Gamma + pZ: p points in [0, p), one of them 0; p as an int."""
+    gamma, p = _base_points(gamma, p)
     PeriodicSpectrum(gamma, p)
-    return gamma
+    return gamma, p
 
 
 def spectral_verdict(omega: IntervalUnion, gamma, p: int) -> bool:
@@ -273,7 +276,7 @@ def spectral_verdict(omega: IntervalUnion, gamma, p: int) -> bool:
     decides through vanishing sums of roots of unity.  Each distinct fiber
     is tested once, however many cells carry it.
     """
-    is_spectral = _spectrum_test(spectrum_base(gamma, p), p)
+    is_spectral = _spectrum_test(*spectrum_base(gamma, p))
     return all(map(is_spectral, fibers(omega, p).fiber_family()))
 
 

@@ -184,14 +184,14 @@ def is_spectrum(g: FinitePointSet | Iterable[RationalLike],
 
 
 def _base_points(g: FinitePointSet | Iterable[RationalLike],
-                 p: int) -> FinitePointSet:
-    """G as a point set, checked to have p elements for a positive p."""
-    g = FinitePointSet.of(g)
+                 p: int) -> tuple[FinitePointSet, int]:
+    """G as a point set and p as an int, checked: p > 0 points in G."""
+    g, p = FinitePointSet.of(g), _as_int(p)
     if p < 1:
         raise ValueError("p must be positive")
     if len(g) != p:
         raise ValueError(f"point set has {len(g)} elements, expected p = {p}")
-    return g
+    return g, p
 
 
 def admissible_differences(g: FinitePointSet | Iterable[RationalLike],
@@ -202,7 +202,8 @@ def admissible_differences(g: FinitePointSet | Iterable[RationalLike],
     These are precisely the differences allowed between elements of an
     integer set A for which (1/p)A is a spectrum of G.
     """
-    g = _base_points(g, p)
+    g, p = _base_points(g, p)
+    d_max = _as_int(d_max)
     if d_max < 1:
         raise ValueError("d_max must be positive")
     vanishes = _vanishing_test(g.points, p)
@@ -214,45 +215,45 @@ def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
                       deadline: Optional[float] = None) -> list[IntSet]:
     """All A within {0, ..., n_max} with 0 in A, |A| = p, and every pairwise
     difference admissible; equivalently all A for which (1/p)A is a spectrum
-    of G.  Backtracking over candidates in ascending order, so the output is
-    already sorted lexicographically.  Candidate sets are bitsets.
+    of G.  Depth-first on a stack of prefixes with bitsets of their next
+    candidates, ascending, so the output is sorted lexicographically; a
+    prefix one short of p completes with each of its candidates.
 
     deadline is an absolute time.monotonic() value, checked before the
     first node and then every _POLL_INTERVAL nodes; passing it raises
     SearchTimeout.
     """
-    g = _base_points(g, p)
+    g, p = _base_points(g, p)
+    n_max = _as_int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     vanishes = _vanishing_test(g.points, p)
     allowed = sum(1 << d for d in range(1, n_max + 1) if vanishes(d))
     results: list[IntSet] = []
-    chosen = [0]
+    stack = [((0,), allowed)]
     nodes = 0
-
-    def extend(cand: int) -> None:
-        nonlocal nodes
-        if deadline is not None:
-            if nodes % _POLL_INTERVAL == 0 and time.monotonic() > deadline:
-                raise SearchTimeout(
-                    f"spectrum enumeration passed its deadline after "
-                    f"{len(results)} spectra")
-            nodes += 1
-        if len(chosen) == p:
-            results.append(IntSet(tuple(chosen)))
-            return
-        last = n_max - (p - len(chosen)) + 1  # leaves room for the rest
-        while cand:
-            c = (cand & -cand).bit_length() - 1
-            if c > last:
-                break
-            cand &= cand - 1
-            chosen.append(c)
-            extend(cand & (allowed << c))
-            chosen.pop()
-
-    extend(allowed)
-    del extend  # it refers to itself: break the cycle that holds results
+    while stack:
+        if (deadline is not None and nodes % _POLL_INTERVAL == 0
+                and time.monotonic() > deadline):
+            raise SearchTimeout(f"spectrum enumeration passed its deadline "
+                                f"after {len(results)} spectra")
+        nodes += 1
+        chosen, cand = stack.pop()
+        if len(chosen) == p:  # p = 1: the root is the one spectrum
+            results.append(IntSet(chosen))
+        elif len(chosen) == p - 1:
+            while cand:
+                low = cand & -cand
+                results.append(IntSet(chosen + (low.bit_length() - 1,)))
+                cand ^= low
+        else:  # push, largest first, each c that leaves enough candidates
+            need, rest = p - len(chosen) - 1, cand
+            while rest:
+                c = rest.bit_length() - 1
+                rest ^= 1 << c
+                after = cand & (allowed << c)
+                if after.bit_count() >= need:
+                    stack.append((chosen + (c,), after))
     return results
 
 
@@ -260,7 +261,8 @@ def brute_force_spectra(g: FinitePointSet | Iterable[RationalLike],
                         p: int, n_max: int) -> list[IntSet]:
     """Independent oracle for enumerate_spectra: test every p-subset of
     {0, ..., n_max} containing 0 directly with is_spectrum."""
-    g = _base_points(g, p)
+    g, p = _base_points(g, p)
+    n_max = _as_int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if math.comb(max(n_max, 0), p - 1) > BRUTE_FORCE_GUARD:

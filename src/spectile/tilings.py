@@ -3,9 +3,9 @@
 A finite set A of integers tiles Z by a periodic complement R + mZ exactly
 when A is distinct mod m and the residues (a + r) mod m cover Z_m once each.
 Everything here reduces to that cyclic check, so all verdicts are exact.
-Both complement searches run one backtracking exact cover over Z_m, with
-coverage tables packed into one integer bitmask, one table per residue
-class mod m among the members, since the cyclic check reads A only mod m.
+Both complement searches run one backtracking cover of Z_m by translates
+of the first member, on m-bit sets; each other residue class mod m among
+the members (the cyclic check reads A only mod m) only forbids translates.
 A search that finds nothing within its period bound is inconclusive,
 never a refutation.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .spectra import _POLL_INTERVAL, IntSet, SearchTimeout, _as_int
 
@@ -93,73 +93,69 @@ def certify_tiling(tile, complement: PeriodicSet) -> TilingCertificate:
     return TilingCertificate(tile, complement, (0, complement.period))
 
 
-def _exact_covers(members: Sequence[IntSet], m: int,
+def _exact_covers(tables: Sequence[Collection[int]], m: int,
                   deadline: Optional[float] = None,
                   ) -> Iterator[tuple[int, ...]]:
-    """Every residue set R with 0 in R such that each member + (R + mZ)
-    tiles Z, in search order.
+    """Every residue set R with 0 in R such that T + R covers Z_m once
+    for every table T, in search order.
 
-    The coverage tables of all K members sit side by side in one integer,
-    member j owning bits [j*m, (j+1)*m), so one AND tests a translate
-    against every table.  Search: place the translate 0 first, then take
-    the smallest residue u uncovered in the first table and branch on the
-    translates u - a mod m, a in the first member, in ascending order.
-    Each valid R is reached by exactly one branch sequence.  Every member
-    has the same size and is distinct mod m, so each field fills at the
-    same rate and a full first table means every table is full.
+    tables are residue sets mod m, all of one size p dividing m, lead
+    first.  By the difference criterion, T + R covers Z_m once iff
+    |T||R| = m and (T - T) and (R - R) share only 0.  So the search covers
+    Z_m with translates of the lead alone: place the translate 0 first,
+    then take the smallest uncovered residue u and branch on the
+    translates u - a mod m, a in the lead, in ascending order; each valid
+    R is reached by exactly one branch sequence.  A translate t may join
+    only if its coverage misses the lead's so far and t is not forbidden,
+    that is, not at a nonzero difference of another table from a chosen
+    translate.  The other tables enter only through that forbidden set,
+    so only the lead's position among the tables matters.
 
     deadline is an absolute time.monotonic() value, checked before the
     first node and then every _POLL_INTERVAL nodes; passing it raises
     SearchTimeout.
     """
-    p = len(members[0])
-    if not p or m % p:
-        return
-    bits = ["0"] * (len(members) * m)
-    for offset, a in zip(range(0, len(bits), m), members):
-        for x in a.elements:
-            bits[offset + x % m] = "1"
-    if bits.count("1") != len(bits) // m * p:
-        return  # some member is not distinct mod m
-    base = int("".join(reversed(bits)), 2)
-    first_field = (1 << m) - 1
-    full = (1 << len(bits)) - 1
-    rep = full // first_field
-    masks = []  # masks[t]: every field rotated left by t
-    for t in range(m):
-        low = rep * ((1 << t) - 1)  # bits [0, t) of every field
-        masks.append(((base << t) & (full ^ low)) | ((base >> (m - t)) & low))
-    # branches[u]: translates covering u in the first table, descending,
-    # so that they pop off the stack in ascending order
-    branches = [sorted(((u - x) % m for x in members[0]), reverse=True)
+    full = (1 << m) - 1
+    diffs = {(x - y) % m for t in tables[1:] for x in t for y in t} - {0}
+    # cover[t], forbid[t]: lead and other tables' differences, rotated by t
+    cover, forbid = ([((b << t) | (b >> (m - t))) & full for t in range(m)]
+                     for b in (sum(1 << x for x in tables[0]),
+                               sum(1 << d for d in diffs)))
+    # branches[u]: translates covering u, descending, so that they pop off
+    # the stack in ascending order
+    branches = [sorted(((u - x) % m for x in tables[0]), reverse=True)
                 for u in range(m)]
     nodes = 0
-    stack = [(masks[0], (0,))]
+    stack = [(cover[0], forbid[0], (0,))]
     while stack:
         if (deadline is not None and nodes % _POLL_INTERVAL == 0
                 and time.monotonic() > deadline):
             raise SearchTimeout(
                 f"common-complement search passed its deadline at period {m}")
         nodes += 1
-        covered, chosen = stack.pop()
-        gap = (covered & first_field) ^ first_field
+        covered, forbidden, chosen = stack.pop()
+        gap = covered ^ full
         if not gap:
             yield tuple(sorted(chosen))
             continue
         u = (gap & -gap).bit_length() - 1
         for t in branches[u]:
-            mask = masks[t]
-            if not mask & covered:
-                stack.append((covered | mask, chosen + (t,)))
+            if not (cover[t] & covered or forbidden >> t & 1):
+                stack.append((covered | cover[t], forbidden | forbid[t],
+                              chosen + (t,)))
 
 
 def find_complements(tile, m: int) -> list[tuple[int, ...]]:
     """All residue sets R with 0 in R and tiles_cyclic(tile, R, m), sorted
-    lexicographically; the single-member case of the exact-cover search."""
+    lexicographically; the single-table case of the exact-cover search."""
     m = _as_int(m)
     if m < 1:
         raise ValueError("modulus must be positive")
-    return sorted(_exact_covers([IntSet.of(tile)], m))
+    tile = IntSet.of(tile)
+    residues = {x % m for x in tile.elements}
+    if not tile or m % len(tile) or len(residues) < len(tile):
+        return []
+    return sorted(_exact_covers([residues], m))
 
 
 def find_common_complement(family, m_max: int, *,
@@ -173,8 +169,9 @@ def find_common_complement(family, m_max: int, *,
     None when the bound is exhausted.
 
     Whether A + (R + mZ) tiles Z depends only on A mod m, so each period
-    searches the first member of each residue class, in family order: the
-    first member leads, so the first cover is the whole family's first.
+    searches one residue table per class mod m, led by the first member's;
+    the others only forbid translates, so no other member's position in
+    the family can change the cover found.
 
     deadline is an absolute time.monotonic() value; passing it raises
     SearchTimeout so the caller can report an honest partial result.
@@ -189,14 +186,14 @@ def find_common_complement(family, m_max: int, *,
     if any(len(s) != p for s in sets):
         raise ValueError("family members must share one cardinality")
     for m in range(p, m_max + 1, p):
-        reps = {}  # residue set mod m -> its first member
+        classes = {}  # residue sets mod m, in order of first appearance
         for s in sets:
             key = frozenset([x % m for x in s.elements])
             if len(key) < p:
                 break  # s is not distinct mod m: no cover of period m
-            reps.setdefault(key, s)
+            classes[key] = None
         else:
-            found = next(_exact_covers(list(reps.values()), m, deadline), None)
+            found = next(_exact_covers(list(classes), m, deadline), None)
             if found is not None:
                 return PeriodicSet(found, m)
     return None

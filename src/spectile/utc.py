@@ -75,7 +75,7 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
     enumeration reports no spectra.
     """
     start = time.monotonic()
-    gamma = spectrum_base(gamma, p)
+    gamma, p = spectrum_base(gamma, p)
     deadline = start + time_budget if time_budget is not None else None
     try:
         family = enumerate_spectra(gamma, p, n_max, deadline=deadline)
@@ -117,7 +117,7 @@ def roundtrip(p: int, gamma, family, breakpoints, m_max: int, *,
     R by (1/p)(R + mZ).  consistency is true only when every stage agrees.
     """
     start = time.monotonic()
-    gamma = spectrum_base(gamma, p)
+    gamma, p = spectrum_base(gamma, p)
     sets = tuple(IntSet.of(a) for a in family)
     members = list(dict.fromkeys(sets))
     is_spectral = _spectrum_test(gamma, p)

@@ -371,6 +371,18 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["verdict"] == "true"
 
 
+def test_enum_spectra_runs_past_the_recursion_limit():
+    # one spectrum of 1100 elements: the enumeration runs deeper than the
+    # interpreter's default recursion limit and still exits 0
+    points = ",".join(map(str, range(1100)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectile", "enum-spectra", "--gamma", points,
+         "--p", "1100", "--n-max", "1099"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["spectra"] == [list(range(1100))]
+
+
 def _cap_address_space():
     cap = 2**30
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))

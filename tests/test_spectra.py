@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from spectile import (FinitePointSet, IntSet, PeriodicSet, ResourceLimitError,
                       SearchTimeout, admissible_differences, as_fraction,
                       brute_force_spectra, build_omega, enumerate_spectra,
-                      exponential_sum_vanishes, find_common_complement,
-                      find_complements, is_spectrum, tiles_cyclic)
+                      exponential_sum_vanishes, fibers, find_common_complement,
+                      find_complements, is_spectrum, roundtrip,
+                      spectral_verdict, tiles_cyclic, utc_verify,
+                      verify_omega_tiling)
 
 X = sympy.Symbol("x")
 
@@ -78,6 +80,36 @@ def test_integer_inputs_refuse_non_integers():
     assert IntSet.of([F(4, 2), "3", 0]).elements == (0, 2, 3)
     assert PeriodicSet.of([F(-1), 2], 4).residues == (2, 3)
     assert PeriodicSet.of([0], F(4, 2)).period == 2
+
+
+def test_integer_parameters_follow_the_exactness_policy():
+    # p, n_max and d_max are read like every other integer input: an
+    # integral Fraction works, another Fraction raises ValueError and a
+    # float raises TypeError
+    gamma, family, rs = [0, F(1, 2)], [[0, 1], [0, 3]], [0, F(1, 4), F(1, 2)]
+    omega = build_omega(2, family, rs)
+
+    def check(call, *ints):
+        expected = call(*ints)
+        for i, k in enumerate(ints):
+            def with_value(v):
+                return call(*ints[:i], v, *ints[i + 1:])
+            assert with_value(F(k)) == expected
+            with pytest.raises(ValueError, match="is not an integer"):
+                with_value(F(2 * k + 1, 2))
+            with pytest.raises(TypeError, match="float input is not exact"):
+                with_value(float(k))
+
+    check(lambda p, n: enumerate_spectra(gamma, p, n), 2, 4)
+    check(lambda p, n: brute_force_spectra(gamma, p, n), 2, 4)
+    check(lambda p, d: admissible_differences(gamma, p, d), 2, 4)
+    check(lambda p, n: utc_verify(p, gamma, n, 4).spectra_found, 2, 4)
+    check(lambda p: build_omega(p, family, rs), 2)
+    check(lambda p: fibers(omega, p), 2)
+    assert type(fibers(omega, F(2)).p) is int
+    check(lambda p: verify_omega_tiling(omega, PeriodicSet.of([0], 2), p=p), 2)
+    check(lambda p: spectral_verdict(omega, [0, 1], p), 2)
+    check(lambda p: roundtrip(p, [0, 1], family, rs, 8), 2)
 
 
 def test_exponential_sum_vanishes_known_cases():
@@ -202,6 +234,20 @@ def test_enumerate_spectra_deadline():
     gamma = [0, F(1, 2), 2, F(5, 2)]
     assert enumerate_spectra(gamma, 4, 80, deadline=time.monotonic() + 3600) \
         == enumerate_spectra(gamma, 4, 80)
+
+
+def test_enumerate_spectra_polls_the_deadline_at_p_1():
+    # the deadline is checked before the first node, even when that node
+    # is the whole search
+    with pytest.raises(SearchTimeout):
+        enumerate_spectra([0], 1, 5, deadline=time.monotonic() - 1)
+
+
+def test_enumerate_spectra_has_no_recursion_limit():
+    # Z_1100 has one spectrum within {0..1099}, found 1100 levels deep,
+    # past the interpreter's default recursion limit
+    assert enumerate_spectra(range(1100), 1100, 1099) == \
+        [IntSet(tuple(range(1100)))]
 
 
 def test_enumerated_family_is_freed_without_the_collector():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from spectile import (IntSet, PeriodicSet, SearchTimeout, certify_tiling,
                       find_common_complement, find_complements, is_tiling_of_Z,
                       tiles_cyclic)
+from spectile.spectra import _POLL_INTERVAL
 from spectile.tilings import _exact_covers
 
 
@@ -27,6 +28,60 @@ def brute_force_complements(tile, m):
         if tiles_cyclic(tile, r, m):
             out.append(r)
     return out
+
+
+def packed_exact_covers(members, m, deadline=None):
+    """Reference exact-cover search: every residue set R with 0 in R such
+    that each member + (R + mZ) tiles Z, in search order.
+
+    The coverage tables of all K members sit side by side in one integer,
+    member j owning bits [j*m, (j+1)*m), so one AND tests a translate
+    against every table.  Search: place the translate 0 first, then take
+    the smallest residue u uncovered in the first table and branch on the
+    translates u - a mod m, a in the first member, in ascending order.
+    Each valid R is reached by exactly one branch sequence.  Every member
+    has the same size and is distinct mod m, so each field fills at the
+    same rate and a full first table means every table is full.
+    """
+    p = len(members[0])
+    if not p or m % p:
+        return
+    bits = ["0"] * (len(members) * m)
+    for offset, a in zip(range(0, len(bits), m), members):
+        for x in a.elements:
+            bits[offset + x % m] = "1"
+    if bits.count("1") != len(bits) // m * p:
+        return  # some member is not distinct mod m
+    base = int("".join(reversed(bits)), 2)
+    first_field = (1 << m) - 1
+    full = (1 << len(bits)) - 1
+    rep = full // first_field
+    masks = []  # masks[t]: every field rotated left by t
+    for t in range(m):
+        low = rep * ((1 << t) - 1)  # bits [0, t) of every field
+        masks.append(((base << t) & (full ^ low)) | ((base >> (m - t)) & low))
+    # branches[u]: translates covering u in the first table, descending,
+    # so that they pop off the stack in ascending order
+    branches = [sorted(((u - x) % m for x in members[0]), reverse=True)
+                for u in range(m)]
+    nodes = 0
+    stack = [(masks[0], (0,))]
+    while stack:
+        if (deadline is not None and nodes % _POLL_INTERVAL == 0
+                and time.monotonic() > deadline):
+            raise SearchTimeout(
+                f"common-complement search passed its deadline at period {m}")
+        nodes += 1
+        covered, chosen = stack.pop()
+        gap = (covered & first_field) ^ first_field
+        if not gap:
+            yield tuple(sorted(chosen))
+            continue
+        u = (gap & -gap).bit_length() - 1
+        for t in branches[u]:
+            mask = masks[t]
+            if not mask & covered:
+                stack.append((covered | mask, chosen + (t,)))
 
 
 def test_periodic_set_validation():
@@ -120,7 +175,7 @@ def test_find_common_complement_property_matches_brute_force(case):
         covers = [r for r in brute_force_complements(family[0], m)
                   if all(tiles_cyclic(a, r, m) for a in family)]
         # the packed K-member search lists exactly the common covers
-        assert sorted(_exact_covers(sets, m)) == covers, (family, m)
+        assert sorted(packed_exact_covers(sets, m)) == covers, (family, m)
         if covers and expected is None:
             expected = m, covers
     got = find_common_complement(family, m_max)
@@ -173,11 +228,31 @@ def test_find_common_complement_matches_search_over_every_member(case):
     p = len(sets[0])
     expected = None
     for m in range(p, m_max + 1, p):
-        found = next(_exact_covers(sets, m), None)
+        found = next(packed_exact_covers(sets, m), None)
         if found is not None:
             expected = PeriodicSet(found, m)
             break
     assert find_common_complement(family, m_max) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(families(), shifted_families()))
+@example(case=([[0, 2, 8, 10], [5, 11, 13, 19], [0, 18, 8, 10]], 16))
+@example(case=([[5, 11, 13, 19], [0, 2, 8, 10], [5, 27, 13, 19]], 16))
+def test_exact_covers_match_the_packed_search_in_order(case):
+    # covering by the lead under the other tables' forbidden differences
+    # meets the same covers in the same order as the packed search over
+    # every member, whatever the order of the tables after the lead
+    family, m_max = case
+    sets = [IntSet.of(a) for a in family]
+    p = len(sets[0])
+    for m in range(p, m_max + 1, p):
+        tables = [{x % m for x in a.elements} for a in sets]
+        if any(len(t) < p for t in tables):
+            continue
+        expected = list(packed_exact_covers(sets, m))
+        assert list(_exact_covers(tables, m)) == expected, (family, m)
+        assert list(_exact_covers(tables[:1] + tables[:0:-1], m)) == expected
 
 
 def test_find_complements_sorted_output():

@@ -107,9 +107,9 @@ def test_utc_verify_checks_each_residue_class_once(monkeypatch):
     searched = []
     real_covers = spectile.tilings._exact_covers
 
-    def recording(members, *args):
-        searched.append(len(members))
-        return real_covers(members, *args)
+    def recording(tables, *args):
+        searched.append(len(tables))
+        return real_covers(tables, *args)
 
     monkeypatch.setattr(spectile.tilings, "_exact_covers", recording)
     report = utc_verify(9, range(9), 18, 81)
