@@ -102,6 +102,9 @@ class FinitePointSet:
 class IntSet:
     """Sorted tuple of distinct integers."""
 
+    # a family can hold tens of thousands of these; not slots=True, which
+    # cannot keep weak references before Python 3.11
+    __slots__ = ("elements", "__weakref__")
     elements: tuple[int, ...]
 
     def __post_init__(self):
@@ -114,6 +117,11 @@ class IntSet:
         if isinstance(elements, IntSet):
             return elements
         return cls(tuple(sorted(set(_as_int(e) for e in elements))))
+
+    def __reduce__(self):
+        # pickle and copy would restore the slot through the frozen
+        # __setattr__; rebuild through __init__ instead
+        return type(self), (self.elements,)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)

@@ -4,8 +4,9 @@ A finite set A of integers tiles Z by a periodic complement R + mZ exactly
 when A is distinct mod m and the residues (a + r) mod m cover Z_m once each.
 Everything here reduces to that cyclic check, so all verdicts are exact.
 Both complement searches run one backtracking cover of Z_m by translates
-of the first member, on m-bit sets; each other residue class mod m among
-the members (the cyclic check reads A only mod m) only forbids translates.
+of the first member, on m-bit masks; each other residue class mod m among
+the members (the cyclic check reads A only mod m), itself one m-bit mask,
+only forbids translates.
 A search that finds nothing within its period bound is inconclusive,
 never a refutation.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .spectra import _POLL_INTERVAL, IntSet, SearchTimeout, _as_int
 
@@ -93,37 +94,45 @@ def certify_tiling(tile, complement: PeriodicSet) -> TilingCertificate:
     return TilingCertificate(tile, complement, (0, complement.period))
 
 
-def _exact_covers(tables: Sequence[Collection[int]], m: int,
+def _exact_covers(tables: Sequence[int], m: int,
                   deadline: Optional[float] = None,
                   ) -> Iterator[tuple[int, ...]]:
     """Every residue set R with 0 in R such that T + R covers Z_m once
     for every table T, in search order.
 
-    tables are residue sets mod m, all of one size p dividing m, lead
-    first.  By the difference criterion, T + R covers Z_m once iff
-    |T||R| = m and (T - T) and (R - R) share only 0.  So the search covers
-    Z_m with translates of the lead alone: place the translate 0 first,
-    then take the smallest uncovered residue u and branch on the
-    translates u - a mod m, a in the lead, in ascending order; each valid
-    R is reached by exactly one branch sequence.  A translate t may join
-    only if its coverage misses the lead's so far and t is not forbidden,
-    that is, not at a nonzero difference of another table from a chosen
-    translate.  The other tables enter only through that forbidden set,
-    so only the lead's position among the tables matters.
+    tables are residue sets mod m as m-bit masks (bit x for residue x),
+    all of one popcount p dividing m, lead first; anything else raises
+    ValueError when the search starts.  By the difference criterion,
+    T + R covers Z_m once iff |T||R| = m and (T - T) and (R - R) share
+    only 0.  So the search covers Z_m with translates of the lead alone:
+    place the translate 0 first, then take the smallest uncovered residue
+    u and branch on the translates u - a mod m, a in the lead, in
+    ascending order; each valid R is reached by exactly one branch
+    sequence.  A translate t may join only if its coverage misses the
+    lead's so far and t is not forbidden, that is, not at a nonzero
+    difference of another table from a chosen translate.  The other
+    tables enter only through that forbidden set, so only the lead's
+    position among the tables matters.
 
     deadline is an absolute time.monotonic() value, checked before the
     first node and then every _POLL_INTERVAL nodes; passing it raises
     SearchTimeout.
     """
+    if not (tables
+            and all(isinstance(t, int) and 0 < t < 1 << m for t in tables)
+            and len({t.bit_count() for t in tables}) == 1
+            and m % tables[0].bit_count() == 0):
+        raise ValueError(f"tables must be nonzero masks below 2**{m} with "
+                         f"one popcount dividing {m}")
     full = (1 << m) - 1
-    diffs = {(x - y) % m for t in tables[1:] for x in t for y in t} - {0}
+    lead, *others = ([x for x in range(m) if t >> x & 1] for t in tables)
+    diffs = {(x - y) % m for r in others for x in r for y in r} - {0}
     # cover[t], forbid[t]: lead and other tables' differences, rotated by t
     cover, forbid = ([((b << t) | (b >> (m - t))) & full for t in range(m)]
-                     for b in (sum(1 << x for x in tables[0]),
-                               sum(1 << d for d in diffs)))
+                     for b in (tables[0], sum(1 << d for d in diffs)))
     # branches[u]: translates covering u, descending, so that they pop off
     # the stack in ascending order
-    branches = [sorted(((u - x) % m for x in tables[0]), reverse=True)
+    branches = [sorted(((u - x) % m for x in lead), reverse=True)
                 for u in range(m)]
     nodes = 0
     stack = [(cover[0], forbid[0], (0,))]
@@ -152,10 +161,10 @@ def find_complements(tile, m: int) -> list[tuple[int, ...]]:
     if m < 1:
         raise ValueError("modulus must be positive")
     tile = IntSet.of(tile)
-    residues = {x % m for x in tile.elements}
-    if not tile or m % len(tile) or len(residues) < len(tile):
+    mask = sum({1 << (x % m) for x in tile.elements})
+    if not tile or m % len(tile) or mask.bit_count() < len(tile):
         return []
-    return sorted(_exact_covers([residues], m))
+    return sorted(_exact_covers([mask], m))
 
 
 def find_common_complement(family, m_max: int, *,
@@ -169,9 +178,12 @@ def find_common_complement(family, m_max: int, *,
     None when the bound is exhausted.
 
     Whether A + (R + mZ) tiles Z depends only on A mod m, so each period
-    searches one residue table per class mod m, led by the first member's;
-    the others only forbid translates, so no other member's position in
-    the family can change the cover found.
+    writes every member as an m-bit mask of its residues, from one
+    point -> bit table over the family's distinct points, and searches
+    one mask per class, led by the first member's; the others only forbid
+    translates, so no other member's position in the family can change
+    the cover found.  A period at which some member is not distinct mod m
+    is skipped as soon as that member is met.
 
     deadline is an absolute time.monotonic() value; passing it raises
     SearchTimeout so the caller can report an honest partial result.
@@ -185,13 +197,17 @@ def find_common_complement(family, m_max: int, *,
         raise ValueError("family members must be nonempty")
     if any(len(s) != p for s in sets):
         raise ValueError("family members must share one cardinality")
+    points = {x for s in sets for x in s.elements}
     for m in range(p, m_max + 1, p):
-        classes = {}  # residue sets mod m, in order of first appearance
-        for s in sets:
-            key = frozenset([x % m for x in s.elements])
-            if len(key) < p:
-                break  # s is not distinct mod m: no cover of period m
-            classes[key] = None
+        bit = {x: 1 << (x % m) for x in points}.__getitem__
+        # the sum of a member's p bits has p bits set iff the member is
+        # distinct mod m: a repeated residue carries into a higher bit
+        classes = {}  # masks in order of first appearance, lead first
+        for mask in (sum(map(bit, s.elements)) for s in sets):
+            if mask not in classes:
+                if mask.bit_count() < p:
+                    break  # not distinct mod m: no cover of period m
+                classes[mask] = None
         else:
             found = next(_exact_covers(list(classes), m, deadline), None)
             if found is not None:

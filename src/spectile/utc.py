@@ -68,11 +68,12 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
 
     The verdict is verified-with-certificate only after every family member
     has been re-checked against the certificate; whether A + (R + mZ) tiles
-    Z depends only on the multiset A mod m, so one member per multiset is
-    checked.  Exhausting m_max, or the optional wall-clock budget in
-    seconds, gives an inconclusive verdict; the budget bounds the
-    enumeration and the search together, and a budget that ends during the
-    enumeration reports no spectra.
+    Z depends only on the multiset A mod m, and a p-element member with p
+    residues mod m has its residue set as that multiset, so one member per
+    residue set, keyed by an m-bit mask, is checked.  Exhausting m_max, or
+    the optional wall-clock budget in seconds, gives an inconclusive
+    verdict; the budget bounds the enumeration and the search together,
+    and a budget that ends during the enumeration reports no spectra.
     """
     start = time.monotonic()
     gamma, p = spectrum_base(gamma, p)
@@ -93,8 +94,15 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
         return UtcReport(p, gamma, n_max, m_max, tuple(family), INCONCLUSIVE,
                          None, time.monotonic() - start)
     m = certificate.period
-    by_residues = {tuple(sorted(x % m for x in a.elements)): a for a in family}
-    for a in by_residues.values():
+    # Members have p elements, so a member whose mask below has p bits is
+    # distinct mod m and its residue set is its multiset mod m; a member
+    # with a repeated residue carries into another bit, has fewer, and
+    # fails the check whatever its class.  So members with one mask share
+    # the tiles_cyclic verdict, and one member per mask is checked.
+    points = {x for a in family for x in a.elements}
+    bit = {x: 1 << (x % m) for x in points}.__getitem__
+    by_mask = {sum(map(bit, a.elements)): a for a in family}
+    for a in by_mask.values():
         if not is_tiling_of_Z(a, certificate):
             raise AssertionError(
                 f"certificate {certificate} failed re-verification on {tuple(a)}")

@@ -1,7 +1,9 @@
 """Spectral-pair verdicts and bounded spectrum enumeration."""
 
+import copy
 import gc
 import math
+import pickle
 import random
 import time
 import tracemalloc
@@ -261,6 +263,18 @@ def test_enumerated_family_is_freed_without_the_collector():
         assert member() is None
     finally:
         gc.enable()
+
+
+def test_int_set_is_slotted_and_still_copies():
+    a = IntSet.of([3, -1, 2])
+    assert not hasattr(a, "__dict__")
+    for copied in (pickle.loads(pickle.dumps(a)), copy.copy(a),
+                   copy.deepcopy(a)):
+        assert copied == a and copied.elements == (-1, 2, 3)
+    with pytest.raises(AttributeError):
+        a.elements = (0,)
+    with pytest.raises(ValueError):
+        IntSet((2, 1))
 
 
 def test_brute_force_pigeonhole_and_guard():

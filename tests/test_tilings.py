@@ -84,6 +84,27 @@ def packed_exact_covers(members, m, deadline=None):
                 stack.append((covered | mask, chosen + (t,)))
 
 
+def frozenset_common_complement(family, m_max):
+    """Reference grouping for find_common_complement: at each period, the
+    first member of each residue set mod m (a frozenset), in family order,
+    searched by packed_exact_covers; a member that is not distinct mod m
+    skips the period."""
+    sets = [IntSet.of(a) for a in family]
+    p = len(sets[0])
+    for m in range(p, m_max + 1, p):
+        reps = {}
+        for s in sets:
+            key = frozenset(x % m for x in s.elements)
+            if len(key) < p:
+                break
+            reps.setdefault(key, s)
+        else:
+            found = next(packed_exact_covers(list(reps.values()), m), None)
+            if found is not None:
+                return PeriodicSet(found, m)
+    return None
+
+
 def test_periodic_set_validation():
     ps = PeriodicSet.of([5, -1, 2], 4)
     assert ps.residues == (1, 2, 3) and ps.period == 4
@@ -247,12 +268,57 @@ def test_exact_covers_match_the_packed_search_in_order(case):
     sets = [IntSet.of(a) for a in family]
     p = len(sets[0])
     for m in range(p, m_max + 1, p):
-        tables = [{x % m for x in a.elements} for a in sets]
-        if any(len(t) < p for t in tables):
+        tables = [sum({1 << (x % m) for x in a.elements}) for a in sets]
+        if any(t.bit_count() < p for t in tables):
             continue
         expected = list(packed_exact_covers(sets, m))
         assert list(_exact_covers(tables, m)) == expected, (family, m)
         assert list(_exact_covers(tables[:1] + tables[:0:-1], m)) == expected
+
+
+@st.composite
+def signed_families(draw):
+    """Members with negative elements, and copies of earlier members with
+    each element moved by a multiple of a small period, so that members
+    share classes at some periods and repeat a residue at others."""
+    p = draw(st.integers(1, 4))
+    member = st.lists(st.integers(-40, 40), min_size=p, max_size=p,
+                      unique=True)
+    family = draw(st.lists(member, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 4))):
+        base = draw(st.sampled_from(family))
+        step = p * draw(st.integers(1, 4))
+        ks = draw(st.lists(st.integers(-3, 3), min_size=p, max_size=p))
+        moved = {x + k * step for x, k in zip(base, ks)}
+        if len(moved) == p:
+            family.append(sorted(moved))
+    return draw(st.permutations(family)), draw(st.integers(1, 24))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(families(), shifted_families(), signed_families()))
+@example(case=([[0, 2, 8, 10], [5, 11, 13, 19], [0, 18, 8, 10]], 16))
+@example(case=([[0, 24], [0, 1]], 24))
+@example(case=([[-3, 5], [1, 9], [-7, 2]], 12))
+def test_find_common_complement_matches_the_frozenset_grouping(case):
+    # grouping members by m-bit masks finds the same certificate as
+    # grouping them by frozensets of residues
+    family, m_max = case
+    assert find_common_complement(family, m_max) == \
+        frozenset_common_complement(family, m_max)
+
+
+def test_exact_covers_refuse_tables_that_are_not_masks():
+    # an unreduced table once yielded 8,388,608 duplicate covers of Z_24
+    start = time.monotonic()
+    for tables, m in [([IntSet.of([0, 24])], 24), ([1 | 1 << 24], 24),
+                      ([], 4), ([0], 4), ([0b11, 0b111], 6), ([0b111], 4),
+                      ([-1], 4), ([{0, 1}], 2)]:
+        with pytest.raises(ValueError):
+            next(_exact_covers(tables, m))
+    assert time.monotonic() - start < 0.5
+    assert list(_exact_covers([0b11, 0b101], 4)) == []
+    assert list(_exact_covers([0b11, 0b1001], 4)) == [(0, 2)]
 
 
 def test_find_complements_sorted_output():

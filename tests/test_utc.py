@@ -2,12 +2,14 @@
 round trip."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spectile.cli
 import spectile.intervals
 import spectile.spectra
 import spectile.tilings
@@ -118,22 +120,30 @@ def test_utc_verify_checks_each_residue_class_once(monkeypatch):
     assert searched == [1]
 
 
-def test_utc_verify_recheck_reaches_a_late_class(monkeypatch):
+def test_utc_verify_recheck_reaches_a_late_class(monkeypatch, capsys):
     # {0, 2} mod 4 tiles Z with {0, d} for every odd d, so it passes every
-    # spectrum of {0, 1} and fails only on a last member {0, 2}
+    # spectrum of {0, 1} and fails only on a last member of another class:
+    # {0, 2}, or {0, 4}, which is not even distinct mod 4
     def wrong(family, m_max, *, deadline=None):
         return PeriodicSet.of([0, 2], 4)
 
     monkeypatch.setattr(spectile.utc, "find_common_complement", wrong)
     assert utc_verify(2, [0, 1], 9, 8).certificate == PeriodicSet.of([0, 2], 4)
     real = spectile.utc.enumerate_spectra
+    for late in [(0, 2), (0, 4)]:
+        def with_late_member(*args, **kwargs):
+            return real(*args, **kwargs) + [IntSet.of(late)]
 
-    def with_late_member(*args, **kwargs):
-        return real(*args, **kwargs) + [IntSet.of([0, 2])]
-
-    monkeypatch.setattr(spectile.utc, "enumerate_spectra", with_late_member)
-    with pytest.raises(AssertionError, match=r"re-verification on \(0, 2\)"):
-        utc_verify(2, [0, 1], 9, 8)
+        monkeypatch.setattr(spectile.utc, "enumerate_spectra", with_late_member)
+        with pytest.raises(AssertionError,
+                           match=re.escape(f"re-verification on {late}")):
+            utc_verify(2, [0, 1], 9, 8)
+        # a failed re-verification is the program's fault: exit 3
+        assert spectile.cli.run(["utc-verify", "--gamma", "0,1", "--p", "2",
+                                 "--n-max", "9", "--m-max", "8"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error:")
 
 
 def test_roundtrip_worked_example():
