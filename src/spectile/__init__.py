@@ -1,40 +1,51 @@
 """Exact verifiers and bounded searches for spectral sets, integer
-tilings, and interval-union constructions on the line."""
+tilings, and interval-union constructions on the line.
 
-from .cyclotomic import (IntPolynomial, ResidueMultiset, cyclotomic_poly,
-                         root_sum_is_zero, root_sum_value)
-from .intervals import (CommonComplementError, FiberCell, FiberDecomposition,
-                        IntervalUnion, OmegaTilingCertificate,
-                        PeriodicSpectrum, assemble_tiling, build_omega, fibers,
-                        gram_entry, gram_matrix, is_p_tile, measure, normalize,
-                        period_identity_residual, spectral_verdict,
-                        verify_omega_tiling)
-from .spectra import (FinitePointSet, IntSet, ResourceLimitError,
-                      admissible_differences, as_fraction, brute_force_spectra,
-                      enumerate_spectra, exponential_sum_vanishes, is_spectrum)
-from .tilings import (PeriodicSet, SearchTimeout, TilingCertificate,
-                      certify_tiling, find_common_complement, find_complements,
-                      is_tiling_of_Z, tiles_cyclic)
-from .utc import (INCONCLUSIVE, NO_SPECTRA, VERIFIED, InvalidFamilyError,
-                  RoundTripReport, UtcReport, roundtrip, utc_verify)
+The namespace is lazy: each public name imports its module on first
+access (PEP 562), so ``import spectile`` loads no submodule.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "IntPolynomial", "ResidueMultiset", "cyclotomic_poly", "root_sum_is_zero",
-    "root_sum_value",
-    "FinitePointSet", "IntSet", "ResourceLimitError", "admissible_differences",
-    "as_fraction", "brute_force_spectra", "enumerate_spectra",
-    "exponential_sum_vanishes", "is_spectrum",
-    "PeriodicSet", "SearchTimeout", "TilingCertificate", "certify_tiling",
-    "find_common_complement", "find_complements", "is_tiling_of_Z",
-    "tiles_cyclic",
-    "CommonComplementError", "FiberCell", "FiberDecomposition",
-    "IntervalUnion", "OmegaTilingCertificate", "PeriodicSpectrum",
-    "assemble_tiling", "build_omega", "fibers",
-    "gram_entry", "gram_matrix", "is_p_tile", "measure", "normalize",
-    "period_identity_residual", "spectral_verdict", "verify_omega_tiling",
-    "INCONCLUSIVE", "NO_SPECTRA", "VERIFIED", "InvalidFamilyError",
-    "RoundTripReport", "UtcReport", "roundtrip", "utc_verify",
-    "__version__",
-]
+# each public name under the module that defines it
+_HOMES = {
+    "cyclotomic": ("IntPolynomial", "ResidueMultiset", "cyclotomic_poly",
+                   "root_sum_is_zero", "root_sum_value"),
+    "spectra": ("FinitePointSet", "IntSet", "ResourceLimitError",
+                "SearchTimeout", "admissible_differences", "as_fraction",
+                "brute_force_spectra", "enumerate_spectra",
+                "exponential_sum_vanishes", "is_spectrum"),
+    "tilings": ("PeriodicSet", "TilingCertificate", "certify_tiling",
+                "find_common_complement", "find_complements",
+                "is_tiling_of_Z", "tiles_cyclic"),
+    "intervals": ("CommonComplementError", "FiberCell", "FiberDecomposition",
+                  "IntervalUnion", "OmegaTilingCertificate",
+                  "PeriodicSpectrum", "assemble_tiling", "build_omega",
+                  "fibers", "gram_entry", "gram_matrix", "is_p_tile",
+                  "measure", "normalize", "period_identity_residual",
+                  "spectral_verdict", "verify_omega_tiling"),
+    "utc": ("INCONCLUSIVE", "NO_SPECTRA", "VERIFIED", "InvalidFamilyError",
+            "RoundTripReport", "UtcReport", "roundtrip", "utc_verify"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    if name in _HOMES:  # so spectile.utc works after `import spectile`
+        return importlib.import_module(f"{__name__}.{name}")
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

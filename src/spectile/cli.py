@@ -10,6 +10,10 @@ every exact value is written by ``canonical_json``.  Floats appear solely
 in measured numerical results and tolerances.  Certificates are
 deterministic: re-running an identical job reproduces the file byte for
 byte except for the timing field, which is excluded from the input hash.
+
+Each process starts cold, so it loads only the layers its command runs:
+the flag parsers need spectra, and every other layer is imported by the
+handler or parser that calls it.
 """
 
 from __future__ import annotations
@@ -21,17 +25,15 @@ import math
 import os
 import re
 import sys
-import tempfile
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .intervals import (IntervalUnion, PeriodicSpectrum, build_omega,
-                        gram_matrix, measure, period_identity_residual,
-                        spectrum_base, verify_omega_tiling)
-from .spectra import FinitePointSet, IntSet, enumerate_spectra, is_spectrum
-from .tilings import PeriodicSet, find_complements
-from .utc import INCONCLUSIVE, VERIFIED, roundtrip, utc_verify
+from .spectra import (FinitePointSet, IntSet, enumerate_spectra, is_spectrum,
+                      spectrum_base)
+
+if TYPE_CHECKING:
+    from .intervals import IntervalUnion
 
 SCHEMA = "spectile-certificate/1"
 
@@ -115,6 +117,7 @@ def parse_positive_float(text: str) -> float:
 
 
 def parse_interval_union(text: str) -> IntervalUnion:
+    from .intervals import IntervalUnion
     pairs = []
     for piece in _split(text, ";", "interval union"):
         m = _INTERVAL_RE.match(piece.strip())
@@ -137,10 +140,14 @@ def _exact(value):
         return value.elements
     if isinstance(value, FinitePointSet):
         return [str(x) for x in value.points]
-    if isinstance(value, IntervalUnion):
-        return [f"[{a},{b})" for a, b in value.intervals]
+    # each import below is of a module already loaded: a PeriodicSet comes
+    # from tilings, and an IntervalUnion from intervals, which loads tilings
+    from .tilings import PeriodicSet
     if isinstance(value, PeriodicSet):
         return {"residues": value.residues, "period": value.period}
+    from .intervals import IntervalUnion
+    if isinstance(value, IntervalUnion):
+        return [f"[{a},{b})" for a, b in value.intervals]
     raise TypeError(f"{type(value).__name__} has no certificate form")
 
 
@@ -156,6 +163,7 @@ def input_hash(command: str, inputs: dict, bounds: dict) -> str:
 
 
 def _write_atomic(path: str, data: str) -> None:
+    import tempfile
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -281,6 +289,7 @@ def _cmd_enum_spectra(ns):
 
 
 def _cmd_find_complement(ns):
+    from .tilings import find_complements
     found = find_complements(ns.a, ns.m)
     inputs = {"a": ns.a, "m": ns.m}
     result = {"complements": found, "count": len(found)}
@@ -289,6 +298,7 @@ def _cmd_find_complement(ns):
 
 
 def _cmd_utc_verify(ns):
+    from .utc import VERIFIED, utc_verify
     report = utc_verify(ns.p, ns.gamma, ns.n_max, ns.m_max,
                         time_budget=ns.time_budget)
     inputs = {"gamma": ns.gamma, "p": ns.p}
@@ -300,6 +310,7 @@ def _cmd_utc_verify(ns):
 
 
 def _cmd_build_omega(ns):
+    from .intervals import build_omega, measure
     omega = build_omega(ns.p, ns.family, ns.breakpoints)
     inputs = {"p": ns.p, "family": ns.family, "breakpoints": ns.breakpoints}
     result = {"omega": omega, "measure": measure(omega)}
@@ -307,6 +318,8 @@ def _cmd_build_omega(ns):
 
 
 def _cmd_verify_omega(ns):
+    from .intervals import verify_omega_tiling
+    from .tilings import PeriodicSet
     pset = PeriodicSet.of(ns.t_residues, ns.t_period)
     ok = verify_omega_tiling(ns.omega, pset, ns.p)
     inputs = {"omega": ns.omega, "t": pset, "p": ns.p}
@@ -315,6 +328,7 @@ def _cmd_verify_omega(ns):
 
 
 def _cmd_roundtrip(ns):
+    from .utc import INCONCLUSIVE, roundtrip
     report = roundtrip(ns.p, ns.gamma, ns.family, ns.breakpoints, ns.m_max,
                        time_budget=ns.time_budget)
     inputs = {"gamma": ns.gamma, "p": ns.p, "family": report.family,
@@ -330,6 +344,8 @@ def _cmd_roundtrip(ns):
 
 
 def _cmd_gram_check(ns):
+    from .intervals import (PeriodicSpectrum, gram_matrix,
+                            period_identity_residual)
     if ns.gamma is None and ns.lam is None and ns.lam_prime is None:
         raise InputError("gram-check needs --gamma and/or --lam/--lam-prime")
     if (ns.lam is None) != (ns.lam_prime is None):

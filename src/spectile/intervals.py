@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .spectra import (FinitePointSet, IntSet, RationalLike, _as_int,
-                      _base_points, _over_common_denominator, _spectrum_test,
-                      as_fraction)
+                      _check_periodic_base, _over_common_denominator,
+                      _spectrum_test, as_fraction, spectrum_base)
 from .tilings import PeriodicSet, tiles_cyclic
 
 NumberLike = Union[Fraction, int, float, str]
@@ -147,11 +147,7 @@ class PeriodicSpectrum:
     def __post_init__(self):
         if self.period < 1:
             raise ValueError("period must be positive")
-        if Fraction(0) not in self.gamma.points:
-            raise ValueError("spectrum base must contain 0")
-        for g in self.gamma:
-            if not 0 <= g < self.period:
-                raise ValueError(f"base point {g} outside [0, {self.period})")
+        _check_periodic_base(self.gamma, self.period)
 
     @classmethod
     def of(cls, gamma: Iterable[RationalLike], period: int) -> "PeriodicSpectrum":
@@ -258,14 +254,6 @@ def is_p_tile(omega: IntervalUnion, p: int) -> bool:
         raise AssertionError(
             f"every fiber has {p} elements but the measure is {measure(omega)}")
     return verdict
-
-
-def spectrum_base(gamma, p: int) -> tuple[FinitePointSet, int]:
-    """(Gamma, p) checked to be the base and period of a candidate spectrum
-    Gamma + pZ: p points in [0, p), one of them 0; p as an int."""
-    gamma, p = _base_points(gamma, p)
-    PeriodicSpectrum(gamma, p)
-    return gamma, p
 
 
 def spectral_verdict(omega: IntervalUnion, gamma, p: int) -> bool:

@@ -202,6 +202,23 @@ def _base_points(g: FinitePointSet | Iterable[RationalLike],
     return g, p
 
 
+def _check_periodic_base(gamma: FinitePointSet, period: int) -> None:
+    """Raise ValueError unless 0 is in gamma and gamma lies in [0, period)."""
+    if Fraction(0) not in gamma.points:
+        raise ValueError("spectrum base must contain 0")
+    for g in gamma:
+        if not 0 <= g < period:
+            raise ValueError(f"base point {g} outside [0, {period})")
+
+
+def spectrum_base(gamma, p: int) -> tuple[FinitePointSet, int]:
+    """(Gamma, p) checked to be the base and period of a candidate spectrum
+    Gamma + pZ: p points in [0, p), one of them 0; p as an int."""
+    gamma, p = _base_points(gamma, p)
+    _check_periodic_base(gamma, p)
+    return gamma, p
+
+
 def admissible_differences(g: FinitePointSet | Iterable[RationalLike],
                            p: int, d_max: int) -> tuple[int, ...]:
     """All nonzero integers d with |d| <= d_max such that

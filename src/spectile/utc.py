@@ -16,10 +16,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .intervals import (IntervalUnion, OmegaTilingCertificate,
-                        _assemble_from_cells, build_omega, fibers,
-                        spectrum_base)
+                        _assemble_from_cells, build_omega, fibers)
 from .spectra import (FinitePointSet, IntSet, _spectrum_test, as_fraction,
-                      enumerate_spectra)
+                      enumerate_spectra, spectrum_base)
 from .tilings import (PeriodicSet, SearchTimeout, find_common_complement,
                       is_tiling_of_Z)
 

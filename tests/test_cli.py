@@ -399,3 +399,55 @@ def test_prime_order_near_a_billion_runs_in_small_memory():
         preexec_fn=_cap_address_space)
     assert proc.returncode == 2, proc.stderr
     assert json.loads(proc.stdout)["verdict"] == "false"
+
+
+# the sorted spectile.* modules a fresh process holds after one run(argv)
+LOADED_AFTER_RUN = """
+import contextlib, io, sys
+import spectile.cli
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    code = spectile.cli.run(sys.argv[1:])
+print(code, *sorted(n for n in sys.modules if n.startswith("spectile.")))
+"""
+
+_PARSING = ("spectile.cli", "spectile.cyclotomic", "spectile.spectra")
+_TILINGS = _PARSING + ("spectile.tilings",)
+_INTERVALS = _TILINGS + ("spectile.intervals",)
+
+
+@pytest.mark.parametrize("argv, code, modules", [
+    ("check-spectrum --gamma 0,1/2 --b 0,1", 0, _PARSING),
+    ("enum-spectra --gamma 0,1/3 --p 2 --n-max 6", 0, _PARSING),
+    ("find-complement --a 0,2 --m 4", 0, _TILINGS),
+    ("utc-verify --gamma 0,1/3 --p 2 --n-max 6 --m-max 6", 0,
+     _INTERVALS + ("spectile.utc",)),
+    ("build-omega --p 2 --family 0,1;0,3 --breakpoints 0,1/4,1/2", 0,
+     _INTERVALS),
+    ("verify-omega --omega [0,3/4);[7/4,2) --t-residues 0 --t-period 2 "
+     "--p 2", 0, _INTERVALS),
+    ("roundtrip --p 2 --gamma 0,1 --family 0,1;0,3 "
+     "--breakpoints 0,1/4,1/2 --m-max 8", 0, _INTERVALS + ("spectile.utc",)),
+    ("gram-check --omega [0,1) --lam 0 --lam-prime 2 --p 1 "
+     "--tolerance 1e-9", 0, _INTERVALS),
+    ("frobnicate", 1, _PARSING),
+    ("check-spectrum --gamma 0,0.5 --b 0,1", 1, _PARSING),
+    ("--job missing-job.json", 1, _PARSING),
+])
+def test_each_subcommand_loads_only_its_modules(argv, code, modules):
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER_RUN, *argv.split()],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    got_code, *got = proc.stdout.split()
+    assert int(got_code) == code
+    assert got == sorted(modules)
+
+
+def test_import_spectile_loads_no_submodule():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, spectile; print(*sorted("
+         "n for n in sys.modules if n.startswith('spectile.')))"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

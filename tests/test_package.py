@@ -1,0 +1,44 @@
+"""The lazy package namespace: every public name resolves to the object
+its home module defines, and unknown names fail as on any module."""
+
+import importlib
+
+import pytest
+
+import spectile
+
+
+def test_all_has_no_duplicates():
+    assert len(spectile.__all__) == len(set(spectile.__all__))
+
+
+@pytest.mark.parametrize("name", sorted(spectile._HOME))
+def test_each_name_is_its_home_modules_object(name):
+    home = importlib.import_module(f"spectile.{spectile._HOME[name]}")
+    value = getattr(spectile, name)
+    assert value is getattr(home, name)
+    assert getattr(value, "__module__", home.__name__) == home.__name__
+    assert vars(spectile)[name] is value  # later lookups skip __getattr__
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from spectile import *", namespace)
+    assert set(spectile.__all__) <= set(namespace)
+    assert namespace["__version__"] == spectile.__version__
+
+
+def test_dir_lists_every_public_name():
+    assert set(spectile.__all__) <= set(dir(spectile))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'nope'"):
+        spectile.nope
+    assert not hasattr(spectile, "nope")
+
+
+def test_submodules_resolve_as_attributes():
+    for module in spectile._HOMES:
+        assert getattr(spectile, module) is importlib.import_module(
+            f"spectile.{module}")
