@@ -91,8 +91,9 @@ def _on_grid(pairs: Iterable[tuple[Fraction, Fraction]], p: int,
 
 def _merged(den: int, pairs: list[tuple[int, int]]) -> tuple[IntervalUnion, int]:
     """The union of the intervals [a/den, b/den) and its measure times den:
-    one integer sort, then adjacent ones merge; IntervalUnion rejects the
-    overlapping ones."""
+    one integer sort, then adjacent ones merge and overlapping ones are
+    rejected, on the integers, with IntervalUnion's own message; the union
+    is built without its second, Fraction, check."""
     merged: list[list[int]] = []
     for a, b in sorted(pairs):
         if not a < b:
@@ -102,9 +103,16 @@ def _merged(den: int, pairs: list[tuple[int, int]]) -> tuple[IntervalUnion, int]
             merged[-1][1] = b
         else:
             merged.append([a, b])
-    return (IntervalUnion(tuple((Fraction(a, den), Fraction(b, den))
-                                for a, b in merged)),
-            sum(b - a for a, b in merged))
+    for (a1, b1), (a2, b2) in zip(merged, merged[1:]):
+        if not b1 < a2:
+            raise ValueError(
+                f"overlapping or adjacent intervals [{Fraction(a2, den)}, "
+                f"{Fraction(b2, den)}) and [{Fraction(a1, den)}, "
+                f"{Fraction(b1, den)})")
+    union = object.__new__(IntervalUnion)
+    object.__setattr__(union, "intervals", tuple(
+        (Fraction(a, den), Fraction(b, den)) for a, b in merged))
+    return union, sum(b - a for a, b in merged)
 
 
 def measure(omega: IntervalUnion) -> Fraction:

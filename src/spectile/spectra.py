@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice, product
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .cyclotomic import _cyclotomic_divides
@@ -235,41 +235,56 @@ def admissible_differences(g: FinitePointSet | Iterable[RationalLike],
     return tuple(d for d in range(-d_max, d_max + 1) if d and vanishes(d))
 
 
-def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
-                      p: int, n_max: int, *,
-                      deadline: Optional[float] = None) -> list[IntSet]:
-    """All A within {0, ..., n_max} with 0 in A, |A| = p, and every pairwise
-    difference admissible; equivalently all A for which (1/p)A is a spectrum
-    of G.  Depth-first on a stack of prefixes with bitsets of their next
-    candidates, ascending, so the output is sorted lexicographically; a
-    prefix one short of p completes with each of its candidates.
+def _poll_chunks(items: Iterable, deadline: Optional[float],
+                 what: str) -> Iterator[list]:
+    """items in lists of at most _POLL_INTERVAL, with the deadline checked
+    before each list, the first included; passing it raises SearchTimeout
+    naming what passed it."""
+    items = iter(items)
+    while True:
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchTimeout(f"{what} passed its deadline")
+        chunk = list(islice(items, _POLL_INTERVAL))
+        if not chunk:
+            return
+        yield chunk
 
-    deadline is an absolute time.monotonic() value, checked before the
-    first node and then every _POLL_INTERVAL nodes; passing it raises
-    SearchTimeout.
+
+def _spectrum_cliques(g: FinitePointSet, p: int, n_max,
+                      deadline: Optional[float] = None,
+                      ) -> tuple[list[tuple[int, ...]], Callable[[int], range]]:
+    """(cliques, lifts) for enumerate_spectra, M = p * lcm(denominators of
+    G): every p-clique mod M among the residues {0, ..., min(n_max, M - 1)},
+    ascending, in lexicographic order, and lifts(r), the values residue r
+    of a clique takes in a spectrum: 0 stays 0, and r > 0 takes r, r + M,
+    ... up to n_max.  Depth-first on a stack of prefixes with bitsets of
+    their next candidates, ascending; a prefix one short of p completes
+    with each of its candidates.  The deadline is checked before the
+    first node and then every _POLL_INTERVAL nodes.
     """
-    g, p = _base_points(g, p)
     n_max = _as_int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     vanishes = _vanishing_test(g.points, p)
-    allowed = sum(1 << d for d in range(1, n_max + 1) if vanishes(d))
-    results: list[IntSet] = []
+    modulus = p * math.lcm(*(x.denominator for x in g.points))
+    allowed = sum(1 << d for d in range(1, min(n_max, modulus - 1) + 1)
+                  if vanishes(d))
+    cliques: list[tuple[int, ...]] = []
     stack = [((0,), allowed)]
     nodes = 0
     while stack:
         if (deadline is not None and nodes % _POLL_INTERVAL == 0
                 and time.monotonic() > deadline):
             raise SearchTimeout(f"spectrum enumeration passed its deadline "
-                                f"after {len(results)} spectra")
+                                f"after {len(cliques)} residue cliques")
         nodes += 1
         chosen, cand = stack.pop()
-        if len(chosen) == p:  # p = 1: the root is the one spectrum
-            results.append(IntSet(chosen))
+        if len(chosen) == p:  # p = 1: the root is the one clique
+            cliques.append(chosen)
         elif len(chosen) == p - 1:
             while cand:
                 low = cand & -cand
-                results.append(IntSet(chosen + (low.bit_length() - 1,)))
+                cliques.append(chosen + (low.bit_length() - 1,))
                 cand ^= low
         else:  # push, largest first, each c that leaves enough candidates
             need, rest = p - len(chosen) - 1, cand
@@ -279,7 +294,55 @@ def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
                 after = cand & (allowed << c)
                 if after.bit_count() >= need:
                     stack.append((chosen + (c,), after))
-    return results
+    return cliques, lambda r: range(r, n_max + 1, modulus) if r else range(1)
+
+
+def _lifted(cliques: Iterable[tuple[int, ...]],
+            lifts: Callable[[int], range],
+            deadline: Optional[float] = None) -> list[IntSet]:
+    """Every lift of every clique, sorted lexicographically; the deadline
+    is checked before every _POLL_INTERVAL of them."""
+    members = (tuple(sorted(a)) for clique in cliques
+               for a in product(*map(lifts, clique)))
+    spectra: list[tuple[int, ...]] = []
+    for chunk in _poll_chunks(members, deadline, "spectrum enumeration"):
+        spectra += chunk
+    spectra.sort()
+    return [IntSet(a) for a in spectra]
+
+
+def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
+                      p: int, n_max: int, *,
+                      deadline: Optional[float] = None) -> list[IntSet]:
+    """All A within {0, ..., n_max} with 0 in A, |A| = p, and every pairwise
+    difference admissible; equivalently all A for which (1/p)A is a spectrum
+    of G.  Sorted lexicographically.
+
+    The search runs on residues mod M = p*D, D the lcm of the denominators
+    of G, and lifts what it finds.  Lemma: A is such a set iff A mod M is
+    a p-clique C, that is a p-set of residues with 0 in it and every
+    pairwise difference admissible, and A takes 0 for the residue 0 and
+    some r + kM <= n_max, k >= 0, for every other residue r of C.
+    Proof.  With n_g = D*g, the sum for a difference d is
+    sum_g e^(2 pi i n_g d / M), a function of d mod M; at d = 0 mod M it is
+    p != 0.  So the elements of A are pairwise distinct mod M, A mod M has
+    p residues, and a difference of two of them is admissible iff the
+    difference of their elements in A is: A mod M is a p-clique, and 0 is
+    the one element of A divisible by M.  Conversely any such choice of
+    lifts is a p-set with 0 whose differences are admissible, by the same
+    periodicity.  Every residue of C has a lift only if it is at most
+    n_max, so the cliques are searched among {0, ..., min(n_max, M - 1)},
+    which for n_max < M is the whole search and every clique is its own
+    one lift.  Distinct (C, lift) pairs give distinct sets, since A
+    determines both.
+
+    deadline is an absolute time.monotonic() value, checked before the
+    first node of the clique search and then every _POLL_INTERVAL nodes,
+    and again before every _POLL_INTERVAL lifted sets; passing it raises
+    SearchTimeout.
+    """
+    g, p = _base_points(g, p)
+    return _lifted(*_spectrum_cliques(g, p, n_max, deadline), deadline)
 
 
 def brute_force_spectra(g: FinitePointSet | Iterable[RationalLike],

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .spectra import _POLL_INTERVAL, IntSet, SearchTimeout, _as_int
+from .spectra import (_POLL_INTERVAL, IntSet, SearchTimeout, _as_int,
+                      _poll_chunks)
 
 
 @dataclass(frozen=True, order=True)
@@ -183,7 +184,7 @@ def find_common_complement(family, m_max: int, *,
     one mask per class, led by the first member's; the others only forbid
     translates, so no other member's position in the family can change
     the cover found.  A period at which some member is not distinct mod m
-    is skipped as soon as that member is met.
+    is skipped.
 
     deadline is an absolute time.monotonic() value; passing it raises
     SearchTimeout so the caller can report an honest partial result.
@@ -198,16 +199,38 @@ def find_common_complement(family, m_max: int, *,
     if any(len(s) != p for s in sets):
         raise ValueError("family members must share one cardinality")
     points = {x for s in sets for x in s.elements}
-    for m in range(p, m_max + 1, p):
+
+    def masks(m: int) -> Iterator[int]:
         bit = {x: 1 << (x % m) for x in points}.__getitem__
-        # the sum of a member's p bits has p bits set iff the member is
-        # distinct mod m: a repeated residue carries into a higher bit
-        classes = {}  # masks in order of first appearance, lead first
-        for mask in (sum(map(bit, s.elements)) for s in sets):
-            if mask not in classes:
-                if mask.bit_count() < p:
-                    break  # not distinct mod m: no cover of period m
-                classes[mask] = None
+        return (sum(map(bit, s.elements)) for s in sets)
+
+    return _first_common_cover(p, m_max, masks, deadline)
+
+
+def _first_common_cover(p: int, m_max: int,
+                        masks: Callable[[int], Iterable[int]],
+                        deadline: Optional[float] = None,
+                        ) -> Optional[PeriodicSet]:
+    """The period loop of the common-complement search: at m = p, 2p, ...,
+    m_max, the first exact cover shared by the m-bit masks masks(m), which
+    are the members' residue sets mod m, the lead's first; None when the
+    bound is exhausted.
+
+    A mask is the sum of its member's p bits, so it has p bits set iff the
+    member is distinct mod m: a repeated residue carries into a higher
+    bit.  A period with a mask of fewer bits is skipped unsearched, once
+    that mask is read; otherwise the distinct masks, in order of first
+    appearance, are searched.  The deadline is checked before every
+    _POLL_INTERVAL masks and inside the search.
+    """
+    for m in range(p, m_max + 1, p):
+        classes = {}
+        for chunk in _poll_chunks(masks(m), deadline,
+                                  f"common-complement search at period {m}"):
+            fresh = dict.fromkeys(chunk)
+            if any(mask.bit_count() < p for mask in fresh):
+                break  # some member is not distinct mod m
+            classes.update(fresh)
         else:
             found = next(_exact_covers(list(classes), m, deadline), None)
             if found is not None:

@@ -13,14 +13,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import product
+from typing import Iterator, Optional
 
 from .intervals import (IntervalUnion, OmegaTilingCertificate,
                         _assemble_from_cells, build_omega, fibers)
-from .spectra import (FinitePointSet, IntSet, _spectrum_test, as_fraction,
-                      enumerate_spectra, spectrum_base)
-from .tilings import (PeriodicSet, SearchTimeout, find_common_complement,
-                      is_tiling_of_Z)
+from .spectra import (FinitePointSet, IntSet, _as_int, _lifted,
+                      _spectrum_cliques, _spectrum_test, as_fraction,
+                      spectrum_base)
+from .tilings import (PeriodicSet, SearchTimeout, _first_common_cover,
+                      find_common_complement, is_tiling_of_Z)
 
 VERIFIED = "verified-with-certificate"
 INCONCLUSIVE = "inconclusive-no-complement-in-bounds"
@@ -65,28 +67,48 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
     """Enumerate every integer spectrum of Gamma within {0..n_max}, then
     search for one complement R + mZ (m <= m_max) tiling Z with all of them.
 
+    Both run on residue cliques mod M (see enumerate_spectra): the spectra
+    are their lifts, and the search reads each period's classes from the
+    cliques without reading a member.  At period m a residue r of a clique
+    takes every value of {x mod m : x a lift of r}, and any choice of one
+    per residue is some lift, so the product of those sets over the clique
+    gives the m-bit masks of all its spectra; the first is the first
+    clique's own, which is the first spectrum's.  The search therefore
+    sees the classes find_common_complement would see on the family, and
+    finds the same certificate.
+
     The verdict is verified-with-certificate only after every family member
     has been re-checked against the certificate; whether A + (R + mZ) tiles
     Z depends only on the multiset A mod m, and a p-element member with p
     residues mod m has its residue set as that multiset, so one member per
-    residue set, keyed by an m-bit mask, is checked.  Exhausting m_max, or
-    the optional wall-clock budget in seconds, gives an inconclusive
-    verdict; the budget bounds the enumeration and the search together,
-    and a budget that ends during the enumeration reports no spectra.
+    residue set, keyed by an m-bit mask, is checked.  That grouping reads
+    the members, not the cliques.  Exhausting m_max, or the optional
+    wall-clock budget in seconds, gives an inconclusive verdict; the
+    budget bounds the enumeration and the search together, and a budget
+    that ends during the enumeration reports no spectra.
     """
     start = time.monotonic()
     gamma, p = spectrum_base(gamma, p)
     deadline = start + time_budget if time_budget is not None else None
     try:
-        family = enumerate_spectra(gamma, p, n_max, deadline=deadline)
+        cliques, lifts = _spectrum_cliques(gamma, p, n_max, deadline)
+        family = _lifted(cliques, lifts, deadline)
     except SearchTimeout:
         return UtcReport(p, gamma, n_max, m_max, (), INCONCLUSIVE, None,
                          time.monotonic() - start)
     if not family:
         return UtcReport(p, gamma, n_max, m_max, (), NO_SPECTRA, None,
                          time.monotonic() - start)
+    residues = {r for clique in cliques for r in clique}
+
+    def masks(m: int) -> Iterator[int]:
+        bits = {r: tuple(dict.fromkeys(1 << (x % m) for x in lifts(r)))
+                for r in residues}
+        return (sum(combo) for clique in cliques
+                for combo in product(*map(bits.__getitem__, clique)))
+
     try:
-        certificate = find_common_complement(family, m_max, deadline=deadline)
+        certificate = _first_common_cover(p, _as_int(m_max), masks, deadline)
     except SearchTimeout:
         certificate = None
     if certificate is None:

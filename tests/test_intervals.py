@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from corpus import NEGATIVE_CORPUS, OMEGA_2, SPECTRAL_CORPUS, UNIT, iu
 import spectile
+import spectile.intervals as intervals
 from spectile import (CommonComplementError, FiberCell,
                       FiberDecomposition, IntervalUnion, IntSet, PeriodicSet,
                       PeriodicSpectrum, assemble_tiling, build_omega,
@@ -42,6 +43,52 @@ def test_canonicalization_merges_adjacent_and_rejects_overlap():
         iu((0.0, 1.0))
     with pytest.raises(ValueError):
         IntervalUnion(((F(0), F(1)), (F(1), F(2))))
+
+
+def union_check_merged(den, pairs):
+    """Reference for intervals._merged: the integer sweep with the overlap
+    check left to IntervalUnion.__post_init__, on Fractions."""
+    merged = []
+    for a, b in sorted(pairs):
+        if not a < b:
+            raise ValueError("empty or reversed interval "
+                             f"[{F(a, den)}, {F(b, den)})")
+        if merged and a == merged[-1][1]:
+            merged[-1][1] = b
+        else:
+            merged.append([a, b])
+    return (IntervalUnion(tuple((F(a, den), F(b, den)) for a, b in merged)),
+            sum(b - a for a, b in merged))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+                max_size=6),
+       st.integers(1, 6))
+def test_merged_matches_the_union_check(pairs, den):
+    def outcome(merge):
+        try:
+            return merge(den, pairs)
+        except ValueError as err:
+            return str(err)
+
+    assert outcome(intervals._merged) == outcome(union_check_merged)
+
+
+def test_merged_unions_skip_the_second_check(monkeypatch):
+    checked = []
+    real = IntervalUnion.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        real(self)
+
+    monkeypatch.setattr(IntervalUnion, "__post_init__", counted)
+    omega = build_omega(2, [[0, 1], [0, 3]], [0, F(1, 4), F(1, 2)])
+    assert omega == OMEGA_2 and iu((1, 2), (0, 1)) == iu((0, 2))
+    assert checked == []
+    assert IntervalUnion(OMEGA_2.intervals) == OMEGA_2
+    assert checked == [OMEGA_2]
 
 
 def test_membership_and_transforms():
@@ -404,6 +451,13 @@ for label, call in [
         pass
     else:
         raise SystemExit(label + " accepted a union of the wrong measure")
+
+try:
+    intervals.IntervalUnion(((F(0), F(1)), (F(1, 2), F(2))))
+except ValueError:
+    pass
+else:
+    raise SystemExit("IntervalUnion accepted overlapping intervals")
 
 cyclotomic._cyclotomic_divides = lambda m, terms: False
 try:

@@ -13,18 +13,65 @@ from itertools import combinations
 
 import pytest
 import sympy
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spectile import (FinitePointSet, IntSet, PeriodicSet, ResourceLimitError,
-                      SearchTimeout, admissible_differences, as_fraction,
+import spectile.spectra
+import spectile.utc
+from spectile import (INCONCLUSIVE, FinitePointSet, IntSet, PeriodicSet,
+                      ResourceLimitError, SearchTimeout,
+                      admissible_differences, as_fraction,
                       brute_force_spectra, build_omega, enumerate_spectra,
                       exponential_sum_vanishes, fibers, find_common_complement,
                       find_complements, is_spectrum, roundtrip,
                       spectral_verdict, tiles_cyclic, utc_verify,
                       verify_omega_tiling)
+from spectile.spectra import (_POLL_INTERVAL, _as_int, _base_points,
+                              _vanishing_test)
+from corpus import bases, bases_and_bounds
 
 X = sympy.Symbol("x")
+
+
+def stack_dfs_spectra(g, p, n_max, *, deadline=None):
+    """Reference enumeration: the depth-first search over {0, ..., n_max}
+    that enumerate_spectra ran before it searched residue cliques mod M
+    and lifted them.  Depth-first on a stack of prefixes with bitsets of
+    their next candidates, ascending, so the output is sorted
+    lexicographically; a prefix one short of p completes with each of its
+    candidates."""
+    g, p = _base_points(g, p)
+    n_max = _as_int(n_max)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    vanishes = _vanishing_test(g.points, p)
+    allowed = sum(1 << d for d in range(1, n_max + 1) if vanishes(d))
+    results: list[IntSet] = []
+    stack = [((0,), allowed)]
+    nodes = 0
+    while stack:
+        if (deadline is not None and nodes % _POLL_INTERVAL == 0
+                and time.monotonic() > deadline):
+            raise SearchTimeout(f"spectrum enumeration passed its deadline "
+                                f"after {len(results)} spectra")
+        nodes += 1
+        chosen, cand = stack.pop()
+        if len(chosen) == p:  # p = 1: the root is the one spectrum
+            results.append(IntSet(chosen))
+        elif len(chosen) == p - 1:
+            while cand:
+                low = cand & -cand
+                results.append(IntSet(chosen + (low.bit_length() - 1,)))
+                cand ^= low
+        else:  # push, largest first, each c that leaves enough candidates
+            need, rest = p - len(chosen) - 1, cand
+            while rest:
+                c = rest.bit_length() - 1
+                rest ^= 1 << c
+                after = cand & (allowed << c)
+                if after.bit_count() >= need:
+                    stack.append((chosen + (c,), after))
+    return results
 
 
 def test_as_fraction_rejects_floats():
@@ -339,29 +386,44 @@ def test_is_spectrum_matches_sympy_oracle(case):
     assert is_spectrum(g, b) == expected
 
 
-@st.composite
-def bases(draw):
-    """p points of [0, p) with denominators 1-4, one of them 0; half are
-    sums of two progressions, which have more spectra than random sets."""
-    p = draw(st.integers(2, 6))
-    if draw(st.booleans()):
-        p1 = draw(st.sampled_from([d for d in range(1, p + 1) if p % d == 0]))
-        x, y = (F(draw(st.integers(1, 4 * p - 1)), draw(st.integers(1, 4)))
-                for _ in range(2))
-        points = {(x * i + y * j) % p for i in range(p1)
-                  for j in range(p // p1)}
-    else:
-        points = {F(0)} | set(draw(st.lists(
-            st.builds(lambda n, d: F(n % (p * d), d),
-                      st.integers(1, 24), st.integers(1, 4)),
-            min_size=p - 1, max_size=p - 1)))
-    assume(len(points) == p)
-    return sorted(points), p
-
-
 @settings(max_examples=80, deadline=None)
 @given(bases(), st.integers(0, 14))
 def test_enumerate_spectra_matches_brute_force_on_random_bases(base, n_max):
     gamma, p = base
     assert enumerate_spectra(gamma, p, n_max) == \
         brute_force_spectra(gamma, p, n_max)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bases_and_bounds())
+@example(([0, F(1, 4)], 2, 13))  # M = 8: (0, 4) lifts to (0, 12)
+@example(([0, 1, 2, 3], 4, 12))  # M = 4: 3^3 lifts of one clique
+def test_enumerate_spectra_matches_the_stack_dfs(case):
+    gamma, p, n_max = case
+    assert enumerate_spectra(gamma, p, n_max) == \
+        stack_dfs_spectra(gamma, p, n_max)
+
+
+def test_enumerate_spectra_deadline_during_lifting(monkeypatch):
+    # the clique search for Z_9 ends within its first poll; the clock then
+    # jumps past every deadline, so only the lift can notice it
+    state = {"lifting": False}
+    real_cliques, real_clock = spectile.spectra._spectrum_cliques, time.monotonic
+
+    def cliques(*args):
+        found = real_cliques(*args)
+        state["lifting"] = True
+        return found
+
+    monkeypatch.setattr(spectile.spectra, "_spectrum_cliques", cliques)
+    monkeypatch.setattr(spectile.utc, "_spectrum_cliques", cliques)
+    monkeypatch.setattr(spectile.spectra.time, "monotonic",
+                        lambda: real_clock() + 1e9 * state["lifting"])
+    with pytest.raises(SearchTimeout):
+        enumerate_spectra(range(9), 9, 36, deadline=real_clock() + 3600)
+    assert state["lifting"]
+    state["lifting"] = False
+    report = utc_verify(9, range(9), 36, 81, time_budget=3600)
+    assert state["lifting"]
+    assert report.verdict == INCONCLUSIVE
+    assert report.spectra_found == () and report.certificate is None

@@ -6,7 +6,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spectile.cli
@@ -20,7 +20,7 @@ from spectile import (INCONCLUSIVE, NO_SPECTRA, VERIFIED, IntSet,
                       find_common_complement, is_spectrum, is_tiling_of_Z,
                       measure, roundtrip, spectral_verdict, utc_verify,
                       verify_omega_tiling)
-from corpus import OMEGA_2
+from corpus import OMEGA_2, bases_and_bounds
 
 
 def test_utc_verify_desk_instances():
@@ -124,17 +124,19 @@ def test_utc_verify_recheck_reaches_a_late_class(monkeypatch, capsys):
     # {0, 2} mod 4 tiles Z with {0, d} for every odd d, so it passes every
     # spectrum of {0, 1} and fails only on a last member of another class:
     # {0, 2}, or {0, 4}, which is not even distinct mod 4
-    def wrong(family, m_max, *, deadline=None):
+    # the search reads residue cliques and the re-check reads members, so
+    # a late member added to the lifted family reaches only the re-check
+    def wrong(p, m_max, masks, deadline=None):
         return PeriodicSet.of([0, 2], 4)
 
-    monkeypatch.setattr(spectile.utc, "find_common_complement", wrong)
+    monkeypatch.setattr(spectile.utc, "_first_common_cover", wrong)
     assert utc_verify(2, [0, 1], 9, 8).certificate == PeriodicSet.of([0, 2], 4)
-    real = spectile.utc.enumerate_spectra
+    real = spectile.utc._lifted
     for late in [(0, 2), (0, 4)]:
         def with_late_member(*args, **kwargs):
             return real(*args, **kwargs) + [IntSet.of(late)]
 
-        monkeypatch.setattr(spectile.utc, "enumerate_spectra", with_late_member)
+        monkeypatch.setattr(spectile.utc, "_lifted", with_late_member)
         with pytest.raises(AssertionError,
                            match=re.escape(f"re-verification on {late}")):
             utc_verify(2, [0, 1], 9, 8)
@@ -144,6 +146,69 @@ def test_utc_verify_recheck_reaches_a_late_class(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("internal error:")
+
+
+def _searches(call):
+    """call()'s result and the (period, lead, tables) of every search it
+    ran, tables as a set: only the lead's position among them matters."""
+    searched = []
+    real = spectile.tilings._exact_covers
+
+    def recording(tables, m, *args):
+        searched.append((m, tables[0], frozenset(tables)))
+        return real(tables, m, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectile.tilings, "_exact_covers", recording)
+        return call(), searched
+
+
+def test_utc_verify_skips_a_period_for_a_lift():
+    # 1 + e^(pi i d/4) vanishes iff d = 4 mod 8, so M = 8 and the one
+    # clique (0, 4) lifts to (0, 4) and (0, 12).  Periods 2 and 4 are
+    # skipped for the clique itself; 6 only for the lift, as 12 = 0 mod 6
+    short, searched = _searches(lambda: utc_verify(2, [0, F(1, 4)], 4, 8))
+    assert [m for m, _, _ in searched] == [6, 8]
+    assert short.certificate == PeriodicSet.of([0, 1, 2, 3], 8)
+    lifted, searched = _searches(lambda: utc_verify(2, [0, F(1, 4)], 13, 8))
+    assert [tuple(a) for a in lifted.spectra_found] == [(0, 4), (0, 12)]
+    assert [m for m, _, _ in searched] == [8]
+    assert lifted.certificate == short.certificate
+    # below period 8 both end inconclusive, one after a failed search at
+    # 6 and one with every period skipped
+    for n_max, periods in [(4, [6]), (13, [])]:
+        report, searched = _searches(
+            lambda: utc_verify(2, [0, F(1, 4)], n_max, 7))
+        assert report.verdict == INCONCLUSIVE and report.spectra_found
+        assert [m for m, _, _ in searched] == periods
+
+
+@st.composite
+def _utc_instances(draw):
+    """(p, gamma, n_max, m_max), m_max from p to 8p."""
+    gamma, p, n_max = draw(bases_and_bounds())
+    return p, gamma, n_max, draw(st.integers(p, 8 * p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_utc_instances())
+@example((2, [0, F(1, 4)], 13, 8))  # period 6 skipped for a lift
+@example((2, [0, F(1, 4)], 13, 7))  # every period skipped
+@example((2, [0, F(1, 4)], 4, 7))  # searched, inconclusive
+@example((4, [0, F(1, 2), 2, F(5, 2)], 20, 32))  # period 4 skipped
+def test_utc_verify_matches_the_member_search(case):
+    # the member path of find_common_complement is the oracle: the same
+    # certificate, from the same searches, on the reported family
+    p, gamma, n_max, m_max = case
+    report, searched = _searches(lambda: utc_verify(p, gamma, n_max, m_max))
+    if not report.spectra_found:
+        assert report.verdict == NO_SPECTRA and searched == []
+        return
+    certificate, oracle = _searches(
+        lambda: find_common_complement(report.spectra_found, m_max))
+    assert (report.verdict, report.certificate) == \
+        (VERIFIED if certificate else INCONCLUSIVE, certificate)
+    assert searched == oracle
 
 
 def test_roundtrip_worked_example():
