@@ -11,20 +11,19 @@ __version__ = "0.1.0"
 
 # each public name under the module that defines it
 _HOMES = {
-    "cyclotomic": ("IntPolynomial", "ResidueMultiset", "cyclotomic_poly",
-                   "root_sum_is_zero", "root_sum_value"),
+    "cyclotomic": ("ResidueMultiset", "cyclotomic_poly", "root_sum_is_zero",
+                   "root_sum_value"),
     "spectra": ("FinitePointSet", "IntSet", "ResourceLimitError",
                 "SearchTimeout", "admissible_differences", "as_fraction",
                 "brute_force_spectra", "enumerate_spectra",
                 "exponential_sum_vanishes", "is_spectrum"),
-    "tilings": ("PeriodicSet", "TilingCertificate", "certify_tiling",
-                "find_common_complement", "find_complements",
+    "tilings": ("PeriodicSet", "find_common_complement", "find_complements",
                 "is_tiling_of_Z", "tiles_cyclic"),
     "intervals": ("CommonComplementError", "FiberCell", "FiberDecomposition",
                   "IntervalUnion", "OmegaTilingCertificate",
                   "PeriodicSpectrum", "assemble_tiling", "build_omega",
                   "fibers", "gram_entry", "gram_matrix", "is_p_tile",
-                  "measure", "normalize", "period_identity_residual",
+                  "measure", "period_identity_residual",
                   "spectral_verdict", "verify_omega_tiling"),
     "utc": ("INCONCLUSIVE", "NO_SPECTRA", "VERIFIED", "InvalidFamilyError",
             "RoundTripReport", "UtcReport", "roundtrip", "utc_verify"),

@@ -17,38 +17,6 @@ from functools import lru_cache
 from typing import Iterable
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Dense integer polynomial, coefficients stored lowest degree first.
-
-    >>> IntPolynomial.of([-1, 0, 1]).degree
-    2
-    >>> IntPolynomial.of([0, 0]).is_zero()
-    True
-    """
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("leading coefficient is zero; build via IntPolynomial.of")
-
-    @classmethod
-    def of(cls, coeffs: Iterable[int]) -> "IntPolynomial":
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        # the zero polynomial gets degree -1
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-
 def _prime_factors(m: int) -> tuple[int, ...]:
     """The distinct primes dividing m, ascending."""
     q = next((q for q in range(2, math.isqrt(m) + 1) if m % q == 0), m)
@@ -79,23 +47,24 @@ def _cyclotomic_divides(m: int, terms: dict[int, int]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_poly(m: int) -> IntPolynomial:
-    """The m-th cyclotomic polynomial.  For m > 1 it is the Moebius product
+def cyclotomic_poly(m: int) -> tuple[int, ...]:
+    """The m-th cyclotomic polynomial as its coefficients, lowest degree
+    first.  For m > 1 it is the Moebius product
     prod_{k | m squarefree} (1 - x^(m/k))^mu(k), a polynomial of degree
     phi(m) < m, so it is built as a power series mod x^m from (1 - x^d)
     steps alone.  Cached per process.
 
-    >>> cyclotomic_poly(1).coeffs
+    >>> cyclotomic_poly(1)
     (-1, 1)
-    >>> cyclotomic_poly(4).coeffs
+    >>> cyclotomic_poly(4)
     (1, 0, 1)
-    >>> cyclotomic_poly(6).coeffs
+    >>> cyclotomic_poly(6)
     (1, -1, 1)
     """
     if m < 1:
         raise ValueError("modulus must be a positive integer")
     if m == 1:
-        return IntPolynomial((-1, 1))
+        return (-1, 1)
     steps = [(m, 1)]  # (m/k, mu(k)) over the squarefree divisors k of m
     for q in _prime_factors(m):
         steps += [(d // q, -mu) for d, mu in steps]
@@ -104,10 +73,11 @@ def cyclotomic_poly(m: int) -> IntPolynomial:
         # times (1 - x^d) runs downwards, over (1 - x^d) runs upwards
         for i in range(m - 1, d - 1, -1) if mu > 0 else range(d, m):
             coeffs[i] -= mu * coeffs[i - d]
-    poly = IntPolynomial.of(coeffs)
-    if poly.coeffs[-1] != 1 or not _cyclotomic_divides(m, dict(enumerate(coeffs))):
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    if coeffs[-1] != 1 or not _cyclotomic_divides(m, dict(enumerate(coeffs))):
         raise AssertionError(f"cyclotomic_poly({m}) failed its self-check")
-    return poly
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -132,9 +102,6 @@ class ResidueMultiset:
         if modulus < 1:
             raise ValueError("modulus must be a positive integer")
         return cls(modulus, tuple(sorted(e % modulus for e in entries)))
-
-    def shifted(self, c: int) -> "ResidueMultiset":
-        return ResidueMultiset.of(self.modulus, (e + c for e in self.entries))
 
     def __len__(self) -> int:
         return len(self.entries)

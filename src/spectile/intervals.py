@@ -70,20 +70,12 @@ class IntervalUnion:
         c = as_fraction(c)
         return IntervalUnion(tuple((a + c, b + c) for a, b in self.intervals))
 
-    def scale(self, c: RationalLike) -> "IntervalUnion":
-        c = as_fraction(c)
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
-        return IntervalUnion(tuple((a * c, b * c) for a, b in self.intervals))
-
 
 def _on_grid(pairs: Iterable[tuple[Fraction, Fraction]], p: int,
              ) -> tuple[int, list[tuple[int, int]]]:
     """(N, [(N*a, N*b), ...]) with N = lcm(p, endpoint denominators): the
     intervals on the integer grid (1/N)Z, where 1/p is N // p steps."""
-    p = _as_int(p)
-    if p < 1:
-        raise ValueError("p must be positive")
+    p = _as_int(p, "p", 1)
     den, grid = _over_common_denominator(
         tuple(x for a, b in pairs for x in (a, b)) + (Fraction(1, p),))
     return den, list(zip(grid[:-1:2], grid[1:-1:2]))
@@ -381,13 +373,4 @@ def period_identity_residual(omega: IntervalUnion, p: int, lam: NumberLike,
     lhs = gram_entry(omega, shifted, lam_prime)
     rhs = factor * gram_entry(omega, lam, lam_prime)
     return abs(lhs - rhs)
-
-
-def normalize(omega: IntervalUnion) -> tuple[IntervalUnion, Fraction]:
-    """Rescale to measure 1; returns (omega / |omega|, |omega|).  Spectra
-    transform contravariantly: Lambda maps to |omega| * Lambda."""
-    total = measure(omega)
-    if total == 0:
-        raise ValueError("cannot normalize an empty union")
-    return omega.scale(1 / total), total
 

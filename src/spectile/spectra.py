@@ -10,6 +10,7 @@ module.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -45,14 +46,25 @@ def as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
-def _as_int(value) -> int:
+def _as_int(value, name: str = "", minimum: Optional[int] = None) -> int:
     """Coerce to an exact int: ints pass through, floats raise TypeError,
-    and other values that are not integers raise ValueError."""
+    and other values that are not integers raise ValueError, as does one
+    below minimum (0 or 1), with a message naming the parameter."""
     if not isinstance(value, int):
         value = as_fraction(value)
         if value.denominator != 1:
             raise ValueError(f"{value} is not an integer")
-    return int(value)
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(
+            f"{name} must be {'positive' if minimum else 'nonnegative'}")
+    return value
+
+
+def _check_increasing(values: tuple, what: str) -> None:
+    """Raise ValueError unless values is strictly increasing."""
+    if not all(map(operator.lt, values, values[1:])):
+        raise ValueError(f"{what} must be strictly increasing")
 
 
 @dataclass(frozen=True, order=True)
@@ -62,9 +74,7 @@ class FinitePointSet:
     points: tuple[Fraction, ...]
 
     def __post_init__(self):
-        for a, b in zip(self.points, self.points[1:]):
-            if not a < b:
-                raise ValueError("points must be strictly increasing")
+        _check_increasing(self.points, "points")
 
     @classmethod
     def of(cls, points: Iterable[RationalLike]) -> "FinitePointSet":
@@ -85,18 +95,6 @@ class FinitePointSet:
         c = as_fraction(c)
         return FinitePointSet(tuple(p + c for p in self.points))
 
-    def scale(self, c: RationalLike) -> "FinitePointSet":
-        c = as_fraction(c)
-        if c == 0:
-            raise ValueError("scale factor must be nonzero")
-        return FinitePointSet.of(p * c for p in self.points)
-
-    def canonicalize(self) -> "FinitePointSet":
-        """Translate so the minimum is 0."""
-        if not self.points:
-            return self
-        return self.translate(-self.points[0])
-
 
 @dataclass(frozen=True, order=True)
 class IntSet:
@@ -108,9 +106,7 @@ class IntSet:
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        for a, b in zip(self.elements, self.elements[1:]):
-            if not a < b:
-                raise ValueError("elements must be strictly increasing")
+        _check_increasing(self.elements, "elements")
 
     @classmethod
     def of(cls, elements: Iterable[int]) -> "IntSet":
@@ -131,12 +127,6 @@ class IntSet:
 
     def __contains__(self, value) -> bool:
         return value in self.elements
-
-    def canonicalize(self) -> "IntSet":
-        if not self.elements:
-            return self
-        base = self.elements[0]
-        return IntSet(tuple(e - base for e in self.elements))
 
 
 def _over_common_denominator(points: tuple[Fraction, ...]) -> tuple[int, list[int]]:
@@ -194,9 +184,7 @@ def is_spectrum(g: FinitePointSet | Iterable[RationalLike],
 def _base_points(g: FinitePointSet | Iterable[RationalLike],
                  p: int) -> tuple[FinitePointSet, int]:
     """G as a point set and p as an int, checked: p > 0 points in G."""
-    g, p = FinitePointSet.of(g), _as_int(p)
-    if p < 1:
-        raise ValueError("p must be positive")
+    g, p = FinitePointSet.of(g), _as_int(p, "p", 1)
     if len(g) != p:
         raise ValueError(f"point set has {len(g)} elements, expected p = {p}")
     return g, p
@@ -228,9 +216,7 @@ def admissible_differences(g: FinitePointSet | Iterable[RationalLike],
     integer set A for which (1/p)A is a spectrum of G.
     """
     g, p = _base_points(g, p)
-    d_max = _as_int(d_max)
-    if d_max < 1:
-        raise ValueError("d_max must be positive")
+    d_max = _as_int(d_max, "d_max", 1)
     vanishes = _vanishing_test(g.points, p)
     return tuple(d for d in range(-d_max, d_max + 1) if d and vanishes(d))
 
@@ -262,9 +248,7 @@ def _spectrum_cliques(g: FinitePointSet, p: int, n_max,
     with each of its candidates.  The deadline is checked before the
     first node and then every _POLL_INTERVAL nodes.
     """
-    n_max = _as_int(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    n_max = _as_int(n_max, "n_max", 0)
     vanishes = _vanishing_test(g.points, p)
     modulus = p * math.lcm(*(x.denominator for x in g.points))
     allowed = sum(1 << d for d in range(1, min(n_max, modulus - 1) + 1)
@@ -350,10 +334,8 @@ def brute_force_spectra(g: FinitePointSet | Iterable[RationalLike],
     """Independent oracle for enumerate_spectra: test every p-subset of
     {0, ..., n_max} containing 0 directly with is_spectrum."""
     g, p = _base_points(g, p)
-    n_max = _as_int(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if math.comb(max(n_max, 0), p - 1) > BRUTE_FORCE_GUARD:
+    n_max = _as_int(n_max, "n_max", 0)
+    if math.comb(n_max, p - 1) > BRUTE_FORCE_GUARD:
         raise ResourceLimitError(
             f"C({n_max}, {p - 1}) subsets exceed the guard of {BRUTE_FORCE_GUARD}")
     out = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .spectra import (_POLL_INTERVAL, IntSet, SearchTimeout, _as_int,
-                      _poll_chunks)
+                      _check_increasing, _poll_chunks)
 
 
 @dataclass(frozen=True, order=True)
@@ -34,15 +34,11 @@ class PeriodicSet:
         for r in self.residues:
             if not 0 <= r < self.period:
                 raise ValueError(f"residue {r} outside [0, {self.period})")
-        for a, b in zip(self.residues, self.residues[1:]):
-            if not a < b:
-                raise ValueError("residues must be strictly increasing")
+        _check_increasing(self.residues, "residues")
 
     @classmethod
     def of(cls, residues: Iterable[int], period: int) -> "PeriodicSet":
-        period = _as_int(period)
-        if period < 1:
-            raise ValueError("period must be positive")
+        period = _as_int(period, "period", 1)
         return cls(tuple(sorted(set(_as_int(r) % period for r in residues))), period)
 
     def __contains__(self, n: int) -> bool:
@@ -52,26 +48,11 @@ class PeriodicSet:
         return len(self.residues)
 
 
-@dataclass(frozen=True)
-class TilingCertificate:
-    """A verified tiling of Z: tile + (complement.residues + period*Z) = Z.
-
-    checked_window records the residue range [lo, hi) that was covered
-    exactly once; periodicity extends the check to all of Z.
-    """
-
-    tile: IntSet
-    complement: PeriodicSet
-    checked_window: tuple[int, int]
-
-
 def tiles_cyclic(tile, residues: Iterable[int], m: int) -> bool:
     """Exact test of A + (R + mZ) = Z with every integer covered once:
     A distinct mod m, |A|*|R| = m, and the sums (a + r) mod m pairwise
     distinct."""
-    m = _as_int(m)
-    if m < 1:
-        raise ValueError("modulus must be positive")
+    m = _as_int(m, "modulus", 1)
     a = IntSet.of(tile).elements
     r = set(_as_int(x) % m for x in residues)
     a_mod = set(x % m for x in a)
@@ -83,16 +64,6 @@ def tiles_cyclic(tile, residues: Iterable[int], m: int) -> bool:
 def is_tiling_of_Z(tile, complement: PeriodicSet) -> bool:
     """Does tile + complement partition Z?  Reduces to the cyclic check."""
     return tiles_cyclic(tile, complement.residues, complement.period)
-
-
-def certify_tiling(tile, complement: PeriodicSet) -> TilingCertificate:
-    """Verify and package a tiling of Z; raises ValueError if it fails."""
-    tile = IntSet.of(tile)
-    if not is_tiling_of_Z(tile, complement):
-        raise ValueError(
-            f"{tuple(tile)} does not tile Z by residues {complement.residues} "
-            f"mod {complement.period}")
-    return TilingCertificate(tile, complement, (0, complement.period))
 
 
 def _exact_covers(tables: Sequence[int], m: int,
@@ -158,9 +129,7 @@ def _exact_covers(tables: Sequence[int], m: int,
 def find_complements(tile, m: int) -> list[tuple[int, ...]]:
     """All residue sets R with 0 in R and tiles_cyclic(tile, R, m), sorted
     lexicographically; the single-table case of the exact-cover search."""
-    m = _as_int(m)
-    if m < 1:
-        raise ValueError("modulus must be positive")
+    m = _as_int(m, "modulus", 1)
     tile = IntSet.of(tile)
     mask = sum({1 << (x % m) for x in tile.elements})
     if not tile or m % len(tile) or mask.bit_count() < len(tile):

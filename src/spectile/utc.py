@@ -62,6 +62,16 @@ class RoundTripReport:
     consistency: bool
 
 
+def _deadline(start: float, time_budget: Optional[float]) -> Optional[float]:
+    """start + time_budget, None for no budget; 0 is a spent budget.  A NaN
+    deadline would never pass, so NaN, like a negative budget, raises."""
+    if time_budget is None:
+        return None
+    if not time_budget >= 0:
+        raise ValueError(f"time_budget must be nonnegative, not {time_budget}")
+    return start + time_budget
+
+
 def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
                time_budget: Optional[float] = None) -> UtcReport:
     """Enumerate every integer spectrum of Gamma within {0..n_max}, then
@@ -89,7 +99,7 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
     """
     start = time.monotonic()
     gamma, p = spectrum_base(gamma, p)
-    deadline = start + time_budget if time_budget is not None else None
+    deadline = _deadline(start, time_budget)
     try:
         cliques, lifts = _spectrum_cliques(gamma, p, n_max, deadline)
         family = _lifted(cliques, lifts, deadline)
@@ -147,6 +157,7 @@ def roundtrip(p: int, gamma, family, breakpoints, m_max: int, *,
     """
     start = time.monotonic()
     gamma, p = spectrum_base(gamma, p)
+    deadline = _deadline(start, time_budget)
     sets = tuple(IntSet.of(a) for a in family)
     members = list(dict.fromkeys(sets))
     is_spectral = _spectrum_test(gamma, p)
@@ -159,7 +170,6 @@ def roundtrip(p: int, gamma, family, breakpoints, m_max: int, *,
     omega = build_omega(p, sets, rs)
     decomposition = fibers(omega, p)
     spectral_ok = decomposition.fiber_family() == members
-    deadline = start + time_budget if time_budget is not None else None
     try:
         complement = find_common_complement(
             decomposition.fiber_family(), m_max, deadline=deadline)

@@ -20,7 +20,7 @@ from spectile import (CommonComplementError, FiberCell,
                       FiberDecomposition, IntervalUnion, IntSet, PeriodicSet,
                       PeriodicSpectrum, assemble_tiling, build_omega,
                       enumerate_spectra, fibers, gram_entry,
-                      gram_matrix, is_p_tile, measure, normalize,
+                      gram_matrix, is_p_tile, measure,
                       period_identity_residual, spectral_verdict,
                       tiles_cyclic, verify_omega_tiling)
 
@@ -96,9 +96,9 @@ def test_membership_and_transforms():
     assert F(1, 2) in om and F(7, 4) in om
     assert F(3, 4) not in om and 2 not in om
     assert om.translate(F(1, 4)).intervals == ((F(1, 4), F(1)), (F(2), F(9, 4)))
-    assert om.scale(2).intervals == ((F(0), F(3, 2)), (F(7, 2), F(4)))
-    with pytest.raises(ValueError):
-        om.scale(F(-1))
+    assert om.translate(F(-7, 4)) == iu((F(-7, 4), -1), (0, F(1, 4)))
+    with pytest.raises(TypeError):
+        om.translate(0.25)
 
 
 def test_measure_examples():
@@ -405,15 +405,6 @@ def test_period_identity_preconditions():
         period_identity_residual(UNIT, 1, 0, 1)
     with pytest.raises(ValueError):
         period_identity_residual(UNIT, 0, 0, 1)
-
-
-def test_normalize_examples():
-    assert normalize(iu((0, 2))) == (UNIT, 2)
-    assert normalize(iu((0, 1), (2, 3))) == \
-        (iu((0, F(1, 2)), (1, F(3, 2))), 2)
-    assert normalize(UNIT) == (UNIT, 1)
-    with pytest.raises(ValueError):
-        normalize(IntervalUnion(()))
 
 
 def test_periodic_spectrum_points_within():

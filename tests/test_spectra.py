@@ -86,25 +86,24 @@ def test_point_set_sorting_and_dedup():
     assert ps.points == (F(0), F(1, 2), F(3))
     assert F(1, 2) in ps
     assert len(ps) == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="points must be strictly increasing"):
         FinitePointSet((F(1), F(1)))
 
 
 def test_point_set_transforms():
     ps = FinitePointSet.of([1, 3])
-    assert ps.canonicalize().points == (F(0), F(2))
     assert ps.translate(-1).points == (F(0), F(2))
-    assert ps.scale(F(1, 2)).points == (F(1, 2), F(3, 2))
-    with pytest.raises(ValueError):
-        ps.scale(0)
+    assert ps.translate("-1/2") == FinitePointSet.of([F(1, 2), F(5, 2)])
+    with pytest.raises(TypeError):
+        ps.translate(0.5)
 
 
 def test_int_set_basics():
     a = IntSet.of([3, 0, 3, 1])
     assert a.elements == (0, 1, 3)
-    assert a.canonicalize() == a
-    assert IntSet.of([5, 7]).canonicalize().elements == (0, 2)
-    with pytest.raises(ValueError):
+    assert IntSet.of(a) is a
+    assert IntSet.of(e - 5 for e in IntSet.of([7, 5])).elements == (0, 2)
+    with pytest.raises(ValueError, match="elements must be strictly increasing"):
         IntSet((2, 2))
 
 
@@ -159,6 +158,22 @@ def test_integer_parameters_follow_the_exactness_policy():
     check(lambda p: verify_omega_tiling(omega, PeriodicSet.of([0], 2), p=p), 2)
     check(lambda p: spectral_verdict(omega, [0, 1], p), 2)
     check(lambda p: roundtrip(p, [0, 1], family, rs, 8), 2)
+    # p, d_max, moduli and periods are at least 1 and n_max at least 0; a
+    # smaller value, also an integral Fraction, raises ValueError naming it
+    for name, call in [
+            ("p", lambda: enumerate_spectra(gamma, 0, 4)),
+            ("p", lambda: admissible_differences(gamma, F(0), 4)),
+            ("p", lambda: build_omega(0, family, rs)),
+            ("p", lambda: fibers(omega, 0)),
+            ("n_max", lambda: enumerate_spectra(gamma, 2, -1)),
+            ("n_max", lambda: brute_force_spectra(gamma, 2, F(-1))),
+            ("n_max", lambda: utc_verify(2, gamma, -1, 4)),
+            ("d_max", lambda: admissible_differences(gamma, 2, 0)),
+            ("period", lambda: PeriodicSet.of([0], 0)),
+            ("modulus", lambda: tiles_cyclic([0, 1], [0], 0)),
+            ("modulus", lambda: find_complements([0, 1], F(0)))]:
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            call()
 
 
 def test_exponential_sum_vanishes_known_cases():
@@ -223,7 +238,8 @@ def test_is_spectrum_symmetry_and_invariance():
         assert verdict == is_spectrum(g.translate(c), b)
         assert verdict == is_spectrum(g, b.translate(c))
         scale = F(rng.randint(1, 5), rng.randint(1, 5))
-        assert verdict == is_spectrum(g.scale(scale), b.scale(1 / scale))
+        assert verdict == is_spectrum(FinitePointSet.of(x * scale for x in g),
+                                      FinitePointSet.of(x / scale for x in b))
 
 
 def test_admissible_differences_examples():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spectile import (IntSet, PeriodicSet, SearchTimeout, certify_tiling,
+from spectile import (IntSet, PeriodicSet, SearchTimeout,
                       find_common_complement, find_complements, is_tiling_of_Z,
                       tiles_cyclic)
 from spectile.spectra import _POLL_INTERVAL
@@ -114,6 +114,8 @@ def test_periodic_set_validation():
         PeriodicSet((0, 4), 4)
     with pytest.raises(ValueError):
         PeriodicSet((0,), 0)
+    with pytest.raises(ValueError, match="residues must be strictly increasing"):
+        PeriodicSet((2, 1), 4)
 
 
 def test_tiles_cyclic_examples():
@@ -366,14 +368,6 @@ def test_is_tiling_of_Z_examples():
     assert is_tiling_of_Z([0, 1], PeriodicSet.of([0], 2))
     assert not is_tiling_of_Z([0, 1], PeriodicSet.of([0, 1], 2))
     assert is_tiling_of_Z([0, 3], PeriodicSet.of([0], 2))
-
-
-def test_certify_tiling():
-    cert = certify_tiling([0, 3], PeriodicSet.of([0], 2))
-    assert cert.tile == IntSet.of([0, 3])
-    assert cert.checked_window == (0, 2)
-    with pytest.raises(ValueError):
-        certify_tiling([0, 2], PeriodicSet.of([0], 2))
 
 
 def test_counting_invariant():

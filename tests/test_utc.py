@@ -83,6 +83,20 @@ def test_utc_verify_budget_bounds_enumeration():
     assert report.certificate is None
 
 
+def test_time_budget_refuses_nan_and_negative():
+    # a NaN deadline never passes, so it would switch the budget off
+    family, rs = [[0, 1], [0, 3]], [0, F(1, 4), F(1, 2)]
+    for budget in (float("nan"), -1):
+        with pytest.raises(ValueError, match="time_budget must be nonnegative"):
+            utc_verify(9, range(9), 27, 81, time_budget=budget)
+        with pytest.raises(ValueError, match="time_budget must be nonnegative"):
+            roundtrip(2, [0, 1], family, rs, 8, time_budget=budget)
+    assert roundtrip(2, [0, 1], family, rs, 8).consistency
+    spent = roundtrip(2, [0, 1], family, rs, 8, time_budget=0)
+    assert spent.projected_complement is None and spent.omega_tiling is None
+    assert not spent.consistency
+
+
 def test_utc_verify_monotonicity():
     small = utc_verify(2, [0, 1], 3, 8)
     large = utc_verify(2, [0, 1], 7, 8)
