@@ -11,10 +11,10 @@ __version__ = "0.1.0"
 
 # each public name under the module that defines it
 _HOMES = {
-    "cyclotomic": ("ResidueMultiset", "cyclotomic_poly", "root_sum_is_zero",
-                   "root_sum_value"),
+    "cyclotomic": ("ResidueMultiset", "as_fraction", "cyclotomic_poly",
+                   "root_sum_is_zero", "root_sum_value"),
     "spectra": ("FinitePointSet", "IntSet", "ResourceLimitError",
-                "SearchTimeout", "admissible_differences", "as_fraction",
+                "SearchTimeout", "admissible_differences",
                 "brute_force_spectra", "enumerate_spectra",
                 "exponential_sum_vanishes", "is_spectrum"),
     "tilings": ("PeriodicSet", "find_common_complement", "find_complements",

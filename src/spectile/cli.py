@@ -10,6 +10,9 @@ every exact value is written by ``canonical_json``.  Floats appear solely
 in measured numerical results and tolerances.  Certificates are
 deterministic: re-running an identical job reproduces the file byte for
 byte except for the timing field, which is excluded from the input hash.
+They are written by spectile's own encoder, byte for byte the
+``json.dumps(sort_keys=True, indent=2)`` form, one chunk per row: the
+standard library's indented form would join a string per token.
 
 Each process starts cold, so it loads only the layers its command runs:
 the flag parsers need spectra, and every other layer is imported by the
@@ -27,6 +30,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .spectra import (FinitePointSet, IntSet, enumerate_spectra, is_spectrum,
@@ -151,9 +155,81 @@ def _exact(value):
     raise TypeError(f"{type(value).__name__} has no certificate form")
 
 
+def _inline(value) -> Optional[str]:
+    """The JSON text of a scalar; None for a container or an exact value."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError("Out of range float values are not JSON compliant: "
+                         + repr(value))
+    return None
+
+
+def _encode(value, out: list[str], head: str, indent: str) -> None:
+    """Append head and then value's JSON text to out; indent is a newline
+    and two spaces per level of value's own line.  A scalar or a list of
+    plain ints is one chunk, the list joined in C, so a big certificate
+    costs one chunk per row, not one per token."""
+    text = _inline(value)
+    if text is not None:
+        out.append(head + text)
+    elif isinstance(value, (list, tuple)):
+        inner = indent + "  "
+        if not value:
+            out.append(head + "[]")
+        elif {*map(type, value)} == {int}:
+            out.append(f"{head}[{inner}"
+                       f"{(',' + inner).join(map(int.__repr__, value))}"
+                       f"{indent}]")
+        else:
+            head, sep = head + "[" + inner, "," + inner
+            for item in value:
+                _encode(item, out, head, inner)
+                head = sep
+            out.append(indent + "]")
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        if not value:
+            out.append(head + "{}")
+        else:
+            head, sep = head + "{" + inner, "," + inner
+            for key, item in sorted(value.items()):
+                name = key if isinstance(key, str) else _inline(key)
+                if name is None:
+                    raise TypeError(f"keys must be str, int, float, bool or "
+                                    f"None, not {key.__class__.__name__}")
+                _encode(item, out, head + _quote(name) + ": ", inner)
+                head = sep
+            out.append(indent + "}")
+    else:
+        _encode(_exact(value), out, head, indent)
+
+
+def _json_chunks(obj) -> list[str]:
+    """canonical_json's text as a list of row-sized chunks, complete before
+    any of it is written, so an encoding error writes nothing."""
+    out: list[str] = []
+    _encode(obj, out, "", "\n")
+    out.append("\n")
+    return out
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
-                      default=_exact) + "\n"
+    """The certificate text of obj, byte for byte
+    json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+    default=_exact) and a newline.  Not json.dumps itself: an indent keeps
+    it on the pure-Python encoder, which yields one string per token."""
+    return "".join(_json_chunks(obj))
 
 
 def input_hash(command: str, inputs: dict, bounds: dict) -> str:
@@ -162,13 +238,13 @@ def input_hash(command: str, inputs: dict, bounds: dict) -> str:
     return "sha256:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _write_atomic(path: str, data: str) -> None:
+def _write_atomic(path: str, chunks: list[str]) -> None:
     import tempfile
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(data)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -441,11 +517,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             "input_hash": input_hash(ns.command, inputs, bounds),
             "timing_seconds": round(time.monotonic() - started, 6),
         }
-        text = canonical_json(certificate)
+        chunks = _json_chunks(certificate)
         if ns.output:
-            _write_atomic(ns.output, text)
+            _write_atomic(ns.output, chunks)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
         if ns.summary:
             print(f"{ns.command}: {verdict}", file=sys.stderr)
         return code

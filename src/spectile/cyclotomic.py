@@ -13,8 +13,34 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Optional, Union
+
+RationalLike = Union[Fraction, int, str]
+
+
+def as_fraction(value: RationalLike) -> Fraction:
+    """Coerce to an exact Fraction; floats are refused so no inexact value
+    can sneak into an exact verdict."""
+    if isinstance(value, float):
+        raise TypeError("float input is not exact; pass a Fraction, int, or 'num/den' string")
+    return Fraction(value)
+
+
+def _as_int(value, name: str = "", minimum: Optional[int] = None) -> int:
+    """Coerce to an exact int: ints pass through, floats raise TypeError,
+    and other values that are not integers raise ValueError, as does one
+    below minimum (0 or 1), with a message naming the parameter."""
+    if not isinstance(value, int):
+        value = as_fraction(value)
+        if value.denominator != 1:
+            raise ValueError(f"{value} is not an integer")
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(
+            f"{name} must be {'positive' if minimum else 'nonnegative'}")
+    return value
 
 
 def _prime_factors(m: int) -> tuple[int, ...]:
@@ -61,8 +87,7 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     >>> cyclotomic_poly(6)
     (1, -1, 1)
     """
-    if m < 1:
-        raise ValueError("modulus must be a positive integer")
+    m = _as_int(m, "modulus", 1)
     if m == 1:
         return (-1, 1)
     steps = [(m, 1)]  # (m/k, mu(k)) over the squarefree divisors k of m
@@ -91,17 +116,15 @@ class ResidueMultiset:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be a positive integer")
+        _as_int(self.modulus, "modulus", 1)
         for e in self.entries:
-            if not 0 <= e < self.modulus:
+            if not 0 <= _as_int(e) < self.modulus:
                 raise ValueError(f"entry {e} outside [0, {self.modulus})")
 
     @classmethod
     def of(cls, modulus: int, entries: Iterable[int]) -> "ResidueMultiset":
-        if modulus < 1:
-            raise ValueError("modulus must be a positive integer")
-        return cls(modulus, tuple(sorted(e % modulus for e in entries)))
+        modulus = _as_int(modulus, "modulus", 1)
+        return cls(modulus, tuple(sorted(_as_int(e) % modulus for e in entries)))
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -327,6 +327,17 @@ def _frequency(x: NumberLike) -> Union[Fraction, float]:
     return x if isinstance(x, float) else as_fraction(x)
 
 
+def _outside_floats(named: Iterable[tuple[str, NumberLike]]) -> ValueError:
+    """The error naming the first value whose float overflows, or else the
+    last value, which is then the one whose float underflowed to 0."""
+    for name, x in named:
+        try:
+            float(x)
+        except OverflowError:
+            break
+    return ValueError(f"{name} {x} is outside the float range")
+
+
 def gram_entry(omega: IntervalUnion, lam: NumberLike,
                lam_prime: NumberLike) -> complex:
     """Normalized inner product of the exponentials e_lam and e_lam' over
@@ -334,17 +345,31 @@ def gram_entry(omega: IntervalUnion, lam: NumberLike,
 
         (1/|omega|) sum_i (e^(2 pi i mu b_i) - e^(2 pi i mu a_i)) / (2 pi i mu)
 
-    with mu = lam - lam'; equal frequencies give exactly 1."""
+    with mu = lam - lam'; equal frequencies give exactly 1.  A value that
+    no float holds raises ValueError naming it."""
     if omega.is_empty:
         raise ValueError("omega must have positive measure")
-    mu = float(_frequency(lam) - _frequency(lam_prime))
+    lam, lam_prime = _frequency(lam), _frequency(lam_prime)
+    try:
+        mu = float(lam - lam_prime)
+    except OverflowError:
+        raise ValueError(f"lam - lam_prime = {lam} - {lam_prime} is outside "
+                         f"the float range") from None
     if mu == 0.0:
         return complex(1.0)
     total = 0j
-    for a, b in omega.intervals:
-        total += cmath.exp(2j * math.pi * mu * float(b))
-        total -= cmath.exp(2j * math.pi * mu * float(a))
-    return total / (2j * math.pi * mu) / float(measure(omega))
+    try:
+        for a, b in omega.intervals:
+            total += cmath.exp(2j * math.pi * mu * float(b))
+            total -= cmath.exp(2j * math.pi * mu * float(a))
+        size = float(measure(omega))
+    except OverflowError:
+        size = 0.0  # named below, like a measure that underflows
+    if not size:
+        raise _outside_floats(
+            [*(("endpoint", x) for pair in omega.intervals for x in pair),
+             ("measure of omega", measure(omega))])
+    return total / (2j * math.pi * mu) / size
 
 
 def gram_matrix(omega: IntervalUnion, lambdas: Sequence[NumberLike],
@@ -366,11 +391,15 @@ def period_identity_residual(omega: IntervalUnion, p: int, lam: NumberLike,
         raise ValueError(f"endpoint {off} is not a multiple of 1/{p}")
     lam, lam_prime = _frequency(lam), _frequency(lam_prime)
     shifted = lam + p
-    denom = float(shifted) - float(lam_prime)
+    try:
+        denom = float(shifted) - float(lam_prime)
+        numer = float(lam) - float(lam_prime)
+    except OverflowError:
+        raise _outside_floats([("lam", lam), ("lam_prime", lam_prime),
+                               ("lam + p", shifted)]) from None
     if denom == 0.0:
         raise ValueError("lam + p must differ from lam_prime")
-    factor = (float(lam) - float(lam_prime)) / denom
+    factor = numer / denom
     lhs = gram_entry(omega, shifted, lam_prime)
     rhs = factor * gram_entry(omega, lam, lam_prime)
     return abs(lhs - rhs)
-

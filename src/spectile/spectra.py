@@ -17,11 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice, product
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .cyclotomic import _cyclotomic_divides
-
-RationalLike = Union[Fraction, int, str]
+from .cyclotomic import RationalLike, _as_int, _cyclotomic_divides, as_fraction
 
 BRUTE_FORCE_GUARD = 10**7
 
@@ -36,29 +34,6 @@ class ResourceLimitError(RuntimeError):
 class SearchTimeout(RuntimeError):
     """Raised when a spectrum enumeration or a complement search passes its
     cooperative deadline."""
-
-
-def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce to an exact Fraction; floats are refused so no inexact value
-    can sneak into an exact verdict."""
-    if isinstance(value, float):
-        raise TypeError("float input is not exact; pass a Fraction, int, or 'num/den' string")
-    return Fraction(value)
-
-
-def _as_int(value, name: str = "", minimum: Optional[int] = None) -> int:
-    """Coerce to an exact int: ints pass through, floats raise TypeError,
-    and other values that are not integers raise ValueError, as does one
-    below minimum (0 or 1), with a message naming the parameter."""
-    if not isinstance(value, int):
-        value = as_fraction(value)
-        if value.denominator != 1:
-            raise ValueError(f"{value} is not an integer")
-    value = int(value)
-    if minimum is not None and value < minimum:
-        raise ValueError(
-            f"{name} must be {'positive' if minimum else 'nonnegative'}")
-    return value
 
 
 def _check_increasing(values: tuple, what: str) -> None:

@@ -13,9 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectile import PeriodicSet, is_tiling_of_Z
-from spectile.cli import (canonical_json, parse_interval_union, parse_rational,
-                          run, InputError)
+import spectile.cli
+from spectile import (FinitePointSet, IntervalUnion, IntSet, PeriodicSet,
+                      is_tiling_of_Z)
+from spectile.cli import (_exact, canonical_json, parse_interval_union,
+                          parse_rational, run, InputError)
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 
 def run_to_file(tmp_path, name, argv):
@@ -95,6 +100,20 @@ def test_exit_one_on_invalid_input(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: argument {flag}:"), argv
+    # a value that no float holds is named in one line, not a traceback
+    big = str(10**400)
+    unfit = [
+        ["gram-check", "--omega", "[0,1)", "--p", "1", "--lam", big,
+         "--lam-prime", "0"],
+        ["gram-check", "--omega", f"[0,{big})", "--p", "1", "--gamma", "0"],
+        ["gram-check", "--omega", f"[0,1/{big})", "--p", "1", "--gamma", "0"],
+    ]
+    for argv in unfit:
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:"), argv
+        assert captured.err.count("\n") == 1
     # an overlap is named by its endpoints as rationals
     assert run(["verify-omega", "--omega", "[0,1/2);[1/3,1)", "--t-residues",
                 "0", "--t-period", "1"]) == 1
@@ -141,6 +160,70 @@ def test_certificate_round_trips_byte_identically(tmp_path):
          "--output", str(out)])
     raw = out.read_text()
     assert canonical_json(json.loads(raw)) == raw
+
+
+def _stdlib_json(obj):
+    """The reference form of a certificate: the standard library's
+    pure-Python encoder, which indent=2 selects."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                      default=_exact) + "\n"
+
+
+_SMALL = st.integers(-9, 9)
+# quotes, escapes, control, non-ASCII and astral characters
+_TEXT = st.text("a\"\\/\n\t\x00\x1f\x7f\xe9\u2028\u20ac\U0001f600",
+                max_size=6)
+_EXACT_LEAVES = st.one_of(
+    st.fractions(max_denominator=10**6),
+    st.lists(_SMALL, max_size=5).map(IntSet.of),
+    st.lists(_RATIONALS, max_size=4).map(FinitePointSet.of),
+    st.builds(PeriodicSet.of, st.lists(_SMALL, max_size=4),
+              st.integers(1, 9)),
+    st.lists(_RATIONALS, max_size=6, unique=True).map(
+        lambda xs: IntervalUnion.of(zip(*[iter(sorted(xs))] * 2))),
+)
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10**40, 10**40),
+    st.floats(allow_nan=False, allow_infinity=False), _TEXT,
+    st.lists(st.integers(), min_size=1, max_size=6), _EXACT_LEAVES)
+_TREES = st.recursive(_JSON_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(_TEXT, children, max_size=4),
+    st.dictionaries(_SMALL | st.booleans(), children, max_size=3)),
+    max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TREES)
+def test_canonical_json_matches_the_stdlib_encoder(tree):
+    assert canonical_json(tree) == _stdlib_json(tree)
+
+
+@pytest.mark.parametrize("bad", [
+    float("nan"), {"a": [0, float("inf")]}, [float("-inf")],
+    {float("nan"): 0}, {(0, 1): 0}, [object()], {"x": {1, 2}},
+])
+def test_canonical_json_fails_as_the_stdlib_encoder(bad):
+    with pytest.raises((TypeError, ValueError)) as ours:
+        canonical_json(bad)
+    with pytest.raises((TypeError, ValueError)) as reference:
+        _stdlib_json(bad)
+    assert type(ours.value) is type(reference.value)
+    assert str(ours.value) == str(reference.value)
+
+
+def test_unencodable_result_writes_nothing(tmp_path, monkeypatch, capsys):
+    # the whole certificate is encoded before its first byte is written
+    monkeypatch.setitem(spectile.cli._HANDLERS, "check-spectrum",
+                        lambda ns: ("true", 0, {}, {}, {"x": float("nan")}))
+    out = tmp_path / "cert.json"
+    for extra in ([], ["--output", str(out)]):
+        assert run(["check-spectrum", "--gamma", "0", "--b", "0"] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Out of range float values")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_emitted_certificate_reverifies(tmp_path):
@@ -269,9 +352,6 @@ def test_parse_helpers_reject_loose_input():
             parse_rational(bad)
     with pytest.raises(InputError):
         parse_interval_union("[1,0)")
-
-
-_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 
 def _csv(values):

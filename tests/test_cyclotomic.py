@@ -51,6 +51,15 @@ def test_residue_multiset_validation():
         ResidueMultiset(0, ())
     with pytest.raises(ValueError):
         ResidueMultiset(4, (4,))
+    # modulus and entries follow the one integer policy of the package
+    with pytest.raises(TypeError, match="float input is not exact"):
+        ResidueMultiset.of(4, [0, 1.5])
+    with pytest.raises(TypeError, match="float input is not exact"):
+        ResidueMultiset.of(2.0, [0, 1.5])
+    with pytest.raises(ValueError, match="1/2 is not an integer"):
+        ResidueMultiset.of(4, ["1/2"])
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        ResidueMultiset.of(0, [])
 
 
 def test_known_vanishing_sums():
