@@ -21,10 +21,10 @@ _HOMES = {
                 "is_tiling_of_Z", "tiles_cyclic"),
     "intervals": ("CommonComplementError", "FiberCell", "FiberDecomposition",
                   "IntervalUnion", "OmegaTilingCertificate",
-                  "PeriodicSpectrum", "assemble_tiling", "build_omega",
-                  "fibers", "gram_entry", "gram_matrix", "is_p_tile",
-                  "measure", "period_identity_residual",
-                  "spectral_verdict", "verify_omega_tiling"),
+                  "assemble_tiling", "build_omega", "fibers", "gram_entry",
+                  "gram_matrix", "is_p_tile", "measure",
+                  "period_identity_residual", "spectral_verdict",
+                  "verify_omega_tiling"),
     "utc": ("INCONCLUSIVE", "NO_SPECTRA", "VERIFIED", "InvalidFamilyError",
             "RoundTripReport", "UtcReport", "roundtrip", "utc_verify"),
 }

@@ -420,8 +420,7 @@ def _cmd_roundtrip(ns):
 
 
 def _cmd_gram_check(ns):
-    from .intervals import (PeriodicSpectrum, gram_matrix,
-                            period_identity_residual)
+    from .intervals import gram_matrix, period_identity_residual
     if ns.gamma is None and ns.lam is None and ns.lam_prime is None:
         raise InputError("gram-check needs --gamma and/or --lam/--lam-prime")
     if (ns.lam is None) != (ns.lam_prime is None):
@@ -437,8 +436,10 @@ def _cmd_gram_check(ns):
         result["period_identity_residual"] = residual
         ok = ok and residual < ns.tolerance
     if ns.gamma is not None:
-        spectrum = PeriodicSpectrum(*spectrum_base(ns.gamma, ns.p))
-        lambdas = spectrum.points_within(3 * ns.p)
+        # the points of Gamma + pZ in [-3p, 3p], Gamma inside [0, p)
+        gamma, p = spectrum_base(ns.gamma, ns.p)
+        lambdas = sorted(g + p * t for g in gamma for t in range(-3, 4)
+                         if g + p * t <= 3 * p)
         entries = gram_matrix(ns.omega, lambdas)
         off = max((abs(entries[i][j])
                    for i in range(len(lambdas)) for j in range(len(lambdas))

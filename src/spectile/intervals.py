@@ -7,9 +7,11 @@ integer sets lifted to the grid (1/p)Z, their fiber decomposition
 
 which is constant on the rational cells cut out by the interval endpoints,
 and the resulting exact verdicts: p-tile, spectrum of Gamma + pZ, and
-tilings of R by (1/p)(R + mZ).  Endpoints are exact integers over one
-common denominator, with Fraction only at the API boundary; the Gram
-checks at the bottom are the only float code, a cross-check only.
+tilings of R by (1/p)(R + mZ).  A union is stored on its integer grid,
+as integer endpoints over one denominator in lowest terms; Fraction
+appears only at the API boundary, in IntervalUnion.of and the intervals
+view.  The Gram checks at the bottom are the only float code, a
+cross-check only.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
-from .spectra import (FinitePointSet, IntSet, RationalLike, _as_int,
-                      _check_periodic_base, _over_common_denominator,
+from .spectra import (IntSet, RationalLike, _as_int, _over_common_denominator,
                       _spectrum_test, as_fraction, spectrum_base)
 from .tilings import PeriodicSet, tiles_cyclic
 
@@ -34,33 +36,45 @@ class CommonComplementError(ValueError):
 
 @dataclass(frozen=True)
 class IntervalUnion:
-    """Disjoint sorted half-open intervals [a, b) with rational endpoints.
-
-    Adjacent intervals are merged on construction, so equality of unions is
-    equality of the canonical representation.
+    """Disjoint sorted half-open intervals [a/den, b/den), stored as the
+    integer pairs (a, b) on the grid (1/den)Z with den in lowest terms, so
+    equal unions have equal fields.  IntervalUnion.of merges adjacent
+    intervals; direct construction takes them already merged.
     """
 
-    intervals: tuple[tuple[Fraction, Fraction], ...]
+    den: int
+    ends: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        for a, b in self.intervals:
+        den, ends = self.den, self.ends
+        if not (den >= 1 and math.gcd(den, *(x for e in ends for x in e)) == 1):
+            raise ValueError(f"denominator {den} must be positive and in "
+                             f"lowest terms for the endpoints")
+        for a, b in ends:
             if not a < b:
-                raise ValueError(f"empty or reversed interval [{a}, {b})")
-        for (a1, b1), (a2, b2) in zip(self.intervals, self.intervals[1:]):
+                raise ValueError(f"empty or reversed interval {_shown(den, a, b)}")
+        for (a1, b1), (a2, b2) in zip(ends, ends[1:]):
             if not b1 < a2:
                 raise ValueError(f"overlapping or adjacent intervals "
-                                 f"[{a2}, {b2}) and [{a1}, {b1})")
+                                 f"{_shown(den, a2, b2)} and {_shown(den, a1, b1)}")
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[RationalLike, RationalLike]],
            ) -> "IntervalUnion":
         """Canonicalize: sort, merge adjacent, reject overlapping input."""
-        return _merged(*_on_grid(
-            ((as_fraction(a), as_fraction(b)) for a, b in pairs), 1))[0]
+        den, grid = _over_common_denominator(tuple(
+            as_fraction(x) for pair in pairs for x in pair))
+        return _merged(den, list(zip(grid[::2], grid[1::2])))
+
+    @cached_property
+    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The intervals as Fraction pairs (a, b)."""
+        return tuple((Fraction(a, self.den), Fraction(b, self.den))
+                     for a, b in self.ends)
 
     @property
     def is_empty(self) -> bool:
-        return not self.intervals
+        return not self.ends
 
     def __contains__(self, x) -> bool:
         x = as_fraction(x)
@@ -68,43 +82,36 @@ class IntervalUnion:
 
     def translate(self, c: RationalLike) -> "IntervalUnion":
         c = as_fraction(c)
-        return IntervalUnion(tuple((a + c, b + c) for a, b in self.intervals))
+        return IntervalUnion.of((a + c, b + c) for a, b in self.intervals)
 
 
-def _on_grid(pairs: Iterable[tuple[Fraction, Fraction]], p: int,
-             ) -> tuple[int, list[tuple[int, int]]]:
-    """(N, [(N*a, N*b), ...]) with N = lcm(p, endpoint denominators): the
-    intervals on the integer grid (1/N)Z, where 1/p is N // p steps."""
-    p = _as_int(p, "p", 1)
-    den, grid = _over_common_denominator(
-        tuple(x for a, b in pairs for x in (a, b)) + (Fraction(1, p),))
-    return den, list(zip(grid[:-1:2], grid[1:-1:2]))
+def _shown(den: int, a: int, b: int) -> str:
+    """The interval [a/den, b/den) as error messages write it."""
+    return f"[{Fraction(a, den)}, {Fraction(b, den)})"
 
 
-def _merged(den: int, pairs: list[tuple[int, int]]) -> tuple[IntervalUnion, int]:
-    """The union of the intervals [a/den, b/den) and its measure times den:
-    one integer sort, then adjacent ones merge and overlapping ones are
-    rejected, on the integers, with IntervalUnion's own message; the union
-    is built without its second, Fraction, check."""
+def _merged(den: int, pairs: list[tuple[int, int]]) -> IntervalUnion:
+    """The union of the intervals [a/den, b/den): one integer sort, then
+    adjacent ones merge.  A merge would hide a reversed interval, so each
+    is checked first; the constructor checks the rest, in lowest terms."""
     merged: list[list[int]] = []
     for a, b in sorted(pairs):
         if not a < b:
-            raise ValueError("empty or reversed interval "
-                             f"[{Fraction(a, den)}, {Fraction(b, den)})")
+            raise ValueError(f"empty or reversed interval {_shown(den, a, b)}")
         if merged and a == merged[-1][1]:
             merged[-1][1] = b
         else:
             merged.append([a, b])
-    for (a1, b1), (a2, b2) in zip(merged, merged[1:]):
-        if not b1 < a2:
-            raise ValueError(
-                f"overlapping or adjacent intervals [{Fraction(a2, den)}, "
-                f"{Fraction(b2, den)}) and [{Fraction(a1, den)}, "
-                f"{Fraction(b1, den)})")
-    union = object.__new__(IntervalUnion)
-    object.__setattr__(union, "intervals", tuple(
-        (Fraction(a, den), Fraction(b, den)) for a, b in merged))
-    return union, sum(b - a for a, b in merged)
+    g = math.gcd(den, *(x for e in merged for x in e))
+    return IntervalUnion(den // g, tuple((a // g, b // g) for a, b in merged))
+
+
+def _on_grid(omega: IntervalUnion, p: int) -> tuple[int, list[tuple[int, int]]]:
+    """(N, [(a, b), ...]): omega's intervals [a/N, b/N) on the grid (1/N)Z
+    with N = lcm(den, p), where 1/p is N // p steps."""
+    den = math.lcm(omega.den, p)
+    scale = den // omega.den
+    return den, [(a * scale, b * scale) for a, b in omega.ends]
 
 
 def measure(omega: IntervalUnion) -> Fraction:
@@ -138,33 +145,6 @@ class FiberDecomposition:
 
 
 @dataclass(frozen=True)
-class PeriodicSpectrum:
-    """The candidate spectrum Gamma + pZ with base Gamma inside [0, p)."""
-
-    gamma: FinitePointSet
-    period: int
-
-    def __post_init__(self):
-        if self.period < 1:
-            raise ValueError("period must be positive")
-        _check_periodic_base(self.gamma, self.period)
-
-    @classmethod
-    def of(cls, gamma: Iterable[RationalLike], period: int) -> "PeriodicSpectrum":
-        return cls(FinitePointSet.of(gamma), period)
-
-    def points_within(self, bound: RationalLike) -> list[Fraction]:
-        """All points of Gamma + pZ inside [-bound, bound], sorted."""
-        bound = as_fraction(bound)
-        out = []
-        for g in self.gamma:
-            t_lo = math.ceil((-bound - g) / self.period)
-            t_hi = math.floor((bound - g) / self.period)
-            out.extend(g + self.period * t for t in range(t_lo, t_hi + 1))
-        return sorted(out)
-
-
-@dataclass(frozen=True)
 class OmegaTilingCertificate:
     """A verified tiling of R: omega + (1/p)(R + mZ) = R, checked exactly
     on the fundamental domain [0, m/p)."""
@@ -184,8 +164,9 @@ def build_omega(p: int, family: Sequence, breakpoints: Sequence[RationalLike],
     has measure 1 and fiber A_i over each cell [r_i, r_{i+1}).
     """
     rs = [as_fraction(r) for r in breakpoints]
-    den, cells = _on_grid(zip(rs, rs[1:]), p)
-    step = den // p
+    p = _as_int(p, "p", 1)
+    den, grid = _over_common_denominator((*rs, Fraction(1, p)))
+    cells, step = list(zip(grid[:-1], grid[1:-1])), grid[-1]
     sets = [IntSet.of(a) for a in family]
     if not sets:
         raise ValueError("family must be nonempty")
@@ -200,10 +181,12 @@ def build_omega(p: int, family: Sequence, breakpoints: Sequence[RationalLike],
         if len(a) != p:
             raise ValueError(f"family member {i} has {len(a)} elements, "
                              f"expected {p}")
-    omega, length = _merged(den, [(lo + k * step, hi + k * step)
-                                  for (lo, hi), a in zip(cells, sets) for k in a])
-    if length != den:
-        raise AssertionError(f"built union has measure {Fraction(length, den)}, not 1")
+    omega = _merged(den, [(lo + k * step, hi + k * step)
+                          for (lo, hi), a in zip(cells, sets) for k in a])
+    length = sum(b - a for a, b in omega.ends)
+    if length != omega.den:
+        raise AssertionError(
+            f"built union has measure {Fraction(length, omega.den)}, not 1")
     return omega
 
 
@@ -225,8 +208,8 @@ def fibers(omega: IntervalUnion, p: int) -> FiberDecomposition:
     flips between cells.  Cost: O(n log n) for n intervals, plus the size
     of the output.  The empty union has one cell with the empty fiber.
     """
-    p = _as_int(p)
-    den, ends = _on_grid(omega.intervals, p)
+    p = _as_int(p, "p", 1)
+    den, ends = _on_grid(omega, p)
     step = den // p
     fiber: set[int] = set()
     flips: dict[int, list[int]] = {}
@@ -310,7 +293,8 @@ def verify_omega_tiling(omega: IntervalUnion, complement: PeriodicSet,
     >>> verify_omega_tiling(unit, PeriodicSet.of([0, 3], 4), p=2)
     False
     """
-    den, ends = _on_grid(omega.intervals, p)
+    p = _as_int(p, "p", 1)
+    den, ends = _on_grid(omega, p)
     step = den // p
     circle = complement.period * step
     arcs = sorted(((a + r * step) % circle, b - a)
@@ -365,6 +349,12 @@ def gram_entry(omega: IntervalUnion, lam: NumberLike,
         size = float(measure(omega))
     except OverflowError:
         size = 0.0  # named below, like a measure that underflows
+    except ValueError:  # cmath.exp of a phase past the float range
+        x = next(x for a, b in omega.intervals for x in (b, a)
+                 if math.isinf(2 * math.pi * mu * float(x)))
+        raise ValueError(f"phase at endpoint {x} with lam - lam_prime = "
+                         f"{lam - lam_prime} is outside the float range"
+                         ) from None
     if not size:
         raise _outside_floats(
             [*(("endpoint", x) for pair in omega.intervals for x in pair),
@@ -386,7 +376,8 @@ def period_identity_residual(omega: IntervalUnion, p: int, lam: NumberLike,
 
     which holds exactly whenever every endpoint of omega lies on the grid
     (1/p)Z; the returned magnitude is float roundoff only."""
-    if _on_grid(omega.intervals, p)[0] != p:
+    p = _as_int(p, "p", 1)
+    if p % omega.den:
         off = next(x for i in omega.intervals for x in i if p % x.denominator)
         raise ValueError(f"endpoint {off} is not a multiple of 1/{p}")
     lam, lam_prime = _frequency(lam), _frequency(lam_prime)

@@ -165,20 +165,15 @@ def _base_points(g: FinitePointSet | Iterable[RationalLike],
     return g, p
 
 
-def _check_periodic_base(gamma: FinitePointSet, period: int) -> None:
-    """Raise ValueError unless 0 is in gamma and gamma lies in [0, period)."""
-    if Fraction(0) not in gamma.points:
-        raise ValueError("spectrum base must contain 0")
-    for g in gamma:
-        if not 0 <= g < period:
-            raise ValueError(f"base point {g} outside [0, {period})")
-
-
 def spectrum_base(gamma, p: int) -> tuple[FinitePointSet, int]:
     """(Gamma, p) checked to be the base and period of a candidate spectrum
     Gamma + pZ: p points in [0, p), one of them 0; p as an int."""
     gamma, p = _base_points(gamma, p)
-    _check_periodic_base(gamma, p)
+    if Fraction(0) not in gamma.points:
+        raise ValueError("spectrum base must contain 0")
+    for g in gamma:
+        if not 0 <= g < p:
+            raise ValueError(f"base point {g} outside [0, {p})")
     return gamma, p
 
 
@@ -260,14 +255,18 @@ def _lifted(cliques: Iterable[tuple[int, ...]],
             lifts: Callable[[int], range],
             deadline: Optional[float] = None) -> list[IntSet]:
     """Every lift of every clique, sorted lexicographically; the deadline
-    is checked before every _POLL_INTERVAL of them."""
+    is checked before every _POLL_INTERVAL of them, once as tuples and
+    again as IntSets, after the sort."""
     members = (tuple(sorted(a)) for clique in cliques
                for a in product(*map(lifts, clique)))
     spectra: list[tuple[int, ...]] = []
     for chunk in _poll_chunks(members, deadline, "spectrum enumeration"):
         spectra += chunk
     spectra.sort()
-    return [IntSet(a) for a in spectra]
+    out: list[IntSet] = []
+    for chunk in _poll_chunks(spectra, deadline, "spectrum enumeration"):
+        out += map(IntSet, chunk)
+    return out
 
 
 def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
@@ -297,7 +296,8 @@ def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
 
     deadline is an absolute time.monotonic() value, checked before the
     first node of the clique search and then every _POLL_INTERVAL nodes,
-    and again before every _POLL_INTERVAL lifted sets; passing it raises
+    and again before every _POLL_INTERVAL lifted sets, both as they are
+    lifted and as they are wrapped after the sort; passing it raises
     SearchTimeout.
     """
     g, p = _base_points(g, p)

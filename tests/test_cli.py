@@ -4,6 +4,7 @@ and re-verification of emitted certificates through the library."""
 import contextlib
 import io
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -107,6 +108,9 @@ def test_exit_one_on_invalid_input(capsys):
          "--lam-prime", "0"],
         ["gram-check", "--omega", f"[0,{big})", "--p", "1", "--gamma", "0"],
         ["gram-check", "--omega", f"[0,1/{big})", "--p", "1", "--gamma", "0"],
+        # each value fits a float, but the phase 2 pi mu b does not
+        ["gram-check", "--omega", f"[0,{10**200})", "--p", "1",
+         "--lam", str(10**200), "--lam-prime", "0"],
     ]
     for argv in unfit:
         assert run(argv) == 1, argv
@@ -271,6 +275,28 @@ def test_gram_check_modes(tmp_path):
     assert code == 2
     assert cert["verdict"] == "tolerance-exceeded"
     assert cert["result"]["max_off_diagonal"] > 1e-2
+
+
+def test_gram_check_frequencies_are_gamma_plus_pz_within_3p(tmp_path,
+                                                           capsys):
+    code, cert = run_to_file(tmp_path, "freq.json",
+                             ["gram-check", "--omega", "[0,1)", "--p", "2",
+                              "--gamma", "0,1"])
+    assert code == 0
+    assert cert["result"]["frequencies"] == [str(k) for k in range(-6, 7)]
+    _, cert = run_to_file(tmp_path, "freq-half.json",
+                          ["gram-check", "--omega", "[0,1)", "--p", "2",
+                           "--gamma", "0,3/2"])
+    assert cert["result"]["frequencies"] == [str(x) for x in sorted(
+        [Fraction(k) for k in range(-6, 7, 2)]
+        + [Fraction(k, 2) for k in range(-9, 12, 4)])]
+    # the base must hold 0 and lie in [0, p)
+    for gamma, message in [("1", "must contain 0"),
+                           ("0,3", r"base point 3 outside \[0, 2\)")]:
+        p = str(len(gamma.split(",")))
+        assert run(["gram-check", "--omega", "[0,1)", "--p", p,
+                    "--gamma", gamma]) == 1
+        assert re.search(message, capsys.readouterr().err)
 
 
 def test_job_file_runs_and_validates(tmp_path, capsys):

@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 
 from corpus import NEGATIVE_CORPUS, OMEGA_2, SPECTRAL_CORPUS, UNIT, iu
 import spectile
-import spectile.intervals as intervals
 from spectile import (CommonComplementError, FiberCell,
                       FiberDecomposition, IntervalUnion, IntSet, PeriodicSet,
-                      PeriodicSpectrum, assemble_tiling, build_omega,
+                      assemble_tiling, build_omega,
                       enumerate_spectra, fibers, gram_entry,
                       gram_matrix, is_p_tile, measure,
                       period_identity_residual, spectral_verdict,
@@ -41,54 +40,72 @@ def test_canonicalization_merges_adjacent_and_rejects_overlap():
         iu((1, 1))
     with pytest.raises(TypeError):
         iu((0.0, 1.0))
-    with pytest.raises(ValueError):
-        IntervalUnion(((F(0), F(1)), (F(1), F(2))))
 
 
-def union_check_merged(den, pairs):
-    """Reference for intervals._merged: the integer sweep with the overlap
-    check left to IntervalUnion.__post_init__, on Fractions."""
+def sort_merge_reference(pairs):
+    """Reference for IntervalUnion.of on Fractions: sort, refuse a reversed
+    interval before a merge could hide it, merge adjacent intervals, then
+    refuse overlapping or adjacent ones among the merged."""
     merged = []
-    for a, b in sorted(pairs):
+    for a, b in sorted((F(a), F(b)) for a, b in pairs):
         if not a < b:
-            raise ValueError("empty or reversed interval "
-                             f"[{F(a, den)}, {F(b, den)})")
+            raise ValueError(f"empty or reversed interval [{a}, {b})")
         if merged and a == merged[-1][1]:
             merged[-1][1] = b
         else:
             merged.append([a, b])
-    return (IntervalUnion(tuple((F(a, den), F(b, den)) for a, b in merged)),
-            sum(b - a for a, b in merged))
+    for (a1, b1), (a2, b2) in zip(merged, merged[1:]):
+        if not b1 < a2:
+            raise ValueError(f"overlapping or adjacent intervals "
+                             f"[{a2}, {b2}) and [{a1}, {b1})")
+    return tuple(map(tuple, merged))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
-                max_size=6),
-       st.integers(1, 6))
-def test_merged_matches_the_union_check(pairs, den):
-    def outcome(merge):
+@given(st.lists(st.tuples(*2 * [st.builds(F, st.integers(-8, 8),
+                                          st.integers(1, 6))]),
+                max_size=6))
+def test_of_matches_the_sort_merge_reference(pairs):
+    def outcome(build):
         try:
-            return merge(den, pairs)
+            return build(pairs)
         except ValueError as err:
             return str(err)
 
-    assert outcome(intervals._merged) == outcome(union_check_merged)
+    union = outcome(IntervalUnion.of)
+    assert outcome(sort_merge_reference) == \
+        (union if isinstance(union, str) else union.intervals)
 
 
-def test_merged_unions_skip_the_second_check(monkeypatch):
-    checked = []
-    real = IntervalUnion.__post_init__
+def test_equal_unions_have_equal_fields():
+    halves = iu((F(1, 2), 1), (0, F(1, 2)))
+    assert halves == UNIT and hash(halves) == hash(UNIT)
+    assert (halves.den, halves.ends) == (1, ((0, 1),))
+    # the translate's endpoints are halves; its union is on the grid Z
+    moved = iu((F(1, 2), F(3, 2))).translate(F(-1, 2))
+    assert moved == UNIT and hash(moved) == hash(UNIT)
+    assert OMEGA_2 == IntervalUnion(4, ((0, 3), (7, 8)))
+    assert len({UNIT, halves, moved, OMEGA_2}) == 2
 
-    def counted(self):
-        checked.append(self)
-        real(self)
 
-    monkeypatch.setattr(IntervalUnion, "__post_init__", counted)
-    omega = build_omega(2, [[0, 1], [0, 3]], [0, F(1, 4), F(1, 2)])
-    assert omega == OMEGA_2 and iu((1, 2), (0, 1)) == iu((0, 2))
-    assert checked == []
-    assert IntervalUnion(OMEGA_2.intervals) == OMEGA_2
-    assert checked == [OMEGA_2]
+def test_direct_construction_takes_only_the_canonical_grid():
+    assert IntervalUnion(4, ((0, 3), (7, 8))).intervals == \
+        ((F(0), F(3, 4)), (F(7, 4), F(2)))
+    assert IntervalUnion(1, ()).is_empty
+    for den, ends in [(2, ((0, 2),)), (2, ((0, 4), (6, 8))), (2, ()),
+                      (0, ()), (-1, ((0, 1),))]:
+        with pytest.raises(ValueError, match="lowest terms"):
+            IntervalUnion(den, ends)
+    with pytest.raises(ValueError, match=r"reversed interval \[1, 1/2\)"):
+        IntervalUnion(2, ((2, 1),))
+    with pytest.raises(ValueError, match=r"reversed interval \[1, 1\)"):
+        IntervalUnion(1, ((1, 1),))
+    with pytest.raises(ValueError, match=r"\[1/2, 2\) and \[0, 1\)"):
+        IntervalUnion(2, ((0, 2), (1, 4)))
+    with pytest.raises(ValueError, match=r"adjacent intervals \[1, 2\)"):
+        IntervalUnion(1, ((0, 1), (1, 2)))
+    with pytest.raises(TypeError):
+        IntervalUnion(1, ((0.0, 1.0),))
 
 
 def test_membership_and_transforms():
@@ -104,7 +121,7 @@ def test_membership_and_transforms():
 def test_measure_examples():
     assert measure(iu((0, 1))) == 1
     assert measure(OMEGA_2) == 1
-    assert measure(IntervalUnion(())) == 0
+    assert measure(IntervalUnion(1, ())) == 0
     assert measure(iu((F(-1, 3), F(1, 2)))) == F(5, 6)
 
 
@@ -144,7 +161,7 @@ def test_fibers_examples():
 
 
 def test_fibers_of_empty_union():
-    dec = fibers(IntervalUnion(()), 3)
+    dec = fibers(IntervalUnion(1, ()), 3)
     assert len(dec.cells) == 1
     assert dec.cells[0].fiber == IntSet.of([])
 
@@ -280,7 +297,7 @@ def test_verify_omega_tiling_scaled_and_negative():
     assert not verify_omega_tiling(UNIT, PeriodicSet.of([0, 3], 4), 2)
     # wrap-around across the fundamental domain boundary
     assert verify_omega_tiling(iu((F(1, 2), F(3, 2))), PeriodicSet.of([0], 1))
-    assert not verify_omega_tiling(IntervalUnion(()), PeriodicSet.of([0], 1))
+    assert not verify_omega_tiling(IntervalUnion(1, ()), PeriodicSet.of([0], 1))
 
 
 def wrap_and_split_tiling(omega, complement, p=1):
@@ -356,7 +373,7 @@ def test_gram_entry_examples():
     assert gram_entry(OMEGA_2, F(1, 3), F(1, 3)) == 1
     assert gram_entry(UNIT, 0.25, 0.25) == 1
     with pytest.raises(ValueError):
-        gram_entry(IntervalUnion(()), 0, 1)
+        gram_entry(IntervalUnion(1, ()), 0, 1)
 
 
 def test_gram_entry_against_quadrature():
@@ -398,6 +415,20 @@ def test_gram_functions_take_a_float_with_an_exact_string():
         period_identity_residual(UNIT, 1, F(1, 2), F(3, 2))
 
 
+def test_a_phase_past_the_float_range_is_named():
+    # mu and every endpoint are finite floats; only 2 pi mu b is not
+    big = 10**200
+    omega = iu((0, big))
+    for call in (lambda: gram_entry(omega, big, 0),
+                 lambda: period_identity_residual(omega, 1, big, 0)):
+        with pytest.raises(ValueError) as err:
+            call()
+        message = str(err.value)
+        assert message.startswith(f"phase at endpoint {big} with ")
+        assert "lam - lam_prime = " in message
+        assert message.endswith("is outside the float range")
+
+
 def test_period_identity_preconditions():
     with pytest.raises(ValueError, match="endpoint 1/3 is not a multiple"):
         period_identity_residual(iu((0, F(1, 3))), 2, 0, 1)
@@ -405,15 +436,6 @@ def test_period_identity_preconditions():
         period_identity_residual(UNIT, 1, 0, 1)
     with pytest.raises(ValueError):
         period_identity_residual(UNIT, 0, 0, 1)
-
-
-def test_periodic_spectrum_points_within():
-    spectrum = PeriodicSpectrum.of([0, 1], 2)
-    assert spectrum.points_within(6) == [F(k) for k in range(-6, 7)]
-    with pytest.raises(ValueError):
-        PeriodicSpectrum.of([1], 2)
-    with pytest.raises(ValueError):
-        PeriodicSpectrum.of([0, 3], 2)
 
 
 def test_fiber_family_deduplicates_in_order():
@@ -430,7 +452,7 @@ import spectile.intervals as intervals
 
 unit = intervals.IntervalUnion.of([(0, 1)])
 merged = intervals._merged
-intervals._merged = lambda den, pairs: (merged(den, pairs)[0], 2 * den)
+intervals._merged = lambda den, pairs: merged(2 * den, pairs)
 intervals.measure = lambda omega: 2
 for label, call in [
         ("build_omega", lambda: intervals.build_omega(2, [[0, 1], [0, 3]],
@@ -443,12 +465,13 @@ for label, call in [
     else:
         raise SystemExit(label + " accepted a union of the wrong measure")
 
-try:
-    intervals.IntervalUnion(((F(0), F(1)), (F(1, 2), F(2))))
-except ValueError:
-    pass
-else:
-    raise SystemExit("IntervalUnion accepted overlapping intervals")
+for den, ends in [(2, ((0, 2), (1, 4))), (2, ((0, 2),))]:
+    try:
+        intervals.IntervalUnion(den, ends)
+    except ValueError:
+        pass
+    else:
+        raise SystemExit("IntervalUnion accepted the grid %r" % ((den, ends),))
 
 cyclotomic._cyclotomic_divides = lambda m, terms: False
 try:

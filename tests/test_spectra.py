@@ -443,3 +443,27 @@ def test_enumerate_spectra_deadline_during_lifting(monkeypatch):
     assert state["lifting"]
     assert report.verdict == INCONCLUSIVE
     assert report.spectra_found == () and report.certificate is None
+
+
+def test_enumerate_spectra_deadline_while_wrapping(monkeypatch):
+    # Z_9 within {0..27} has 3^8 lifts; the clock passes every deadline
+    # at the first IntSet built, after the lifts are made and sorted, so
+    # only the wrapping into IntSets can notice it
+    built = []
+    real_post_init, real_clock = IntSet.__post_init__, time.monotonic
+
+    def counted(self):
+        built.append(self)
+        real_post_init(self)
+
+    monkeypatch.setattr(IntSet, "__post_init__", counted)
+    monkeypatch.setattr(spectile.spectra.time, "monotonic",
+                        lambda: real_clock() + 1e9 * bool(built))
+    with pytest.raises(SearchTimeout):
+        enumerate_spectra(range(9), 9, 27, deadline=real_clock() + 3600)
+    assert 0 < len(built) <= _POLL_INTERVAL
+    built.clear()
+    report = utc_verify(9, range(9), 27, 81, time_budget=3600)
+    assert built
+    assert report.verdict == INCONCLUSIVE
+    assert report.spectra_found == () and report.certificate is None
