@@ -87,26 +87,28 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
     sees the classes find_common_complement would see on the family, and
     finds the same certificate.
 
-    The verdict is verified-with-certificate only after every family member
-    has been re-checked against the certificate; whether A + (R + mZ) tiles
-    Z depends only on the multiset A mod m, and a p-element member with p
-    residues mod m has its residue set as that multiset, so one member per
-    residue set, keyed by an m-bit mask, is checked.  That grouping reads
-    the members, not the cliques.  Exhausting m_max, or the optional
-    wall-clock budget in seconds, gives an inconclusive verdict; the
-    budget bounds the enumeration and the search together, and a budget
-    that ends during the enumeration reports no spectra.
+    The verdict is verified-with-certificate only after a re-check on
+    every class of every clique, by integer code apart from the masks.
+    Whether A + (R + mZ) tiles Z depends only on the multiset A mod m, and
+    each residue keeps its first lift in each class mod m, so the choices
+    of one kept lift per residue of a clique are spectra, every spectrum
+    of the clique shares its multiset mod m with one of them, and each is
+    checked.  The spectra only fill the report.  Exhausting m_max, or
+    the optional wall-clock budget in seconds, gives an inconclusive
+    verdict; the budget bounds the enumeration and the search together,
+    and a budget that ends during the enumeration reports no spectra.
     """
     start = time.monotonic()
     gamma, p = spectrum_base(gamma, p)
+    n_max, m_max = _as_int(n_max, "n_max", 0), _as_int(m_max)
     deadline = _deadline(start, time_budget)
     try:
         cliques, lifts = _spectrum_cliques(gamma, p, n_max, deadline)
-        family = _lifted(cliques, lifts, deadline)
+        family = tuple(_lifted(cliques, lifts, deadline))
     except SearchTimeout:
         return UtcReport(p, gamma, n_max, m_max, (), INCONCLUSIVE, None,
                          time.monotonic() - start)
-    if not family:
+    if not cliques:
         return UtcReport(p, gamma, n_max, m_max, (), NO_SPECTRA, None,
                          time.monotonic() - start)
     residues = {r for clique in cliques for r in clique}
@@ -118,27 +120,23 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
                 for combo in product(*map(bits.__getitem__, clique)))
 
     try:
-        certificate = _first_common_cover(p, _as_int(m_max), masks, deadline)
+        certificate = _first_common_cover(p, m_max, masks, deadline)
     except SearchTimeout:
         certificate = None
     if certificate is None:
-        return UtcReport(p, gamma, n_max, m_max, tuple(family), INCONCLUSIVE,
-                         None, time.monotonic() - start)
+        return UtcReport(p, gamma, n_max, m_max, family, INCONCLUSIVE, None,
+                         time.monotonic() - start)
     m = certificate.period
-    # Members have p elements, so a member whose mask below has p bits is
-    # distinct mod m and its residue set is its multiset mod m; a member
-    # with a repeated residue carries into another bit, has fewer, and
-    # fails the check whatever its class.  So members with one mask share
-    # the tiles_cyclic verdict, and one member per mask is checked.
-    points = {x for a in family for x in a.elements}
-    bit = {x: 1 << (x % m) for x in points}.__getitem__
-    by_mask = {sum(map(bit, a.elements)): a for a in family}
-    for a in by_mask.values():
-        if not is_tiling_of_Z(a, certificate):
-            raise AssertionError(
-                f"certificate {certificate} failed re-verification on {tuple(a)}")
-    return UtcReport(p, gamma, n_max, m_max, tuple(family), VERIFIED,
-                     certificate, time.monotonic() - start)
+    kept = {r: sorted({x % m: x for x in reversed(lifts(r))}.values())
+            for r in residues}
+    for clique in cliques:
+        for combo in product(*map(kept.__getitem__, clique)):
+            a = IntSet.of(combo)
+            if not is_tiling_of_Z(a, certificate):
+                raise AssertionError(f"certificate {certificate} failed "
+                                     f"re-verification on {tuple(a)}")
+    return UtcReport(p, gamma, n_max, m_max, family, VERIFIED, certificate,
+                     time.monotonic() - start)
 
 
 def roundtrip(p: int, gamma, family, breakpoints, m_max: int, *,

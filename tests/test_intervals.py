@@ -473,6 +473,18 @@ for den, ends in [(2, ((0, 2), (1, 4))), (2, ((0, 2),))]:
     else:
         raise SystemExit("IntervalUnion accepted the grid %r" % ((den, ends),))
 
+import spectile.tilings as tilings
+import spectile.utc as utc
+# {0, 1} mod 4 fails every spectrum of {0, 1}; the re-check must say so
+utc._first_common_cover = lambda *args: tilings.PeriodicSet.of([0, 1], 4)
+try:
+    utc.utc_verify(2, [0, 1], 5, 8)
+except AssertionError:
+    pass
+else:
+    raise SystemExit("utc_verify accepted a certificate that fails its "
+                     "re-check")
+
 cyclotomic._cyclotomic_divides = lambda m, terms: False
 try:
     cyclotomic.cyclotomic_poly(2)

@@ -1,12 +1,14 @@
 """End-to-end common-complement instances and the spectral-to-tiling
 round trip."""
 
+import math
 import random
 import re
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spectile.cli
@@ -17,10 +19,12 @@ import spectile.utc
 from spectile import (INCONCLUSIVE, NO_SPECTRA, VERIFIED, IntSet,
                       InvalidFamilyError, PeriodicSet, assemble_tiling,
                       build_omega, enumerate_spectra, fibers,
-                      find_common_complement, is_spectrum, is_tiling_of_Z,
-                      measure, roundtrip, spectral_verdict, utc_verify,
-                      verify_omega_tiling)
+                      find_common_complement, find_complements, is_spectrum,
+                      is_tiling_of_Z, measure, roundtrip, spectral_verdict,
+                      utc_verify, verify_omega_tiling)
 from corpus import OMEGA_2, bases_and_bounds
+
+P8_GAMMA = [0, F(1, 2), 2, F(5, 2), 4, F(9, 2), 6, F(13, 2)]
 
 
 def test_utc_verify_desk_instances():
@@ -114,6 +118,14 @@ def test_utc_verify_input_validation():
         utc_verify(2, [0, 2], 5, 8)
     with pytest.raises(TypeError):
         utc_verify(2, [0, 0.5], 5, 8)
+    # both bounds are converted at entry, before anything is found
+    with pytest.raises(ValueError, match="1/2 is not an integer"):
+        utc_verify(2, [0, 1], 0, F(1, 2))
+    report = utc_verify(2, [0, 1], F(10, 2), F(16, 2))
+    assert report.verdict == VERIFIED
+    assert (type(report.n_max), type(report.m_max)) == (int, int)
+    assert (report.n_max, report.m_max) == (5, 8)
+    assert utc_verify(2, [0, 1], 5, 0).verdict == INCONCLUSIVE
 
 
 def test_utc_verify_checks_each_residue_class_once(monkeypatch):
@@ -132,25 +144,35 @@ def test_utc_verify_checks_each_residue_class_once(monkeypatch):
     assert report.verdict == VERIFIED and len(report.spectra_found) == 256
     assert calls == {"tiles_cyclic": 1}
     assert searched == [1]
+    # the p = 8 base has 8 cliques mod 16 and 27 spectra within {0..20};
+    # at period 16 each lift keeps its residue, so each clique is one class
+    calls["tiles_cyclic"] = 0
+    report = utc_verify(8, P8_GAMMA, 20, 64)
+    assert report.verdict == VERIFIED and len(report.spectra_found) == 27
+    assert report.certificate.period == 16
+    assert len({frozenset(x % 16 for x in a)
+                for a in report.spectra_found}) == 8
+    assert calls == {"tiles_cyclic": 8}
 
 
 def test_utc_verify_recheck_reaches_a_late_class(monkeypatch, capsys):
     # {0, 2} mod 4 tiles Z with {0, d} for every odd d, so it passes every
-    # spectrum of {0, 1} and fails only on a last member of another class:
-    # {0, 2}, or {0, 4}, which is not even distinct mod 4
-    # the search reads residue cliques and the re-check reads members, so
-    # a late member added to the lifted family reaches only the re-check
+    # spectrum of {0, 1} and fails only on a last clique of another class:
+    # {0, 2}, or {0, 4}, which is not even distinct mod 4.  The search
+    # ignores the cliques here, so a late clique reaches only the re-check
     def wrong(p, m_max, masks, deadline=None):
         return PeriodicSet.of([0, 2], 4)
 
     monkeypatch.setattr(spectile.utc, "_first_common_cover", wrong)
     assert utc_verify(2, [0, 1], 9, 8).certificate == PeriodicSet.of([0, 2], 4)
-    real = spectile.utc._lifted
+    real = spectile.utc._spectrum_cliques
     for late in [(0, 2), (0, 4)]:
-        def with_late_member(*args, **kwargs):
-            return real(*args, **kwargs) + [IntSet.of(late)]
+        def with_late_clique(*args, **kwargs):
+            cliques, lifts = real(*args, **kwargs)
+            return cliques + [late], lifts
 
-        monkeypatch.setattr(spectile.utc, "_lifted", with_late_member)
+        monkeypatch.setattr(spectile.utc, "_spectrum_cliques",
+                            with_late_clique)
         with pytest.raises(AssertionError,
                            match=re.escape(f"re-verification on {late}")):
             utc_verify(2, [0, 1], 9, 8)
@@ -160,6 +182,75 @@ def test_utc_verify_recheck_reaches_a_late_class(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("internal error:")
+
+
+def _members(p, gamma, n_max, clique):
+    """The spectra of gamma within {0..n_max}, or with a clique given, its
+    lifts: 0 stays 0, and r takes r, r + M, ... up to n_max."""
+    if clique is None:
+        return enumerate_spectra(gamma, p, n_max)
+    modulus = p * math.lcm(*(F(g).denominator for g in gamma))
+    return list(product([0], *(range(r, n_max + 1, modulus)
+                               for r in clique[1:])))
+
+
+@st.composite
+def _stubbed_certificates(draw):
+    """(p, gamma, n_max, clique, certificate): a base with p <= 4; None,
+    or a tuple (0, r, ...) with each r <= n_max, distinct mod M, that need
+    not be a clique; and residues mod a multiple of p, drawn at random or
+    as a complement of the first member or of a random one, so that
+    certificates pass and fail the re-check alike."""
+    gamma, p, n_max = draw(bases_and_bounds().filter(lambda c: c[1] <= 4))
+    modulus = p * math.lcm(*(g.denominator for g in gamma))
+    clique = None
+    if n_max >= p - 1 and draw(st.booleans()):
+        rest = draw(st.sets(st.integers(1, n_max),
+                            min_size=p - 1, max_size=p - 1))
+        assume(len({r % modulus for r in rest}) == p - 1)
+        clique = (0, *sorted(rest))
+    m = p * draw(st.integers(1, 6))
+    members = _members(p, gamma, n_max, clique)
+    source = draw(st.sampled_from(["first", "any", "random"]))
+    complements = []
+    if members and source != "random":
+        complements = find_complements(
+            members[0] if source == "first" else draw(st.sampled_from(members)),
+            m)
+    residues = (draw(st.sampled_from(complements)) if complements else
+                draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    return p, gamma, n_max, clique, PeriodicSet.of(residues, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stubbed_certificates())
+# (0, 3) tiles with the certificate, and its lift (0, 5) does not
+@example((2, [0, 1], 9, (0, 3), PeriodicSet.of([0, 1, 2, 6, 7, 8], 12)))
+def test_utc_verify_recheck_matches_every_member(case):
+    # the per-member check is the oracle: the re-check on cliques refuses
+    # a certificate exactly when some member does not tile with it.  The
+    # members are the spectra, or the lifts of a drawn tuple that stands
+    # in for the cliques: on the spectra of small bases no certificate
+    # passed a clique's first lift and failed a later one, so only the
+    # drawn tuples catch a re-check that skips a class
+    p, gamma, n_max, clique, certificate = case
+    members = _members(p, gamma, n_max, clique)
+    real = spectile.utc._spectrum_cliques
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectile.utc, "_first_common_cover",
+                      lambda *args: certificate)
+        if clique is not None:
+            patch.setattr(spectile.utc, "_spectrum_cliques",
+                          lambda *args: ([clique], real(*args)[1]))
+        try:
+            verdict = utc_verify(p, gamma, n_max, certificate.period).verdict
+        except AssertionError:
+            verdict = None
+    if not members:
+        assert verdict == NO_SPECTRA
+    else:
+        assert (verdict is None) == any(not is_tiling_of_Z(a, certificate)
+                                        for a in members)
 
 
 def _searches(call):
