@@ -16,7 +16,8 @@ standard library's indented form would join a string per token.
 
 Each process starts cold, so it loads only the layers its command runs:
 the flag parsers need spectra, and every other layer is imported by the
-handler or parser that calls it.
+handler or parser that calls it.  The value types are plain slotted
+classes, so no command imports dataclasses or, through it, inspect.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Union
@@ -41,6 +41,76 @@ def _as_int(value, name: str = "", minimum: Optional[int] = None) -> int:
         raise ValueError(
             f"{name} must be {'positive' if minimum else 'nonnegative'}")
     return value
+
+
+class _Value:
+    """Base of spectile's immutable value types, standing in for a frozen
+    dataclass so that no spectile import loads dataclasses (and with it
+    inspect).  A subclass lists its fields, in order, as _fields and in
+    __slots__.  The constructor takes the fields positionally, then calls
+    __post_init__.  Equality, hashing, repr and, for a class declared with
+    order=True, ordering read the field tuple and compare instances of the
+    same class only, as the dataclass methods do; assigning or deleting an
+    attribute raises AttributeError.
+    """
+
+    __slots__ = ("__weakref__",)  # weak references, as dataclasses allow
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, order: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if order:
+            for op in (operator.lt, operator.le, operator.gt, operator.ge):
+                setattr(cls, f"__{op.__name__}__", _ordering(op))
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes "
+                            f"{len(self._fields)} arguments, not {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Validate the fields; the base accepts any values."""
+
+    def _key(self) -> tuple:
+        """The field values, in order."""
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which validates again,
+        # since restoring the slots would go through __setattr__
+        return type(self), self._key()
+
+
+def _ordering(op):
+    """The order=True comparison method for operator op."""
+    def compare(self, other):
+        if other.__class__ is self.__class__:
+            return op(self._key(), other._key())
+        return NotImplemented
+    compare.__name__ = f"__{op.__name__}__"
+    return compare
 
 
 def _prime_factors(m: int) -> tuple[int, ...]:
@@ -105,13 +175,13 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class ResidueMultiset:
+class ResidueMultiset(_Value):
     """Multiset of exponents modulo m, the input to the vanishing-sum tests.
 
     Entries are stored sorted; repeated entries mean repeated roots in the sum.
     """
 
+    __slots__ = _fields = ("modulus", "entries")
     modulus: int
     entries: tuple[int, ...]
 

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
+from .cyclotomic import _Value
 from .spectra import (IntSet, RationalLike, _as_int, _over_common_denominator,
                       _spectrum_test, as_fraction, spectrum_base)
 from .tilings import PeriodicSet, tiles_cyclic
@@ -34,14 +34,15 @@ class CommonComplementError(ValueError):
     """A claimed common complement fails on at least one fiber cell."""
 
 
-@dataclass(frozen=True)
-class IntervalUnion:
+class IntervalUnion(_Value):
     """Disjoint sorted half-open intervals [a/den, b/den), stored as the
     integer pairs (a, b) on the grid (1/den)Z with den in lowest terms, so
     equal unions have equal fields.  IntervalUnion.of merges adjacent
     intervals; direct construction takes them already merged.
     """
 
+    _fields = ("den", "ends")
+    __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached intervals
     den: int
     ends: tuple[tuple[int, int], ...]
 
@@ -119,23 +120,29 @@ def measure(omega: IntervalUnion) -> Fraction:
     return sum((b - a for a, b in omega.intervals), Fraction(0))
 
 
-@dataclass(frozen=True)
-class FiberCell:
+class FiberCell(_Value):
     """One cell [lo, hi) of [0, 1/p) together with its constant fiber."""
 
+    __slots__ = _fields = ("lo", "hi", "fiber")
     lo: Fraction
     hi: Fraction
     fiber: IntSet
+
+    # fibers() builds one per cell; the base's loop would add to each
+    def __init__(self, lo: Fraction, hi: Fraction, fiber: IntSet):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "fiber", fiber)
 
     @property
     def length(self) -> Fraction:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
-class FiberDecomposition:
+class FiberDecomposition(_Value):
     """Partition of [0, 1/p) into cells of constant fiber."""
 
+    __slots__ = _fields = ("p", "cells")
     p: int
     cells: tuple[FiberCell, ...]
 
@@ -144,11 +151,11 @@ class FiberDecomposition:
         return list(dict.fromkeys(cell.fiber for cell in self.cells))
 
 
-@dataclass(frozen=True)
-class OmegaTilingCertificate:
+class OmegaTilingCertificate(_Value):
     """A verified tiling of R: omega + (1/p)(R + mZ) = R, checked exactly
     on the fundamental domain [0, m/p)."""
 
+    __slots__ = _fields = ("omega", "p", "complement", "checked_domain")
     omega: IntervalUnion
     p: int
     complement: PeriodicSet

@@ -13,13 +13,13 @@ import math
 import operator
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice, product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .cyclotomic import RationalLike, _as_int, _cyclotomic_divides, as_fraction
+from .cyclotomic import (RationalLike, _as_int, _cyclotomic_divides, _Value,
+                         as_fraction)
 
 BRUTE_FORCE_GUARD = 10**7
 
@@ -42,10 +42,10 @@ def _check_increasing(values: tuple, what: str) -> None:
         raise ValueError(f"{what} must be strictly increasing")
 
 
-@dataclass(frozen=True, order=True)
-class FinitePointSet:
+class FinitePointSet(_Value, order=True):
     """Sorted tuple of distinct rationals."""
 
+    __slots__ = _fields = ("points",)
     points: tuple[Fraction, ...]
 
     def __post_init__(self):
@@ -71,28 +71,34 @@ class FinitePointSet:
         return FinitePointSet(tuple(p + c for p in self.points))
 
 
-@dataclass(frozen=True, order=True)
-class IntSet:
+class IntSet(_Value, order=True):
     """Sorted tuple of distinct integers."""
 
-    # a family can hold tens of thousands of these; not slots=True, which
-    # cannot keep weak references before Python 3.11
-    __slots__ = ("elements", "__weakref__")
+    __slots__ = _fields = ("elements",)
     elements: tuple[int, ...]
+
+    # a family can hold tens of thousands of these, and roundtrip compares
+    # and hashes its fibers, so the one-field methods skip the base's loops
+    def __init__(self, elements: tuple[int, ...]):
+        object.__setattr__(self, "elements", elements)
+        self.__post_init__()
 
     def __post_init__(self):
         _check_increasing(self.elements, "elements")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.elements == other.elements
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.elements,))
 
     @classmethod
     def of(cls, elements: Iterable[int]) -> "IntSet":
         if isinstance(elements, IntSet):
             return elements
         return cls(tuple(sorted(set(_as_int(e) for e in elements))))
-
-    def __reduce__(self):
-        # pickle and copy would restore the slot through the frozen
-        # __setattr__; rebuild through __init__ instead
-        return type(self), (self.elements,)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)

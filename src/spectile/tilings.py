@@ -14,17 +14,17 @@ never a refutation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from .cyclotomic import _Value
 from .spectra import (_POLL_INTERVAL, IntSet, SearchTimeout, _as_int,
                       _check_increasing, _poll_chunks)
 
 
-@dataclass(frozen=True, order=True)
-class PeriodicSet:
+class PeriodicSet(_Value, order=True):
     """The set R + mZ, stored as sorted residues R inside [0, m)."""
 
+    __slots__ = _fields = ("residues", "period")
     residues: tuple[int, ...]
     period: int
 

@@ -11,11 +11,11 @@ verdict, never a refutation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional
 
+from .cyclotomic import _Value
 from .intervals import (IntervalUnion, OmegaTilingCertificate,
                         _assemble_from_cells, build_omega, fibers)
 from .spectra import (FinitePointSet, IntSet, _as_int, _lifted,
@@ -33,10 +33,11 @@ class InvalidFamilyError(ValueError):
     """A family member is not a spectrum base for the given Gamma."""
 
 
-@dataclass(frozen=True)
-class UtcReport:
+class UtcReport(_Value):
     """Outcome of one bounded common-complement verification."""
 
+    __slots__ = _fields = ("p", "gamma", "n_max", "m_max", "spectra_found",
+                           "verdict", "certificate", "timing")
     p: int
     gamma: FinitePointSet
     n_max: int
@@ -47,10 +48,12 @@ class UtcReport:
     timing: float
 
 
-@dataclass(frozen=True)
-class RoundTripReport:
+class RoundTripReport(_Value):
     """Outcome of the spectral-set-tiles round trip on one instance."""
 
+    __slots__ = _fields = ("p", "gamma", "family", "breakpoints", "omega",
+                           "spectral_ok", "projected_complement",
+                           "omega_tiling", "consistency")
     p: int
     gamma: FinitePointSet
     family: tuple[IntSet, ...]

@@ -550,6 +550,21 @@ def test_each_subcommand_loads_only_its_modules(argv, code, modules):
     assert got == sorted(modules)
 
 
+def test_no_process_imports_dataclasses():
+    # the value types are slotted classes on one base, so no spectile
+    # module loads dataclasses or, through it, inspect; spectile.utc
+    # imports every other layer.  Counted against what start-up already
+    # loaded, which a site hook can extend
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; started = set(sys.modules)\n"
+         "import spectile.cli, spectile.utc\n"
+         "print(*sorted({'dataclasses', 'inspect'} & "
+         "(set(sys.modules) - started)))"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_import_spectile_loads_no_submodule():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, spectile; print(*sorted("

@@ -1,8 +1,10 @@
 """Spectral-pair verdicts and bounded spectrum enumeration."""
 
 import copy
+import dataclasses
 import gc
 import math
+import operator
 import pickle
 import random
 import time
@@ -18,9 +20,9 @@ from hypothesis import strategies as st
 
 import spectile.spectra
 import spectile.utc
-from spectile import (INCONCLUSIVE, FinitePointSet, IntSet, PeriodicSet,
-                      ResourceLimitError, SearchTimeout,
-                      admissible_differences, as_fraction,
+from spectile import (INCONCLUSIVE, FinitePointSet, IntervalUnion, IntSet,
+                      PeriodicSet, ResidueMultiset, ResourceLimitError,
+                      SearchTimeout, admissible_differences, as_fraction,
                       brute_force_spectra, build_omega, enumerate_spectra,
                       exponential_sum_vanishes, fibers, find_common_complement,
                       find_complements, is_spectrum, roundtrip,
@@ -103,6 +105,9 @@ def test_int_set_basics():
     assert a.elements == (0, 1, 3)
     assert IntSet.of(a) is a
     assert IntSet.of(e - 5 for e in IntSet.of([7, 5])).elements == (0, 2)
+    assert IntSet((0, 1)) != FinitePointSet.of([0, 1])
+    with pytest.raises(TypeError):
+        IntSet((0, 1)) < FinitePointSet.of([0, 1])
     with pytest.raises(ValueError, match="elements must be strictly increasing"):
         IntSet((2, 2))
 
@@ -328,16 +333,84 @@ def test_enumerated_family_is_freed_without_the_collector():
         gc.enable()
 
 
-def test_int_set_is_slotted_and_still_copies():
-    a = IntSet.of([3, -1, 2])
-    assert not hasattr(a, "__dict__")
+def _two_values():
+    """Two unequal instances of each value type, by class name."""
+    gamma, family = [0, 1], [[0, 1], [0, 3]]
+    rt = roundtrip(2, gamma, family, [0, F(1, 4), F(1, 2)], 8)
+    rt2 = roundtrip(2, gamma, family[:1], [0, F(1, 2)], 8)
+    dec, dec2 = fibers(rt.omega, 2), fibers(rt2.omega, 2)
+    pairs = [
+        (ResidueMultiset.of(4, [0, 1, 1]), ResidueMultiset.of(4, [0, 2])),
+        (FinitePointSet.of([0, F(1, 2)]), FinitePointSet.of([0, 1])),
+        (IntSet.of([3, -1, 2]), IntSet.of([0, 1])),
+        (PeriodicSet.of([0, 2], 4), PeriodicSet.of([0, 1], 4)),
+        (rt.omega, rt2.omega), (dec.cells[0], dec.cells[1]), (dec, dec2),
+        (rt.omega_tiling, rt2.omega_tiling), (rt, rt2),
+        (utc_verify(2, [0, F(1, 3)], 6, 6), utc_verify(2, gamma, 5, 8)),
+    ]
+    return {type(a).__name__: (a, b) for a, b in pairs}
+
+
+_VALUE_TYPES = [  # as they were declared with @dataclass(frozen=True, order=)
+    ("ResidueMultiset", "modulus entries", False),
+    ("FinitePointSet", "points", True),
+    ("IntSet", "elements", True),
+    ("PeriodicSet", "residues period", True),
+    ("IntervalUnion", "den ends", False),
+    ("FiberCell", "lo hi fiber", False),
+    ("FiberDecomposition", "p cells", False),
+    ("OmegaTilingCertificate", "omega p complement checked_domain", False),
+    ("UtcReport", "p gamma n_max m_max spectra_found verdict certificate "
+     "timing", False),
+    ("RoundTripReport", "p gamma family breakpoints omega spectral_ok "
+     "projected_complement omega_tiling consistency", False),
+]
+
+
+@pytest.mark.parametrize("name, fields, order", _VALUE_TYPES,
+                         ids=[row[0] for row in _VALUE_TYPES])
+def test_value_types_behave_as_frozen_dataclasses(name, fields, order):
+    a, b = _two_values()[name]
+    cls, fields = type(a), fields.split()
+    twin = dataclasses.make_dataclass(name, fields, frozen=True, order=order)
+
+    def as_twin(x):
+        return twin(*(getattr(x, f) for f in fields))
+
+    ta, tb = as_twin(a), as_twin(b)
+    assert (a == b, a != b, a == a) == (ta == tb, ta != tb, ta == ta)
+    assert hash(a) == hash(ta) and hash(b) == hash(tb)
+    assert repr(a) == repr(ta) and repr(b) == repr(tb)
+    comparisons = (operator.lt, operator.le, operator.gt, operator.ge)
+    for op in comparisons:
+        if order:
+            assert (op(a, b), op(b, a), op(a, a)) == \
+                (op(ta, tb), op(tb, ta), op(ta, ta))
+        else:
+            for x, y in ((a, b), (ta, tb)):
+                with pytest.raises(TypeError):
+                    op(x, y)
+    # another class with the same field values: never equal, never ordered
+    lookalike = type(name, (cls,), {"__slots__": ()})(
+        *(getattr(a, f) for f in fields))
+    for other in (ta, lookalike):
+        assert a != other and other != a and not a == other
+        for op in comparisons:
+            with pytest.raises(TypeError):
+                op(a, other)
+    for attr in (*fields, "other"):
+        for change in (lambda x: setattr(x, attr, 0),
+                       lambda x: delattr(x, attr)):
+            with pytest.raises(AttributeError) as ours:
+                change(a)
+            with pytest.raises(dataclasses.FrozenInstanceError) as theirs:
+                change(ta)
+            assert str(ours.value) == str(theirs.value)
+    assert hasattr(a, "__dict__") == (cls is IntervalUnion)
+    assert weakref.ref(a)() is a
     for copied in (pickle.loads(pickle.dumps(a)), copy.copy(a),
                    copy.deepcopy(a)):
-        assert copied == a and copied.elements == (-1, 2, 3)
-    with pytest.raises(AttributeError):
-        a.elements = (0,)
-    with pytest.raises(ValueError):
-        IntSet((2, 1))
+        assert type(copied) is cls and copied == a and repr(copied) == repr(a)
 
 
 def test_brute_force_pigeonhole_and_guard():
