@@ -212,48 +212,60 @@ def _poll_chunks(items: Iterable, deadline: Optional[float],
         yield chunk
 
 
-def _spectrum_cliques(g: FinitePointSet, p: int, n_max,
-                      deadline: Optional[float] = None,
-                      ) -> tuple[list[tuple[int, ...]], Callable[[int], range]]:
-    """(cliques, lifts) for enumerate_spectra, M = p * lcm(denominators of
-    G): every p-clique mod M among the residues {0, ..., min(n_max, M - 1)},
-    ascending, in lexicographic order, and lifts(r), the values residue r
-    of a clique takes in a spectrum: 0 stays 0, and r > 0 takes r, r + M,
-    ... up to n_max.  Depth-first on a stack of prefixes with bitsets of
-    their next candidates, ascending; a prefix one short of p completes
-    with each of its candidates.  The deadline is checked before the
-    first node and then every _POLL_INTERVAL nodes.
+def _cliques(allowed: int, k: int, deadline: Optional[float],
+             what: str) -> Iterator[tuple[int, ...]]:
+    """Every k-set of nonnegative integers containing 0 whose positive
+    differences are all bits of allowed (bit d for the difference d; bit
+    0 is clear), as ascending tuples in lexicographic order: the k-cliques
+    through 0 of the graph that joins x < y when bit y - x is set.
+
+    Depth-first on a stack of prefixes with bitsets of their next
+    candidates, ascending; a prefix is pushed only if it leaves enough
+    candidates, and a prefix one short of k completes with each of its
+    candidates.  The deadline is checked before the first node and then
+    every _POLL_INTERVAL nodes; passing it raises SearchTimeout naming
+    what.
     """
-    n_max = _as_int(n_max, "n_max", 0)
-    vanishes = _vanishing_test(g.points, p)
-    modulus = p * math.lcm(*(x.denominator for x in g.points))
-    allowed = sum(1 << d for d in range(1, min(n_max, modulus - 1) + 1)
-                  if vanishes(d))
-    cliques: list[tuple[int, ...]] = []
     stack = [((0,), allowed)]
     nodes = 0
     while stack:
         if (deadline is not None and nodes % _POLL_INTERVAL == 0
                 and time.monotonic() > deadline):
-            raise SearchTimeout(f"spectrum enumeration passed its deadline "
-                                f"after {len(cliques)} residue cliques")
+            raise SearchTimeout(f"{what} passed its deadline")
         nodes += 1
         chosen, cand = stack.pop()
-        if len(chosen) == p:  # p = 1: the root is the one clique
-            cliques.append(chosen)
-        elif len(chosen) == p - 1:
+        if len(chosen) == k:  # k = 1: the root is the one clique
+            yield chosen
+        elif len(chosen) == k - 1:
             while cand:
                 low = cand & -cand
-                cliques.append(chosen + (low.bit_length() - 1,))
+                yield chosen + (low.bit_length() - 1,)
                 cand ^= low
         else:  # push, largest first, each c that leaves enough candidates
-            need, rest = p - len(chosen) - 1, cand
+            need, rest = k - len(chosen) - 1, cand
             while rest:
                 c = rest.bit_length() - 1
                 rest ^= 1 << c
                 after = cand & (allowed << c)
                 if after.bit_count() >= need:
                     stack.append((chosen + (c,), after))
+
+
+def _spectrum_cliques(g: FinitePointSet, p: int, n_max,
+                      deadline: Optional[float] = None,
+                      ) -> tuple[list[tuple[int, ...]], Callable[[int], range]]:
+    """(cliques, lifts) for enumerate_spectra, M = p * lcm(denominators of
+    G): every p-clique mod M among the residues {0, ..., min(n_max, M - 1)},
+    ascending, in lexicographic order, from _cliques on the admissible
+    differences; and lifts(r), the values residue r of a clique takes in a
+    spectrum: 0 stays 0, and r > 0 takes r, r + M, ... up to n_max.
+    """
+    n_max = _as_int(n_max, "n_max", 0)
+    vanishes = _vanishing_test(g.points, p)
+    modulus = p * math.lcm(*(x.denominator for x in g.points))
+    allowed = sum(1 << d for d in range(1, min(n_max, modulus - 1) + 1)
+                  if vanishes(d))
+    cliques = list(_cliques(allowed, p, deadline, "spectrum enumeration"))
     return cliques, lambda r: range(r, n_max + 1, modulus) if r else range(1)
 
 

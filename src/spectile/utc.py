@@ -18,10 +18,10 @@ from typing import Iterator, Optional
 from .cyclotomic import _Value
 from .intervals import (IntervalUnion, OmegaTilingCertificate,
                         _assemble_from_cells, build_omega, fibers)
-from .spectra import (FinitePointSet, IntSet, _as_int, _lifted,
-                      _spectrum_cliques, _spectrum_test, as_fraction,
-                      spectrum_base)
-from .tilings import (PeriodicSet, SearchTimeout, _first_common_cover,
+from .spectra import (FinitePointSet, IntSet, SearchTimeout, _as_int,
+                      _lifted, _spectrum_cliques, _spectrum_test,
+                      as_fraction, spectrum_base)
+from .tilings import (PeriodicSet, _first_common_cover,
                       find_common_complement, is_tiling_of_Z)
 
 VERIFIED = "verified-with-certificate"
@@ -85,10 +85,9 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
     cliques without reading a member.  At period m a residue r of a clique
     takes every value of {x mod m : x a lift of r}, and any choice of one
     per residue is some lift, so the product of those sets over the clique
-    gives the m-bit masks of all its spectra; the first is the first
-    clique's own, which is the first spectrum's.  The search therefore
-    sees the classes find_common_complement would see on the family, and
-    finds the same certificate.
+    gives the m-bit masks of all its spectra.  The search therefore sees
+    the classes find_common_complement would see on the family, and finds
+    the same certificate, which does not depend on their order.
 
     The verdict is verified-with-certificate only after a re-check on
     every class of every clique, by integer code apart from the masks.
@@ -117,8 +116,7 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
     residues = {r for clique in cliques for r in clique}
 
     def masks(m: int) -> Iterator[int]:
-        bits = {r: tuple(dict.fromkeys(1 << (x % m) for x in lifts(r)))
-                for r in residues}
+        bits = {r: {1 << (x % m) for x in lifts(r)} for r in residues}
         return (sum(combo) for clique in cliques
                 for combo in product(*map(bits.__getitem__, clique)))
 

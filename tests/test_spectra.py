@@ -29,7 +29,7 @@ from spectile import (INCONCLUSIVE, FinitePointSet, IntervalUnion, IntSet,
                       spectral_verdict, tiles_cyclic, utc_verify,
                       verify_omega_tiling)
 from spectile.spectra import (_POLL_INTERVAL, _as_int, _base_points,
-                              _vanishing_test)
+                              _cliques, _vanishing_test)
 from corpus import bases, bases_and_bounds
 
 X = sympy.Symbol("x")
@@ -481,6 +481,37 @@ def test_enumerate_spectra_matches_brute_force_on_random_bases(base, n_max):
     gamma, p = base
     assert enumerate_spectra(gamma, p, n_max) == \
         brute_force_spectra(gamma, p, n_max)
+
+
+@st.composite
+def graphs(draw):
+    """(n, allowed): a graph on the vertices {0, ..., n}, n <= 13, that
+    joins x < y when bit y - x of allowed is set."""
+    n = draw(st.integers(0, 13))
+    return n, draw(st.integers(0, (1 << n) - 1)) << 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=graphs(), k=st.integers(1, 6))
+@example(graph=(13, 0), k=1)
+@example(graph=(13, 0), k=2)
+@example(graph=(5, 0b111110), k=6)
+@example(graph=(13, (1 << 14) - 2), k=6)
+def test_cliques_match_the_combinations_filter(graph, k):
+    # the kernel on graphs neither the spectrum nor the complement search
+    # builds: every k-set through 0 with each positive difference allowed,
+    # in lexicographic order
+    n, allowed = graph
+    expected = [c for c in ((0,) + rest
+                            for rest in combinations(range(1, n + 1), k - 1))
+                if all(allowed >> (y - x) & 1 for x, y in combinations(c, 2))]
+    assert list(_cliques(allowed, k, None, "clique search")) == expected
+
+
+def test_cliques_deadline_names_the_search():
+    with pytest.raises(SearchTimeout,
+                       match="^clique search passed its deadline$"):
+        next(_cliques(0b110, 2, time.monotonic() - 1, "clique search"))
 
 
 @settings(max_examples=150, deadline=None)

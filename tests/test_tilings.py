@@ -3,15 +3,16 @@ oracle for completeness at small periods."""
 
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spectile import (IntSet, PeriodicSet, SearchTimeout,
+from spectile import (IntervalUnion, IntSet, PeriodicSet, SearchTimeout,
                       find_common_complement, find_complements, is_tiling_of_Z,
-                      tiles_cyclic)
+                      tiles_cyclic, verify_omega_tiling)
 from spectile.spectra import _POLL_INTERVAL
 from spectile.tilings import _exact_covers
 
@@ -112,10 +113,22 @@ def test_periodic_set_validation():
     assert len(ps) == 3
     with pytest.raises(ValueError):
         PeriodicSet((0, 4), 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="period must be positive"):
         PeriodicSet((0,), 0)
     with pytest.raises(ValueError, match="residues must be strictly increasing"):
         PeriodicSet((2, 1), 4)
+    # the constructor refuses what PeriodicSet.of refuses: floats with
+    # TypeError, values that are not integers with ValueError
+    for residues, period in [((0, 0.5), 1), ((0,), 2.0), ((0, 1.0), 2)]:
+        with pytest.raises(TypeError):
+            PeriodicSet(residues, period)
+    for residues, period in [((0, Fraction(1, 2)), 1), ((0,), Fraction(5, 2))]:
+        with pytest.raises(ValueError, match="is not an integer"):
+            PeriodicSet(residues, period)
+    # an exact verdict is never given on a float residue
+    with pytest.raises(TypeError):
+        verify_omega_tiling(IntervalUnion.of([(0, Fraction(1, 2))]),
+                            PeriodicSet((0, 0.5), 1))
 
 
 def test_tiles_cyclic_examples():
@@ -180,6 +193,13 @@ def test_find_complements_property_matches_brute_force(tile, m):
 
 
 @st.composite
+def reordered(draw, cases):
+    """A drawn (family, m_max) and the same family in a drawn order."""
+    family, m_max = draw(cases)
+    return family, m_max, draw(st.permutations(family))
+
+
+@st.composite
 def families(draw):
     p = draw(st.integers(1, 4))
     member = st.lists(st.integers(0, 20), min_size=p, max_size=p, unique=True)
@@ -188,9 +208,11 @@ def families(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=families())
+@given(case=reordered(families()))
 def test_find_common_complement_property_matches_brute_force(case):
-    family, m_max = case
+    # the certificate is the smallest common cover at the first period
+    # that has one, in every order of the family
+    family, m_max, shuffled = case
     p = len(family[0])
     sets = [IntSet.of(a) for a in family]
     expected = None
@@ -202,11 +224,11 @@ def test_find_common_complement_property_matches_brute_force(case):
         if covers and expected is None:
             expected = m, covers
     got = find_common_complement(family, m_max)
+    assert find_common_complement(shuffled, m_max) == got
     if expected is None:
         assert got is None
     else:
-        assert got.period == expected[0]
-        assert got.residues in expected[1]
+        assert (got.period, got.residues) == (expected[0], expected[1][0])
 
 
 @st.composite
@@ -237,45 +259,55 @@ def shifted_families(draw):
     return draw(st.permutations(family)), draw(st.integers(1, 3 * m))
 
 
+# {0, 2, 8, 10} and {5, 11, 13, 19} share their first covers at period 16.
+# A search led by one member meets them in an order of its own: the packed
+# search meets (0, 1, 4, 5) first when {0, 2, 8, 10} leads, and
+# (0, 3, 4, 7) when {5, 11, 13, 19} does.  The certificate is the smallest
+# of them, (0, 1, 4, 5), whichever member comes first
+EXAMPLES = [([[0, 2, 8, 10], [5, 11, 13, 19], [0, 18, 8, 10]], 16,
+             [[5, 11, 13, 19], [0, 18, 8, 10], [0, 2, 8, 10]]),
+            ([[5, 11, 13, 19], [0, 2, 8, 10], [5, 27, 13, 19]], 16,
+             [[0, 2, 8, 10], [5, 27, 13, 19], [5, 11, 13, 19]])]
+
+
 @settings(max_examples=200, deadline=None)
-@given(case=shifted_families())
-# at period 16 the two classes meet their common covers in different
-# orders, so the answer depends on which member comes first
-@example(case=([[0, 2, 8, 10], [5, 11, 13, 19], [0, 18, 8, 10]], 16))
-@example(case=([[5, 11, 13, 19], [0, 2, 8, 10], [5, 27, 13, 19]], 16))
+@given(case=reordered(shifted_families()))
+@example(case=EXAMPLES[0])
+@example(case=EXAMPLES[1])
 def test_find_common_complement_matches_search_over_every_member(case):
-    # the per-class search returns the cover the search over all members
-    # finds first, at the first period that has one
-    family, m_max = case
+    # the per-class search returns the smallest cover the search over all
+    # members finds, at the first period that has one, in any member order
+    family, m_max, shuffled = case
     sets = [IntSet.of(a) for a in family]
     p = len(sets[0])
     expected = None
     for m in range(p, m_max + 1, p):
-        found = next(packed_exact_covers(sets, m), None)
-        if found is not None:
-            expected = PeriodicSet(found, m)
+        covers = sorted(packed_exact_covers(sets, m))
+        if covers:
+            expected = PeriodicSet(covers[0], m)
             break
     assert find_common_complement(family, m_max) == expected
+    assert find_common_complement(shuffled, m_max) == expected
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=st.one_of(families(), shifted_families()))
-@example(case=([[0, 2, 8, 10], [5, 11, 13, 19], [0, 18, 8, 10]], 16))
-@example(case=([[5, 11, 13, 19], [0, 2, 8, 10], [5, 27, 13, 19]], 16))
+@given(case=reordered(st.one_of(families(), shifted_families())))
+@example(case=EXAMPLES[0])
+@example(case=EXAMPLES[1])
 def test_exact_covers_match_the_packed_search_in_order(case):
-    # covering by the lead under the other tables' forbidden differences
-    # meets the same covers in the same order as the packed search over
-    # every member, whatever the order of the tables after the lead
-    family, m_max = case
+    # the clique search lists the covers the packed search over every
+    # member finds, in lexicographic order, whatever the order of the tables
+    family, m_max, shuffled = case
     sets = [IntSet.of(a) for a in family]
     p = len(sets[0])
     for m in range(p, m_max + 1, p):
         tables = [sum({1 << (x % m) for x in a.elements}) for a in sets]
         if any(t.bit_count() < p for t in tables):
             continue
-        expected = list(packed_exact_covers(sets, m))
+        expected = sorted(packed_exact_covers(sets, m))
         assert list(_exact_covers(tables, m)) == expected, (family, m)
-        assert list(_exact_covers(tables[:1] + tables[:0:-1], m)) == expected
+        others = [sum({1 << (x % m) for x in a}) for a in shuffled]
+        assert list(_exact_covers(others, m)) == expected, (shuffled, m)
 
 
 @st.composite
@@ -330,6 +362,9 @@ def test_find_complements_sorted_output():
 
 
 def test_find_common_complement_examples():
+    a, b = [0, 2, 8, 10], [5, 11, 13, 19]
+    assert find_common_complement([a, b], 16) == \
+        find_common_complement([b, a], 16) == PeriodicSet((0, 1, 4, 5), 16)
     got = find_common_complement([[0, 1], [0, 3], [0, 5]], 8)
     assert (got.residues, got.period) == ((0,), 2)
     got = find_common_complement([[0, 1, 2, 3], [0, 5, 2, 7]], 8)

@@ -254,13 +254,13 @@ def test_utc_verify_recheck_matches_every_member(case):
 
 
 def _searches(call):
-    """call()'s result and the (period, lead, tables) of every search it
-    ran, tables as a set: only the lead's position among them matters."""
+    """call()'s result and the (period, tables) of every search it ran,
+    tables as a set: their order cannot change what is found."""
     searched = []
     real = spectile.tilings._exact_covers
 
     def recording(tables, m, *args):
-        searched.append((m, tables[0], frozenset(tables)))
+        searched.append((m, frozenset(tables)))
         return real(tables, m, *args)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -273,11 +273,11 @@ def test_utc_verify_skips_a_period_for_a_lift():
     # clique (0, 4) lifts to (0, 4) and (0, 12).  Periods 2 and 4 are
     # skipped for the clique itself; 6 only for the lift, as 12 = 0 mod 6
     short, searched = _searches(lambda: utc_verify(2, [0, F(1, 4)], 4, 8))
-    assert [m for m, _, _ in searched] == [6, 8]
+    assert [m for m, _ in searched] == [6, 8]
     assert short.certificate == PeriodicSet.of([0, 1, 2, 3], 8)
     lifted, searched = _searches(lambda: utc_verify(2, [0, F(1, 4)], 13, 8))
     assert [tuple(a) for a in lifted.spectra_found] == [(0, 4), (0, 12)]
-    assert [m for m, _, _ in searched] == [8]
+    assert [m for m, _ in searched] == [8]
     assert lifted.certificate == short.certificate
     # below period 8 both end inconclusive, one after a failed search at
     # 6 and one with every period skipped
@@ -285,7 +285,7 @@ def test_utc_verify_skips_a_period_for_a_lift():
         report, searched = _searches(
             lambda: utc_verify(2, [0, F(1, 4)], n_max, 7))
         assert report.verdict == INCONCLUSIVE and report.spectra_found
-        assert [m for m, _, _ in searched] == periods
+        assert [m for m, _ in searched] == periods
 
 
 @st.composite
