@@ -186,10 +186,13 @@ class ResidueMultiset(_Value):
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        _as_int(self.modulus, "modulus", 1)
-        for e in self.entries:
-            if not 0 <= _as_int(e) < self.modulus:
-                raise ValueError(f"entry {e} outside [0, {self.modulus})")
+        modulus = _as_int(self.modulus, "modulus", 1)
+        entries = tuple(map(_as_int, self.entries))
+        for e in entries:
+            if not 0 <= e < modulus:
+                raise ValueError(f"entry {e} outside [0, {modulus})")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def of(cls, modulus: int, entries: Iterable[int]) -> "ResidueMultiset":

@@ -212,20 +212,32 @@ def _poll_chunks(items: Iterable, deadline: Optional[float],
         yield chunk
 
 
-def _cliques(allowed: int, k: int, deadline: Optional[float],
-             what: str) -> Iterator[tuple[int, ...]]:
+def _cliques(allowed: int, k: int, deadline: Optional[float], what: str,
+             blocks: Sequence[Sequence[int]] = (), modulus: int = 0,
+             ) -> Iterator[tuple[int, ...]]:
     """Every k-set of nonnegative integers containing 0 whose positive
     differences are all bits of allowed (bit d for the difference d; bit
     0 is clear), as ascending tuples in lexicographic order: the k-cliques
     through 0 of the graph that joins x < y when bit y - x is set.
 
-    Depth-first on a stack of prefixes with bitsets of their next
-    candidates, ascending; a prefix is pushed only if it leaves enough
-    candidates, and a prefix one short of k completes with each of its
-    candidates.  The deadline is checked before the first node and then
-    every _POLL_INTERVAL nodes; passing it raises SearchTimeout naming
-    what.
+    Depth-first on a stack of prefixes with bitsets of their candidates,
+    the vertices above a prefix joined to all of it.  A prefix takes its
+    smallest candidate and then drops it, so the cliques come out in
+    lexicographic order; with just as many candidates as members short,
+    it takes them all if they are a clique, and with fewer it ends.
+
+    blocks are residue sets B mod modulus (the vertices then lie in
+    [0, modulus)) with no d in B - B that has bit d or bit modulus - d in
+    allowed.  The translates q + B of a clique's members are then disjoint
+    mod modulus, so a prefix whose candidates C have |C + B| below |B|
+    times the members it is short ends too.  On the tables of a tiling
+    this is the exact-cover test: each residue the prefix's translates
+    leave uncovered lies in a candidate's translate.  Without it a search
+    with no clique could take time exponential in k.  The deadline is
+    checked before the first node and then every _POLL_INTERVAL nodes;
+    passing it raises SearchTimeout naming what.
     """
+    full = (1 << modulus) - 1
     stack = [((0,), allowed)]
     nodes = 0
     while stack:
@@ -234,21 +246,33 @@ def _cliques(allowed: int, k: int, deadline: Optional[float],
             raise SearchTimeout(f"{what} passed its deadline")
         nodes += 1
         chosen, cand = stack.pop()
-        if len(chosen) == k:  # k = 1: the root is the one clique
+        need, size = k - len(chosen), cand.bit_count()
+        if not need:  # k = 1: the root is the one clique
             yield chosen
-        elif len(chosen) == k - 1:
+        elif size == need:  # all the candidates, if they are a clique
+            tail = []
             while cand:
                 low = cand & -cand
-                yield chosen + (low.bit_length() - 1,)
                 cand ^= low
-        else:  # push, largest first, each c that leaves enough candidates
-            need, rest = k - len(chosen) - 1, cand
-            while rest:
-                c = rest.bit_length() - 1
-                rest ^= 1 << c
-                after = cand & (allowed << c)
-                if after.bit_count() >= need:
-                    stack.append((chosen + (c,), after))
+                tail.append(low.bit_length() - 1)
+                if cand >> tail[-1] & ~allowed:
+                    break
+            else:
+                yield chosen + tuple(tail)
+        elif size > need:
+            twice = cand << modulus | cand  # twice << t: C + t in bits
+            # modulus to 2 * modulus - 1, mod modulus
+            for block in blocks:
+                spread = 0
+                for t in block:
+                    spread |= twice << t
+                if (spread >> modulus & full).bit_count() < need * len(block):
+                    break
+            else:
+                low = cand & -cand
+                c = low.bit_length() - 1
+                stack.append((chosen, cand ^ low))  # then without c
+                stack.append((chosen + (c,), cand & allowed << c))
 
 
 def _spectrum_cliques(g: FinitePointSet, p: int, n_max,

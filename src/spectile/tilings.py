@@ -7,7 +7,8 @@ By the difference criterion, the complements R with 0 in R shared by
 residue classes T mod m (the cyclic check reads A only mod m) are the
 (m/p)-cliques through 0 of Z_m joined at each difference in no T - T.
 Both complement searches list them with spectra._cliques, the kernel
-that finds the spectra too, in lexicographic order: a certificate is the
+that finds the spectra too, in lexicographic order, bounded by the
+classes' translates as an exact-cover search is: a certificate is the
 smallest common complement at its period, whatever the order of the
 members.  A search that finds nothing within its period bound is
 inconclusive, never a refutation.
@@ -30,11 +31,14 @@ class PeriodicSet(_Value, order=True):
     period: int
 
     def __post_init__(self):
-        _as_int(self.period, "period", 1)
-        for r in self.residues:
-            if not 0 <= _as_int(r) < self.period:
-                raise ValueError(f"residue {r} outside [0, {self.period})")
-        _check_increasing(self.residues, "residues")
+        period = _as_int(self.period, "period", 1)
+        residues = tuple(map(_as_int, self.residues))
+        for r in residues:
+            if not 0 <= r < period:
+                raise ValueError(f"residue {r} outside [0, {period})")
+        _check_increasing(residues, "residues")
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "residues", residues)
 
     @classmethod
     def of(cls, residues: Iterable[int], period: int) -> "PeriodicSet":
@@ -77,8 +81,11 @@ def _exact_covers(tables: Sequence[int], m: int,
     when the search starts.  By the difference criterion, T + R covers
     Z_m once iff |T||R| = m and (T - T) and (R - R) share only 0, so the
     covers are the (m/p)-cliques of _cliques on the differences in no
-    T - T, and the order of the tables cannot change them.  deadline, an
-    absolute time.monotonic() value, is polled as _cliques polls it.
+    T - T, and the order of the tables cannot change them.  The tables
+    are its blocks: a prefix ends once some residue it leaves uncovered
+    lies in no candidate's translate of some table, so a period with no
+    cover is refuted early.  deadline, an absolute time.monotonic()
+    value, is polled as _cliques polls it.
     """
     if not (tables
             and all(isinstance(t, int) and 0 < t < 1 << m for t in tables)
@@ -86,14 +93,14 @@ def _exact_covers(tables: Sequence[int], m: int,
             and m % tables[0].bit_count() == 0):
         raise ValueError(f"tables must be nonzero masks below 2**{m} with "
                          f"one popcount dividing {m}")
-    full = (1 << m) - 1
-    differences = 0  # every T - T mod m, each table rotated by its residues
-    for t in tables:
-        for x in range(m):
-            if t >> x & 1:
-                differences |= (t >> x | t << (m - x)) & full
-    yield from _cliques(full ^ differences, m // tables[0].bit_count(),
-                        deadline, f"common-complement search at period {m}")
+    blocks = [[x for x in range(m) if t >> x & 1] for t in tables]
+    differences = 0  # every T - T mod m: T turned back by each residue
+    for t, block in zip(tables, blocks):
+        for x in block:
+            differences |= t >> x | t << (m - x)
+    yield from _cliques(~differences & (1 << m) - 1, m // len(blocks[0]),
+                        deadline, f"common-complement search at period {m}",
+                        blocks, m)
 
 
 def find_complements(tile, m: int) -> list[tuple[int, ...]]:

@@ -4,6 +4,7 @@ cross-checked against sympy and direct float evaluation."""
 import doctest
 import math
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -60,6 +61,10 @@ def test_residue_multiset_validation():
         ResidueMultiset.of(4, ["1/2"])
     with pytest.raises(ValueError, match="modulus must be positive"):
         ResidueMultiset.of(0, [])
+    # the constructor stores integral Fractions as ints
+    ms = ResidueMultiset(Fraction(6, 2), (0, Fraction(4, 2)))
+    assert ms == ResidueMultiset(3, (0, 2))
+    assert type(ms.modulus) is int and all(type(e) is int for e in ms.entries)
 
 
 def test_known_vanishing_sums():

@@ -485,27 +485,43 @@ def test_enumerate_spectra_matches_brute_force_on_random_bases(base, n_max):
 
 @st.composite
 def graphs(draw):
-    """(n, allowed): a graph on the vertices {0, ..., n}, n <= 13, that
-    joins x < y when bit y - x of allowed is set."""
-    n = draw(st.integers(0, 13))
-    return n, draw(st.integers(0, (1 << n) - 1)) << 1
+    """(n, allowed, blocks, modulus): a graph on the vertices {0, ..., n},
+    n <= 13, that joins x < y when bit y - x of allowed is set; without
+    blocks (modulus 0), or on Z_modulus (n = modulus - 1) joined at a
+    symmetric set of differences, with up to three residue sets whose
+    differences it never joins as blocks."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 13))
+        return n, draw(st.integers(0, (1 << n) - 1)) << 1, (), 0
+    m = draw(st.integers(1, 14))
+    blocks = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=1,
+                                    max_size=4, unique=True), max_size=3))
+    banned = {(x - y) % m for b in blocks for x in b for y in b} | {0}
+    joined = draw(st.sets(st.integers(1, max(1, m // 2))))
+    allowed = sum({1 << d % m for j in joined for d in (j, -j)
+                   if d % m not in banned})
+    return m - 1, allowed, blocks, m
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(graph=graphs(), k=st.integers(1, 6))
-@example(graph=(13, 0), k=1)
-@example(graph=(13, 0), k=2)
-@example(graph=(5, 0b111110), k=6)
-@example(graph=(13, (1 << 14) - 2), k=6)
+@example(graph=(13, 0, (), 0), k=1)
+@example(graph=(13, 0, (), 0), k=2)
+@example(graph=(5, 0b111110, (), 0), k=6)
+@example(graph=(13, (1 << 14) - 2, (), 0), k=6)
+@example(graph=(11, 0b111110000, [[0, 1, 3]], 12), k=4)  # Z_12 has no cover
+@example(graph=(15, 0b1011101010111010, [[0, 2, 8, 10], [3, 5, 11, 13]], 16),
+         k=4)
 def test_cliques_match_the_combinations_filter(graph, k):
     # the kernel on graphs neither the spectrum nor the complement search
     # builds: every k-set through 0 with each positive difference allowed,
-    # in lexicographic order
-    n, allowed = graph
+    # in lexicographic order; blocks end only prefixes with no clique
+    n, allowed, blocks, modulus = graph
     expected = [c for c in ((0,) + rest
                             for rest in combinations(range(1, n + 1), k - 1))
                 if all(allowed >> (y - x) & 1 for x, y in combinations(c, 2))]
-    assert list(_cliques(allowed, k, None, "clique search")) == expected
+    assert list(_cliques(allowed, k, None, "clique search",
+                         blocks, modulus)) == expected
 
 
 def test_cliques_deadline_names_the_search():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from spectile import (IntervalUnion, IntSet, PeriodicSet, SearchTimeout,
                       find_common_complement, find_complements, is_tiling_of_Z,
                       tiles_cyclic, verify_omega_tiling)
+from spectile.cli import canonical_json
 from spectile.spectra import _POLL_INTERVAL
 from spectile.tilings import _exact_covers
 
@@ -129,6 +130,12 @@ def test_periodic_set_validation():
     with pytest.raises(TypeError):
         verify_omega_tiling(IntervalUnion.of([(0, Fraction(1, 2))]),
                             PeriodicSet((0, 0.5), 1))
+    # integral Fractions are stored as ints, so the certificate form is one
+    ps = PeriodicSet([0, Fraction(2, 2)], Fraction(4, 2))
+    assert ps == PeriodicSet((0, 1), 2)
+    assert type(ps.period) is int and ps.residues == (0, 1)
+    assert all(type(r) is int for r in ps.residues)
+    assert canonical_json(ps) == canonical_json(PeriodicSet((0, 1), 2))
 
 
 def test_tiles_cyclic_examples():
@@ -397,6 +404,22 @@ def test_find_common_complement_deadline():
     past = time.monotonic() - 1.0
     with pytest.raises(SearchTimeout):
         find_common_complement([[0, 1], [0, 3]], 8, deadline=past)
+
+
+def test_searches_with_no_complement_end_fast():
+    # no complement at any period: {0, 1, 3} tiles no Z_m, and [0, 1],
+    # [0, 2] share none.  A lexicographic clique search without the
+    # tables' bound walks exponentially many prefixes on these, past any
+    # deadline here
+    deadline = time.monotonic() + 5.0
+    for m in (48, 72, 96, 300):
+        mask = sum(1 << (x % m) for x in (0, 1, 3))
+        assert list(_exact_covers([mask], m, deadline)) == []
+        assert find_complements([0, 1, 3], m) == []
+    assert find_common_complement([[0, 1], [0, 2]], 100,
+                                  deadline=deadline) is None
+    assert find_common_complement([[0, 1, 3], [0, 2, 4]], 150,
+                                  deadline=deadline) is None
 
 
 def test_is_tiling_of_Z_examples():
