@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 import operator
 import time
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice, product
+from itertools import chain, combinations, groupby, islice, product, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cyclotomic import (RationalLike, _as_int, _cyclotomic_divides, _Value,
@@ -85,6 +85,23 @@ class IntSet(_Value, order=True):
 
     def __post_init__(self):
         _check_increasing(self.elements, "elements")
+
+    @classmethod
+    def _many(cls, chunk: Sequence[tuple[int, ...]]) -> list["IntSet"]:
+        """[cls(t) for t in chunk], without a Python frame per set.
+
+        Each run of tuples of one length k is flattened once and checked
+        column by column, element j of every tuple below its element
+        j + 1, raising the ValueError cls(t) raises; the sets are then
+        made by object.__new__ and the slot's setter."""
+        for k, run in groupby(chunk, len):
+            flat = list(chain.from_iterable(run))
+            if not all(all(map(operator.lt, flat[j::k], flat[j + 1::k]))
+                       for j in range(k - 1)):
+                raise ValueError("elements must be strictly increasing")
+        out = list(map(object.__new__, repeat(cls, len(chunk))))
+        deque(map(cls.elements.__set__, out, chunk), 0)
+        return out
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -296,18 +313,23 @@ def _spectrum_cliques(g: FinitePointSet, p: int, n_max,
 def _lifted(cliques: Iterable[tuple[int, ...]],
             lifts: Callable[[int], range],
             deadline: Optional[float] = None) -> list[IntSet]:
-    """Every lift of every clique, sorted lexicographically; the deadline
-    is checked before every _POLL_INTERVAL of them, once as tuples and
-    again as IntSets, after the sort."""
-    members = (tuple(sorted(a)) for clique in cliques
-               for a in product(*map(lifts, clique)))
+    """Every lift of every clique, sorted lexicographically.
+
+    Two passes over chunks of _POLL_INTERVAL, with the deadline checked
+    before each chunk and no Python frame per member: the first sorts the
+    values of each lift into a tuple by C-level maps, and after one sort
+    of all of them, which is not polled, the second wraps each chunk with
+    IntSet._many, which checks every member strictly increasing."""
+    # sorted drops each product tuple at once, so product reuses it
+    members = map(tuple, map(sorted, chain.from_iterable(
+        product(*map(lifts, clique)) for clique in cliques)))
     spectra: list[tuple[int, ...]] = []
     for chunk in _poll_chunks(members, deadline, "spectrum enumeration"):
         spectra += chunk
     spectra.sort()
     out: list[IntSet] = []
     for chunk in _poll_chunks(spectra, deadline, "spectrum enumeration"):
-        out += map(IntSet, chunk)
+        out += IntSet._many(chunk)
     return out
 
 
@@ -340,7 +362,9 @@ def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
     first node of the clique search and then every _POLL_INTERVAL nodes,
     and again before every _POLL_INTERVAL lifted sets, both as they are
     lifted and as they are wrapped after the sort; passing it raises
-    SearchTimeout.
+    SearchTimeout.  The one sort of all the lifts is not polled.  Each
+    member is checked strictly increasing as it is wrapped, in chunks, by
+    the check IntSet itself makes, so a bad lift raises ValueError.
     """
     g, p = _base_points(g, p)
     return _lifted(*_spectrum_cliques(g, p, n_max, deadline), deadline)

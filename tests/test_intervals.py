@@ -473,6 +473,15 @@ for den, ends in [(2, ((0, 2), (1, 4))), (2, ((0, 2),))]:
     else:
         raise SystemExit("IntervalUnion accepted the grid %r" % ((den, ends),))
 
+import spectile.spectra as spectra
+for bad in [(0, 2, 2), (0, 3, 1)]:
+    try:
+        spectra.IntSet._many([(0, 1, 2), bad, (0, 1, 3)])
+    except ValueError:
+        pass
+    else:
+        raise SystemExit("IntSet._many accepted %r" % (bad,))
+
 import spectile.tilings as tilings
 import spectile.utc as utc
 # {0, 1} mod 4 fails every spectrum of {0, 1}; the re-check must say so

@@ -567,16 +567,17 @@ def test_enumerate_spectra_deadline_during_lifting(monkeypatch):
 
 def test_enumerate_spectra_deadline_while_wrapping(monkeypatch):
     # Z_9 within {0..27} has 3^8 lifts; the clock passes every deadline
-    # at the first IntSet built, after the lifts are made and sorted, so
-    # only the wrapping into IntSets can notice it
+    # at the first chunk of IntSets built, after the lifts are made and
+    # sorted, so only the wrapping into IntSets can notice it
     built = []
-    real_post_init, real_clock = IntSet.__post_init__, time.monotonic
+    real_many, real_clock = IntSet._many, time.monotonic
 
-    def counted(self):
-        built.append(self)
-        real_post_init(self)
+    def counted(chunk):
+        made = real_many(chunk)
+        built.extend(made)
+        return made
 
-    monkeypatch.setattr(IntSet, "__post_init__", counted)
+    monkeypatch.setattr(IntSet, "_many", staticmethod(counted))
     monkeypatch.setattr(spectile.spectra.time, "monotonic",
                         lambda: real_clock() + 1e9 * bool(built))
     with pytest.raises(SearchTimeout):
@@ -587,3 +588,61 @@ def test_enumerate_spectra_deadline_while_wrapping(monkeypatch):
     assert built
     assert report.verdict == INCONCLUSIVE
     assert report.spectra_found == () and report.certificate is None
+
+
+def test_enumerate_spectra_refuses_a_bad_lift(monkeypatch):
+    # every nonzero residue lifted to 1: the clique (0, 1, 2) of Z_3 lifts
+    # to (0, 1, 1), which the batch check must refuse as IntSet does
+    real_cliques = spectile.spectra._spectrum_cliques
+
+    def colliding(*args):
+        cliques, _ = real_cliques(*args)
+        return cliques, lambda r: range(1, 2) if r else range(1)
+
+    monkeypatch.setattr(spectile.spectra, "_spectrum_cliques", colliding)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        enumerate_spectra(range(3), 3, 8)
+
+
+def _runs_of_increasing_tuples():
+    """Chunks of strictly increasing int tuples: runs of one length, as
+    _lifted makes them, of mixed lengths from 0 to 4."""
+    def run(k):
+        return st.lists(st.sets(st.integers(-40, 40), min_size=k, max_size=k)
+                        .map(lambda s: tuple(sorted(s))), min_size=1,
+                        max_size=5)
+    return st.lists(st.integers(0, 4).flatmap(run), max_size=5).map(
+        lambda runs: [t for r in runs for t in r])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_runs_of_increasing_tuples())
+@example([(), (), (0, 1, 2), (0, 1, 3), (5,), (), (1, 2)])
+def test_intset_many_matches_one_by_one(chunk):
+    made, one = IntSet._many(chunk), [IntSet(t) for t in chunk]
+    assert all(type(a) is IntSet for a in made)
+    assert made == one and list(map(hash, made)) == list(map(hash, one))
+    assert list(map(repr, made)) == list(map(repr, one))
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        assert [op(a, b) for a in made for b in one] == \
+            [op(a, b) for a in one for b in one]
+    for copied in (pickle.loads(pickle.dumps(made)), list(map(copy.copy, made)),
+                   copy.deepcopy(made)):
+        assert copied == one
+        assert list(map(repr, copied)) == list(map(repr, one))
+
+
+@pytest.mark.parametrize("bad", [(0, 2, 2), (0, 3, 1)],
+                         ids=["repeat", "descent"])
+@pytest.mark.parametrize("fill", [[(0, 1, 2)] * 4,
+                                  [(), (0, 1, 2), (5,), (1, 4), (0, 1, 2)]],
+                         ids=["one-length", "mixed"])
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_intset_many_refuses_what_intset_refuses(bad, fill, at):
+    with pytest.raises(ValueError) as one:
+        IntSet(bad)
+    where = {"first": 0, "middle": len(fill) // 2, "last": len(fill)}[at]
+    chunk = fill[:where] + [bad] + fill[where:]
+    with pytest.raises(ValueError) as many:
+        IntSet._many(chunk)
+    assert str(many.value) == str(one.value)
