@@ -12,10 +12,9 @@ __version__ = "0.1.0"
 # each public name under the module that defines it
 _HOMES = {
     "cyclotomic": ("ResidueMultiset", "as_fraction", "cyclotomic_poly",
-                   "root_sum_is_zero", "root_sum_value"),
-    "spectra": ("FinitePointSet", "IntSet", "ResourceLimitError",
-                "SearchTimeout", "admissible_differences",
-                "brute_force_spectra", "enumerate_spectra",
+                   "root_sum_is_zero"),
+    "spectra": ("FinitePointSet", "IntSet", "SearchTimeout",
+                "admissible_differences", "enumerate_spectra",
                 "exponential_sum_vanishes", "is_spectrum"),
     "tilings": ("PeriodicSet", "find_common_complement", "find_complements",
                 "is_tiling_of_Z", "tiles_cyclic"),

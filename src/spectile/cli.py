@@ -521,7 +521,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         }
         chunks = _json_chunks(certificate)
         if ns.output:
-            _write_atomic(ns.output, chunks)
+            try:
+                _write_atomic(ns.output, chunks)
+            except OSError as exc:
+                raise InputError(f"--output: cannot write {ns.output}: "
+                                 f"{exc.strerror or exc}") from None
         else:
             sys.stdout.writelines(chunks)
         if ns.summary:

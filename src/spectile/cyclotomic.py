@@ -4,12 +4,12 @@ A sum of roots of unity  sum_e zeta_m^e  (over a multiset of exponents e)
 vanishes exactly when the m-th cyclotomic polynomial divides the mask
 polynomial  sum_e x^e,  decided by one cyclic shift-and-subtract per prime
 of m on the nonzero terms alone.  Everything runs on Python integers, so the
-verdicts carry no rounding error; a float evaluator cross-checks them.
+verdicts carry no rounding error; the tests cross-check them against the
+float evaluator in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from collections import Counter
@@ -213,10 +213,3 @@ def root_sum_is_zero(multiset: ResidueMultiset) -> bool:
     False
     """
     return _cyclotomic_divides(multiset.modulus, Counter(multiset.entries))
-
-
-def root_sum_value(multiset: ResidueMultiset) -> complex:
-    """Floating-point value of  sum_e e^(2 pi i e / m),  the cross-check
-    oracle for root_sum_is_zero."""
-    m = multiset.modulus
-    return sum((cmath.exp(2j * cmath.pi * e / m) for e in multiset.entries), 0j)

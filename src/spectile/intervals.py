@@ -81,10 +81,6 @@ class IntervalUnion(_Value):
         x = as_fraction(x)
         return any(a <= x < b for a, b in self.intervals)
 
-    def translate(self, c: RationalLike) -> "IntervalUnion":
-        c = as_fraction(c)
-        return IntervalUnion.of((a + c, b + c) for a, b in self.intervals)
-
 
 def _shown(den: int, a: int, b: int) -> str:
     """The interval [a/den, b/den) as error messages write it."""
@@ -133,10 +129,6 @@ class FiberCell(_Value):
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "fiber", fiber)
-
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
 
 
 class FiberDecomposition(_Value):

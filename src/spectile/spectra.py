@@ -21,14 +21,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .cyclotomic import (RationalLike, _as_int, _cyclotomic_divides, _Value,
                          as_fraction)
 
-BRUTE_FORCE_GUARD = 10**7
-
 # deadline polls happen once per this many search nodes
 _POLL_INTERVAL = 1024
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a brute-force enumeration would exceed its safety guard."""
 
 
 class SearchTimeout(RuntimeError):
@@ -65,10 +59,6 @@ class FinitePointSet(_Value, order=True):
 
     def __contains__(self, value) -> bool:
         return value in self.points
-
-    def translate(self, c: RationalLike) -> "FinitePointSet":
-        c = as_fraction(c)
-        return FinitePointSet(tuple(p + c for p in self.points))
 
 
 class IntSet(_Value, order=True):
@@ -368,21 +358,3 @@ def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
     """
     g, p = _base_points(g, p)
     return _lifted(*_spectrum_cliques(g, p, n_max, deadline), deadline)
-
-
-def brute_force_spectra(g: FinitePointSet | Iterable[RationalLike],
-                        p: int, n_max: int) -> list[IntSet]:
-    """Independent oracle for enumerate_spectra: test every p-subset of
-    {0, ..., n_max} containing 0 directly with is_spectrum."""
-    g, p = _base_points(g, p)
-    n_max = _as_int(n_max, "n_max", 0)
-    if math.comb(n_max, p - 1) > BRUTE_FORCE_GUARD:
-        raise ResourceLimitError(
-            f"C({n_max}, {p - 1}) subsets exceed the guard of {BRUTE_FORCE_GUARD}")
-    out = []
-    for rest in combinations(range(1, n_max + 1), p - 1):
-        a = (0,) + rest
-        scaled = FinitePointSet.of(Fraction(x, p) for x in a)
-        if is_spectrum(g, scaled):
-            out.append(IntSet(a))
-    return out

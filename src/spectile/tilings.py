@@ -136,7 +136,7 @@ def find_common_complement(family, m_max: int, *,
     deadline is an absolute time.monotonic() value; passing it raises
     SearchTimeout so the caller can report an honest partial result.
     """
-    m_max = _as_int(m_max)
+    m_max = _as_int(m_max, "m_max", 1)
     sets = [IntSet.of(s) for s in family]
     if not sets:
         raise ValueError("family must be nonempty")

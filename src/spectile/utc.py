@@ -102,7 +102,7 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
     """
     start = time.monotonic()
     gamma, p = spectrum_base(gamma, p)
-    n_max, m_max = _as_int(n_max, "n_max", 0), _as_int(m_max)
+    n_max, m_max = _as_int(n_max, "n_max", 0), _as_int(m_max, "m_max", 1)
     deadline = _deadline(start, time_budget)
     try:
         cliques, lifts = _spectrum_cliques(gamma, p, n_max, deadline)
@@ -156,6 +156,7 @@ def roundtrip(p: int, gamma, family, breakpoints, m_max: int, *,
     """
     start = time.monotonic()
     gamma, p = spectrum_base(gamma, p)
+    m_max = _as_int(m_max, "m_max", 1)
     deadline = _deadline(start, time_budget)
     sets = tuple(IntSet.of(a) for a in family)
     members = list(dict.fromkeys(sets))

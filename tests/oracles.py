@@ -1,0 +1,45 @@
+"""Independent oracles that the tests check the exact code against.
+
+brute_force_spectra tests every candidate set directly, and root_sum_value
+evaluates a sum of roots of unity in floating point; neither shares a
+search or a divisibility test with the code under test.
+"""
+
+import cmath
+import math
+from fractions import Fraction
+from itertools import combinations
+
+from spectile import FinitePointSet, IntSet, is_spectrum
+from spectile.cyclotomic import ResidueMultiset
+from spectile.spectra import _as_int, _base_points
+
+BRUTE_FORCE_GUARD = 10**7
+
+
+class ResourceLimitError(RuntimeError):
+    """Raised when a brute-force enumeration would exceed its safety guard."""
+
+
+def brute_force_spectra(g, p: int, n_max: int) -> list[IntSet]:
+    """Independent oracle for enumerate_spectra: test every p-subset of
+    {0, ..., n_max} containing 0 directly with is_spectrum."""
+    g, p = _base_points(g, p)
+    n_max = _as_int(n_max, "n_max", 0)
+    if math.comb(n_max, p - 1) > BRUTE_FORCE_GUARD:
+        raise ResourceLimitError(
+            f"C({n_max}, {p - 1}) subsets exceed the guard of {BRUTE_FORCE_GUARD}")
+    out = []
+    for rest in combinations(range(1, n_max + 1), p - 1):
+        a = (0,) + rest
+        scaled = FinitePointSet.of(Fraction(x, p) for x in a)
+        if is_spectrum(g, scaled):
+            out.append(IntSet(a))
+    return out
+
+
+def root_sum_value(multiset: ResidueMultiset) -> complex:
+    """Floating-point value of  sum_e e^(2 pi i e / m),  the cross-check
+    oracle for root_sum_is_zero."""
+    m = multiset.modulus
+    return sum((cmath.exp(2j * cmath.pi * e / m) for e in multiset.entries), 0j)

@@ -230,6 +230,24 @@ def test_unencodable_result_writes_nothing(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("target, reason", [
+    ("missing/x.json", "No such file or directory"),
+    ("directory", "Is a directory")])
+def test_output_write_failure_is_one_error_line(tmp_path, capsys, target,
+                                                reason):
+    (tmp_path / "directory").mkdir()
+    path = tmp_path / target
+    argv = ["check-spectrum", "--gamma", "0,1/2", "--b", "0,1", "--summary",
+            "--output", str(path)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --output: cannot write {path}: {reason}\n"
+    # no .tmp file and no partial certificate is left behind
+    assert list(tmp_path.iterdir()) == [tmp_path / "directory"]
+    assert list((tmp_path / "directory").iterdir()) == []
+
+
 def test_emitted_certificate_reverifies(tmp_path):
     code, cert = run_to_file(tmp_path, "utc.json",
                              ["utc-verify", "--p", "4", "--gamma", "0,1,2,3",

@@ -82,7 +82,8 @@ def test_equal_unions_have_equal_fields():
     assert halves == UNIT and hash(halves) == hash(UNIT)
     assert (halves.den, halves.ends) == (1, ((0, 1),))
     # the translate's endpoints are halves; its union is on the grid Z
-    moved = iu((F(1, 2), F(3, 2))).translate(F(-1, 2))
+    moved = IntervalUnion.of((a - F(1, 2), b - F(1, 2))
+                             for a, b in iu((F(1, 2), F(3, 2))).intervals)
     assert moved == UNIT and hash(moved) == hash(UNIT)
     assert OMEGA_2 == IntervalUnion(4, ((0, 3), (7, 8)))
     assert len({UNIT, halves, moved, OMEGA_2}) == 2
@@ -112,10 +113,14 @@ def test_membership_and_transforms():
     om = iu((0, F(3, 4)), (F(7, 4), 2))
     assert F(1, 2) in om and F(7, 4) in om
     assert F(3, 4) not in om and 2 not in om
-    assert om.translate(F(1, 4)).intervals == ((F(1, 4), F(1)), (F(2), F(9, 4)))
-    assert om.translate(F(-7, 4)) == iu((F(-7, 4), -1), (0, F(1, 4)))
+
+    def translate(c):
+        return IntervalUnion.of((a + c, b + c) for a, b in om.intervals)
+
+    assert translate(F(1, 4)).intervals == ((F(1, 4), F(1)), (F(2), F(9, 4)))
+    assert translate(F(-7, 4)) == iu((F(-7, 4), -1), (0, F(1, 4)))
     with pytest.raises(TypeError):
-        om.translate(0.25)
+        translate(0.25)
 
 
 def test_measure_examples():
@@ -157,7 +162,7 @@ def test_fibers_examples():
     two = fibers(UNIT, 2)
     assert [(c.lo, c.hi, tuple(c.fiber)) for c in two.cells] == [
         (F(0), F(1, 2), (0, 1))]
-    assert sum((c.length for c in dec.cells), F(0)) == F(1, 2)
+    assert sum((c.hi - c.lo for c in dec.cells), F(0)) == F(1, 2)
 
 
 def test_fibers_of_empty_union():
@@ -353,7 +358,8 @@ def omega_tiling_cases(draw):
                            st.sampled_from([1, p, 2 * p, 7])))
     s = draw(st.integers(0, m - 1))
     complement = PeriodicSet.of((c * i + s for i in range(m // c)), m)
-    return IntervalUnion.of(pieces).translate(shift), complement, p
+    return (IntervalUnion.of((a + shift, b + shift) for a, b in pieces),
+            complement, p)
 
 
 @settings(max_examples=300, deadline=None)

@@ -21,6 +21,16 @@ def test_each_name_is_its_home_modules_object(name):
     assert vars(spectile)[name] is value  # later lookups skip __getattr__
 
 
+@pytest.mark.parametrize("name", ["brute_force_spectra", "ResourceLimitError",
+                                  "root_sum_value"])
+def test_test_oracles_are_not_public(name):
+    # the oracles live in tests/oracles.py, outside the package
+    assert name not in spectile.__all__
+    assert not hasattr(spectile, name)
+    assert not hasattr(spectile.spectra, name)
+    assert not hasattr(spectile.cyclotomic, name)
+
+
 def test_star_import_binds_every_name():
     namespace = {}
     exec("from spectile import *", namespace)

@@ -21,16 +21,16 @@ from hypothesis import strategies as st
 import spectile.spectra
 import spectile.utc
 from spectile import (INCONCLUSIVE, FinitePointSet, IntervalUnion, IntSet,
-                      PeriodicSet, ResidueMultiset, ResourceLimitError,
-                      SearchTimeout, admissible_differences, as_fraction,
-                      brute_force_spectra, build_omega, enumerate_spectra,
-                      exponential_sum_vanishes, fibers, find_common_complement,
-                      find_complements, is_spectrum, roundtrip,
-                      spectral_verdict, tiles_cyclic, utc_verify,
+                      PeriodicSet, ResidueMultiset, SearchTimeout,
+                      admissible_differences, as_fraction, build_omega,
+                      enumerate_spectra, exponential_sum_vanishes, fibers,
+                      find_common_complement, find_complements, is_spectrum,
+                      roundtrip, spectral_verdict, tiles_cyclic, utc_verify,
                       verify_omega_tiling)
 from spectile.spectra import (_POLL_INTERVAL, _as_int, _base_points,
                               _cliques, _vanishing_test)
 from corpus import bases, bases_and_bounds
+from oracles import ResourceLimitError, brute_force_spectra
 
 X = sympy.Symbol("x")
 
@@ -90,14 +90,6 @@ def test_point_set_sorting_and_dedup():
     assert len(ps) == 3
     with pytest.raises(ValueError, match="points must be strictly increasing"):
         FinitePointSet((F(1), F(1)))
-
-
-def test_point_set_transforms():
-    ps = FinitePointSet.of([1, 3])
-    assert ps.translate(-1).points == (F(0), F(2))
-    assert ps.translate("-1/2") == FinitePointSet.of([F(1, 2), F(5, 2)])
-    with pytest.raises(TypeError):
-        ps.translate(0.5)
 
 
 def test_int_set_basics():
@@ -240,8 +232,8 @@ def test_is_spectrum_symmetry_and_invariance():
         verdict = is_spectrum(g, b)
         assert verdict == is_spectrum(b, g)
         c = F(rng.randint(-3, 3), rng.randint(1, 3))
-        assert verdict == is_spectrum(g.translate(c), b)
-        assert verdict == is_spectrum(g, b.translate(c))
+        assert verdict == is_spectrum(FinitePointSet.of(x + c for x in g), b)
+        assert verdict == is_spectrum(g, FinitePointSet.of(x + c for x in b))
         scale = F(rng.randint(1, 5), rng.randint(1, 5))
         assert verdict == is_spectrum(FinitePointSet.of(x * scale for x in g),
                                       FinitePointSet.of(x / scale for x in b))

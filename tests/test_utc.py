@@ -125,7 +125,24 @@ def test_utc_verify_input_validation():
     assert report.verdict == VERIFIED
     assert (type(report.n_max), type(report.m_max)) == (int, int)
     assert (report.n_max, report.m_max) == (5, 8)
-    assert utc_verify(2, [0, 1], 5, 0).verdict == INCONCLUSIVE
+    with pytest.raises(ValueError, match="^m_max must be positive$"):
+        utc_verify(2, [0, 1], 5, 0)
+
+
+def test_m_max_below_one_is_refused_at_entry(monkeypatch):
+    # a bound that holds no period raises before anything is enumerated
+    def unreached(*args, **kwargs):
+        raise AssertionError("enumerated before m_max was checked")
+
+    monkeypatch.setattr(spectile.utc, "_spectrum_cliques", unreached)
+    monkeypatch.setattr(spectile.utc, "build_omega", unreached)
+    family, rs = [[0, 1], [0, 3]], [0, F(1, 4), F(1, 2)]
+    for m_max in (0, -3, F(-6, 2)):
+        for call in (lambda: utc_verify(2, [0, F(1, 2)], 6, m_max),
+                     lambda: roundtrip(2, [0, 1], family, rs, m_max),
+                     lambda: find_common_complement(family, m_max)):
+            with pytest.raises(ValueError, match="^m_max must be positive$"):
+                call()
 
 
 def test_utc_verify_checks_each_residue_class_once(monkeypatch):
