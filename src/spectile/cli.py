@@ -240,9 +240,10 @@ def input_hash(command: str, inputs: dict, bounds: dict) -> str:
 
 
 def _write_atomic(path: str, chunks: list[str]) -> None:
-    import tempfile
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # a fresh file next to the target, made with mode 0o666 so that the
+    # umask applies, as it does to a shell redirect, then moved over it
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
@@ -527,7 +528,16 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                 raise InputError(f"--output: cannot write {ns.output}: "
                                  f"{exc.strerror or exc}") from None
         else:
-            sys.stdout.writelines(chunks)
+            try:
+                sys.stdout.writelines(chunks)
+                sys.stdout.flush()
+            except OSError as exc:
+                # what is still buffered would fail again at exit
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                raise InputError(f"stdout: cannot write: "
+                                 f"{exc.strerror or exc}") from None
         if ns.summary:
             print(f"{ns.command}: {verdict}", file=sys.stderr)
         return code

@@ -11,7 +11,6 @@ float evaluator in tests/oracles.py.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -48,20 +47,14 @@ class _Value:
     dataclass so that no spectile import loads dataclasses (and with it
     inspect).  A subclass lists its fields, in order, as _fields and in
     __slots__.  The constructor takes the fields positionally, then calls
-    __post_init__.  Equality, hashing, repr and, for a class declared with
-    order=True, ordering read the field tuple and compare instances of the
-    same class only, as the dataclass methods do; assigning or deleting an
+    __post_init__.  Equality, hashing and repr read the field tuple, and
+    equality holds between instances of the same class only, as the
+    dataclass methods do; no order is defined.  Assigning or deleting an
     attribute raises AttributeError.
     """
 
     __slots__ = ("__weakref__",)  # weak references, as dataclasses allow
     _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls, order: bool = False, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if order:
-            for op in (operator.lt, operator.le, operator.gt, operator.ge):
-                setattr(cls, f"__{op.__name__}__", _ordering(op))
 
     def __init__(self, *values):
         if len(values) != len(self._fields):
@@ -101,16 +94,6 @@ class _Value:
         # pickle and copy rebuild through __init__, which validates again,
         # since restoring the slots would go through __setattr__
         return type(self), self._key()
-
-
-def _ordering(op):
-    """The order=True comparison method for operator op."""
-    def compare(self, other):
-        if other.__class__ is self.__class__:
-            return op(self._key(), other._key())
-        return NotImplemented
-    compare.__name__ = f"__{op.__name__}__"
-    return compare
 
 
 def _prime_factors(m: int) -> tuple[int, ...]:

@@ -36,7 +36,7 @@ def _check_increasing(values: tuple, what: str) -> None:
         raise ValueError(f"{what} must be strictly increasing")
 
 
-class FinitePointSet(_Value, order=True):
+class FinitePointSet(_Value):
     """Sorted tuple of distinct rationals."""
 
     __slots__ = _fields = ("points",)
@@ -61,7 +61,7 @@ class FinitePointSet(_Value, order=True):
         return value in self.points
 
 
-class IntSet(_Value, order=True):
+class IntSet(_Value):
     """Sorted tuple of distinct integers."""
 
     __slots__ = _fields = ("elements",)

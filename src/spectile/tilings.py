@@ -23,7 +23,7 @@ from .spectra import (IntSet, _as_int, _check_increasing, _cliques,
                       _poll_chunks)
 
 
-class PeriodicSet(_Value, order=True):
+class PeriodicSet(_Value):
     """The set R + mZ, stored as sorted residues R inside [0, m)."""
 
     __slots__ = _fields = ("residues", "period")
@@ -128,53 +128,60 @@ def find_common_complement(family, m_max: int, *,
     the certificate does not depend on their order.
 
     Whether A + (R + mZ) tiles Z depends only on A mod m, so each period
-    writes every member as an m-bit mask of its residues, from one
-    point -> bit table over the family's distinct points, and searches
-    one mask per class.  A period at which some member is not distinct
+    searches one m-bit mask per class of the members' elements (see
+    _first_common_cover); a period at which some member is not distinct
     mod m is skipped.
 
     deadline is an absolute time.monotonic() value; passing it raises
     SearchTimeout so the caller can report an honest partial result.
     """
     m_max = _as_int(m_max, "m_max", 1)
-    sets = [IntSet.of(s) for s in family]
-    if not sets:
+    members = [IntSet.of(s).elements for s in family]
+    if not members:
         raise ValueError("family must be nonempty")
-    p = len(sets[0])
+    p = len(members[0])
     if p < 1:
         raise ValueError("family members must be nonempty")
-    if any(len(s) != p for s in sets):
+    if any(len(a) != p for a in members):
         raise ValueError("family members must share one cardinality")
-    points = {x for s in sets for x in s.elements}
+    return _first_common_cover(p, m_max, lambda m: members, deadline)
 
-    def masks(m: int) -> Iterator[int]:
-        bit = {x: 1 << (x % m) for x in points}.__getitem__
-        return (sum(map(bit, s.elements)) for s in sets)
 
-    return _first_common_cover(p, m_max, masks, deadline)
+class _Bits(dict):
+    """x -> 1 << (x % m), each entry made when it is first read, so no
+    pass over the members collects their points first."""
+
+    def __init__(self, m: int):
+        self.m = m
+
+    def __missing__(self, x: int) -> int:
+        bit = self[x] = 1 << (x % self.m)
+        return bit
 
 
 def _first_common_cover(p: int, m_max: int,
-                        masks: Callable[[int], Iterable[int]],
+                        members: Callable[[int], Iterable[Sequence[int]]],
                         deadline: Optional[float] = None,
                         ) -> Optional[PeriodicSet]:
     """The period loop of the common-complement search: at the first
     m = p, 2p, ..., m_max that has one, the lexicographically smallest
-    exact cover shared by the m-bit masks masks(m), which are the members'
-    residue sets mod m, in any order; None when the bound is exhausted.
+    exact cover shared by the p-element integer sets members(m), which
+    need hold only one set of each of the family's classes mod m, in any
+    order; None when the bound is exhausted.
 
-    A mask is the sum of its member's p bits, so it has p bits set iff the
-    member is distinct mod m: a repeated residue carries into a higher
-    bit.  A period with a mask of fewer bits is skipped unsearched, once
-    that mask is read; otherwise the distinct masks are searched.  The
-    deadline is checked before every _POLL_INTERVAL masks and inside the
-    search.
+    Each period writes a member as the m-bit mask of its residues, the sum
+    of its points' bits from one point -> bit table (_Bits), so the mask
+    has p bits set iff the member is distinct mod m: a repeated residue
+    carries into a higher bit.  A period with a mask of fewer bits is
+    skipped unsearched, once that mask is read; otherwise the distinct
+    masks are searched.  The deadline is checked before every
+    _POLL_INTERVAL members and inside the search.
     """
     for m in range(p, m_max + 1, p):
-        classes = set()
-        for chunk in _poll_chunks(masks(m), deadline,
+        bit, classes = _Bits(m).__getitem__, set()
+        for chunk in _poll_chunks(members(m), deadline,
                                   f"common-complement search at period {m}"):
-            fresh = set(chunk)
+            fresh = {sum(map(bit, s)) for s in chunk}
             if any(mask.bit_count() < p for mask in fresh):
                 break  # some member is not distinct mod m
             classes |= fresh

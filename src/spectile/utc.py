@@ -81,24 +81,24 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
     search for one complement R + mZ (m <= m_max) tiling Z with all of them.
 
     Both run on residue cliques mod M (see enumerate_spectra): the spectra
-    are their lifts, and the search reads each period's classes from the
-    cliques without reading a member.  At period m a residue r of a clique
-    takes every value of {x mod m : x a lift of r}, and any choice of one
-    per residue is some lift, so the product of those sets over the clique
-    gives the m-bit masks of all its spectra.  The search therefore sees
-    the classes find_common_complement would see on the family, and finds
-    the same certificate, which does not depend on their order.
+    are their lifts, and the search and its re-check read the cliques
+    without reading a member.  Whether A + (R + mZ) tiles Z depends only
+    on the multiset A mod m.  At period m each residue r of a clique keeps
+    its first lift in each class mod m, and representatives(m) multiplies
+    the kept lifts out over the clique.  Any choice of one lift per
+    residue is a spectrum, so each representative is one, and every
+    spectrum of the clique shares its multiset mod m with one of them.
+    The search therefore sees the classes find_common_complement would
+    see on the family, and finds the same certificate, which does not
+    depend on their order.
 
-    The verdict is verified-with-certificate only after a re-check on
-    every class of every clique, by integer code apart from the masks.
-    Whether A + (R + mZ) tiles Z depends only on the multiset A mod m, and
-    each residue keeps its first lift in each class mod m, so the choices
-    of one kept lift per residue of a clique are spectra, every spectrum
-    of the clique shares its multiset mod m with one of them, and each is
-    checked.  The spectra only fill the report.  Exhausting m_max, or
-    the optional wall-clock budget in seconds, gives an inconclusive
-    verdict; the budget bounds the enumeration and the search together,
-    and a budget that ends during the enumeration reports no spectra.
+    The verdict is verified-with-certificate only after is_tiling_of_Z
+    holds on every representative at the certificate's period, by integer
+    code apart from the search's masks.  The spectra only fill the report.
+    Exhausting m_max, or the optional wall-clock budget in seconds, gives
+    an inconclusive verdict; the budget bounds the enumeration and the
+    search together, and a budget that ends during the enumeration
+    reports no spectra.
     """
     start = time.monotonic()
     gamma, p = spectrum_base(gamma, p)
@@ -115,27 +115,24 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
                          time.monotonic() - start)
     residues = {r for clique in cliques for r in clique}
 
-    def masks(m: int) -> Iterator[int]:
-        bits = {r: {1 << (x % m) for x in lifts(r)} for r in residues}
-        return (sum(combo) for clique in cliques
-                for combo in product(*map(bits.__getitem__, clique)))
+    def representatives(m: int) -> Iterator[tuple[int, ...]]:
+        kept = {r: sorted({x % m: x for x in reversed(lifts(r))}.values())
+                for r in residues}
+        return (combo for clique in cliques
+                for combo in product(*map(kept.__getitem__, clique)))
 
     try:
-        certificate = _first_common_cover(p, m_max, masks, deadline)
+        certificate = _first_common_cover(p, m_max, representatives, deadline)
     except SearchTimeout:
         certificate = None
     if certificate is None:
         return UtcReport(p, gamma, n_max, m_max, family, INCONCLUSIVE, None,
                          time.monotonic() - start)
-    m = certificate.period
-    kept = {r: sorted({x % m: x for x in reversed(lifts(r))}.values())
-            for r in residues}
-    for clique in cliques:
-        for combo in product(*map(kept.__getitem__, clique)):
-            a = IntSet.of(combo)
-            if not is_tiling_of_Z(a, certificate):
-                raise AssertionError(f"certificate {certificate} failed "
-                                     f"re-verification on {tuple(a)}")
+    for combo in representatives(certificate.period):
+        a = IntSet.of(combo)
+        if not is_tiling_of_Z(a, certificate):
+            raise AssertionError(f"certificate {certificate} failed "
+                                 f"re-verification on {tuple(a)}")
     return UtcReport(p, gamma, n_max, m_max, family, VERIFIED, certificate,
                      time.monotonic() - start)
 

@@ -4,8 +4,10 @@ and re-verification of emitted certificates through the library."""
 import contextlib
 import io
 import json
+import os
 import re
 import resource
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -246,6 +248,40 @@ def test_output_write_failure_is_one_error_line(tmp_path, capsys, target,
     # no .tmp file and no partial certificate is left behind
     assert list(tmp_path.iterdir()) == [tmp_path / "directory"]
     assert list((tmp_path / "directory").iterdir()) == []
+
+
+def test_output_file_mode_follows_the_umask(tmp_path):
+    # as a shell redirect does: 0o666 less the umask, for a new certificate
+    # and for one written over an existing file of another mode
+    path = tmp_path / "c.json"
+    argv = ["check-spectrum", "--gamma", "0,1/2", "--b", "0,1",
+            "--output", str(path)]
+    previous = os.umask(0o022)
+    try:
+        assert run(argv) == 0
+        new_mode = stat.S_IMODE(path.stat().st_mode)
+        path.chmod(0o600)
+        assert run(argv) == 0
+        overwritten_mode = stat.S_IMODE(path.stat().st_mode)
+    finally:
+        os.umask(previous)
+    assert (new_mode, overwritten_mode) == (0o644, 0o644)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_closed_stdout_is_one_error_line():
+    # the reader goes away before the certificate (about 0.5 MB, more than
+    # a pipe holds) is written: one error line, no traceback, exit 1
+    with subprocess.Popen(
+            [sys.executable, "-m", "spectile", "enum-spectra",
+             "--gamma", "0,1,2,3,4,5,6,7,8", "--p", "9", "--n-max", "27"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err.startswith("error: stdout: cannot write: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_emitted_certificate_reverifies(tmp_path):

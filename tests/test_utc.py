@@ -177,7 +177,7 @@ def test_utc_verify_recheck_reaches_a_late_class(monkeypatch, capsys):
     # spectrum of {0, 1} and fails only on a last clique of another class:
     # {0, 2}, or {0, 4}, which is not even distinct mod 4.  The search
     # ignores the cliques here, so a late clique reaches only the re-check
-    def wrong(p, m_max, masks, deadline=None):
+    def wrong(p, m_max, members, deadline=None):
         return PeriodicSet.of([0, 2], 4)
 
     monkeypatch.setattr(spectile.utc, "_first_common_cover", wrong)
