@@ -21,7 +21,9 @@ RationalLike = Union[Fraction, int, str]
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce to an exact Fraction; floats are refused so no inexact value
-    can sneak into an exact verdict."""
+    can sneak into an exact verdict.  A Fraction is returned as it is."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("float input is not exact; pass a Fraction, int, or 'num/den' string")
     return Fraction(value)

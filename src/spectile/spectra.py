@@ -47,9 +47,13 @@ class FinitePointSet(_Value):
 
     @classmethod
     def of(cls, points: Iterable[RationalLike]) -> "FinitePointSet":
+        """The distinct points, ascending, deduped and ordered as ints on
+        their common grid rather than as Fractions."""
         if isinstance(points, FinitePointSet):
             return points
-        return cls(tuple(sorted(set(as_fraction(p) for p in points))))
+        values = tuple(map(as_fraction, points))
+        by_key = dict(zip(_over_common_denominator(values)[1], values))
+        return cls(tuple(map(by_key.__getitem__, sorted(by_key))))
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.points)
@@ -58,7 +62,7 @@ class FinitePointSet(_Value):
         return len(self.points)
 
     def __contains__(self, value) -> bool:
-        return value in self.points
+        return as_fraction(value) in self.points
 
 
 class IntSet(_Value):
@@ -123,18 +127,30 @@ def _over_common_denominator(points: tuple[Fraction, ...]) -> tuple[int, list[in
     return den, [x.numerator * (den // x.denominator) for x in points]
 
 
-def _vanishing_test(points: tuple[Fraction, ...], q: int) -> Callable[[int], bool]:
-    """Test of  sum_{g in points} e^(2 pi i g d / q) == 0  for integers d,
-    deciding each order s once.
+def _point_grid(points: FinitePointSet | Iterable[RationalLike],
+                ) -> tuple[int, list[int]]:
+    """(D, the distinct D*x for x in points, ascending) with D the lcm of
+    the denominators: the points read once onto the grid (1/D)Z, where
+    they are deduped and sorted as ints."""
+    values = (points.points if isinstance(points, FinitePointSet)
+              else tuple(map(as_fraction, points)))
+    den, numerators = _over_common_denominator(values)
+    return den, sorted(set(numerators))
 
-    With D the lcm of the denominators, M = q*D and n_g = D*g, the sum is
+
+def _vanishing_test(den: int, numerators: Sequence[int],
+                    q: int) -> Callable[[int], bool]:
+    """Test of  sum_{g in G} e^(2 pi i g d / q) == 0  for integers d, with
+    G the points n/den for n in numerators (a multiset), deciding each
+    order s once.
+
+    With M = q*den and n_g = den*g, the sum is
     sum_g zeta_M^(n_g d).  Write s = M / gcd(d, M) and d = (M/s) d' with
     gcd(d', s) = 1: the sum is the image of  sum_g zeta_s^(n_g)  under the
     Galois automorphism zeta_s -> zeta_s^d', which is injective, so the
     answer depends on d only through s; s = 1 gives the point count.  The
     shift test reads only the exponents n_g mod s, whatever the size of s.
     """
-    den, numerators = _over_common_denominator(points)
     modulus = q * den
 
     @lru_cache(maxsize=None)
@@ -148,25 +164,31 @@ def exponential_sum_vanishes(points: Iterable[RationalLike],
                              delta: RationalLike) -> bool:
     """Exact test of  sum_{g in points} e^(2 pi i delta g) == 0."""
     delta = as_fraction(delta)
-    return _vanishing_test(tuple(map(as_fraction, points)),
-                           delta.denominator)(delta.numerator)
+    den, numerators = _over_common_denominator(tuple(map(as_fraction, points)))
+    return _vanishing_test(den, numerators, delta.denominator)(delta.numerator)
 
 
-def _spectrum_test(g: FinitePointSet, q: int) -> Callable[[Sequence[int]], bool]:
+def _spectrum_test(g: FinitePointSet | Iterable[RationalLike],
+                   q: int) -> Callable[[Sequence[int]], bool]:
     """Test of whether (1/q)A is a spectrum of G for sets A of distinct
-    integers; one order cache serves every set it tests."""
-    vanishes = _vanishing_test(g.points, q)
-    return lambda a: len(a) == len(g) and all(
+    integers; G is read onto its grid once, and one order cache serves
+    every set it tests."""
+    den, numerators = _point_grid(g)
+    vanishes = _vanishing_test(den, numerators, q)
+    return lambda a: len(a) == len(numerators) and all(
         vanishes(y - x) for x, y in combinations(a, 2))
 
 
 def is_spectrum(g: FinitePointSet | Iterable[RationalLike],
                 b: FinitePointSet | Iterable[RationalLike]) -> bool:
     """Exact spectral-pair verdict: |B| = |G| and every pair b != b' in B
-    satisfies  sum_{g in G} e^(2 pi i (b - b') g) == 0."""
-    b = FinitePointSet.of(b)
-    den, numerators = _over_common_denominator(b.points)
-    return _spectrum_test(FinitePointSet.of(g), den)(numerators)
+    satisfies  sum_{g in G} e^(2 pi i (b - b') g) == 0.
+
+    Both sets are read once onto their integer grids, so plain iterables
+    are never built into FinitePointSets: with B = {m/D}, the pairs are
+    tested as the integer set {m} at q = D."""
+    den, numerators = _point_grid(b)
+    return _spectrum_test(g, den)(numerators)
 
 
 def _base_points(g: FinitePointSet | Iterable[RationalLike],
@@ -200,7 +222,7 @@ def admissible_differences(g: FinitePointSet | Iterable[RationalLike],
     """
     g, p = _base_points(g, p)
     d_max = _as_int(d_max, "d_max", 1)
-    vanishes = _vanishing_test(g.points, p)
+    vanishes = _vanishing_test(*_point_grid(g), p)
     return tuple(d for d in range(-d_max, d_max + 1) if d and vanishes(d))
 
 
@@ -292,8 +314,9 @@ def _spectrum_cliques(g: FinitePointSet, p: int, n_max,
     spectrum: 0 stays 0, and r > 0 takes r, r + M, ... up to n_max.
     """
     n_max = _as_int(n_max, "n_max", 0)
-    vanishes = _vanishing_test(g.points, p)
-    modulus = p * math.lcm(*(x.denominator for x in g.points))
+    den, numerators = _point_grid(g)
+    vanishes = _vanishing_test(den, numerators, p)
+    modulus = p * den
     allowed = sum(1 << d for d in range(1, min(n_max, modulus - 1) + 1)
                   if vanishes(d))
     cliques = list(_cliques(allowed, p, deadline, "spectrum enumeration"))

@@ -488,6 +488,18 @@ for bad in [(0, 2, 2), (0, 3, 1)]:
     else:
         raise SystemExit("IntSet._many accepted %r" % (bad,))
 
+for label, call, error in [
+        ("FinitePointSet accepted a repeated point",
+         lambda: spectra.FinitePointSet((F(1), F(1))), ValueError),
+        ("is_spectrum accepted a float",
+         lambda: spectra.is_spectrum([0, 0.5], [0, 1]), TypeError)]:
+    try:
+        call()
+    except error:
+        pass
+    else:
+        raise SystemExit(label)
+
 import spectile.tilings as tilings
 import spectile.utc as utc
 # {0, 1} mod 4 fails every spectrum of {0, 1}; the re-check must say so

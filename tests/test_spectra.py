@@ -28,7 +28,7 @@ from spectile import (INCONCLUSIVE, FinitePointSet, IntervalUnion, IntSet,
                       roundtrip, spectral_verdict, tiles_cyclic, utc_verify,
                       verify_omega_tiling)
 from spectile.spectra import (_POLL_INTERVAL, _as_int, _base_points,
-                              _cliques, _vanishing_test)
+                              _cliques, _point_grid, _vanishing_test)
 from corpus import bases, bases_and_bounds
 from oracles import ResourceLimitError, brute_force_spectra
 
@@ -46,7 +46,7 @@ def stack_dfs_spectra(g, p, n_max, *, deadline=None):
     n_max = _as_int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    vanishes = _vanishing_test(g.points, p)
+    vanishes = _vanishing_test(*_point_grid(g), p)
     allowed = sum(1 << d for d in range(1, n_max + 1) if vanishes(d))
     results: list[IntSet] = []
     stack = [((0,), allowed)]
@@ -88,6 +88,13 @@ def test_point_set_sorting_and_dedup():
     assert ps.points == (F(0), F(1, 2), F(3))
     assert F(1, 2) in ps
     assert len(ps) == 3
+    # membership coerces as IntervalUnion's does: strings are read exactly
+    # and floats are refused
+    assert "1/2" in ps and 3 in ps and "1/3" not in ps
+    assert "1/2" in IntervalUnion.of([(0, 1)])
+    for container in (ps, IntervalUnion.of([(0, 1)])):
+        with pytest.raises(TypeError, match="float input is not exact"):
+            0.5 in container
     with pytest.raises(ValueError, match="points must be strictly increasing"):
         FinitePointSet((F(1), F(1)))
 
@@ -462,6 +469,56 @@ def test_is_spectrum_matches_sympy_oracle(case):
         sympy_sum_vanishes(g.points, y - x)
         for x, y in combinations(b.points, 2))
     assert is_spectrum(g, b) == expected
+
+
+def _spelled(draw, values):
+    """values as a caller may pass them: a FinitePointSet, or a list of
+    Fractions, "p/q" strings and, for whole values, ints, with repeats,
+    in any order."""
+    if draw(st.integers(0, 3)) == 0:
+        return FinitePointSet.of(values)
+    repeats = draw(st.lists(st.sampled_from(values), max_size=3))
+    spelled = []
+    for x in draw(st.permutations(values + repeats)):
+        form = draw(st.sampled_from(["fraction", "string", "int"]))
+        if form == "string":
+            spelled.append(f"{x.numerator}/{x.denominator}")
+        elif form == "int" and x.denominator == 1:
+            spelled.append(x.numerator)
+        else:
+            spelled.append(x)
+    return spelled
+
+
+@st.composite
+def spelled_pairs(draw):
+    """(G, B, spoiled): a candidate pair spelled as callers may, and the
+    two as lists with a float put somewhere in one of them."""
+    g, b = draw(candidate_pairs())
+    g, b = _spelled(draw, g), _spelled(draw, b)
+    spoiled = [list(g), list(b)]
+    side = spoiled[draw(st.integers(0, 1))]
+    side.insert(draw(st.integers(0, len(side))), draw(st.floats()))
+    return g, b, spoiled
+
+
+@settings(max_examples=200, deadline=None)
+@given(spelled_pairs())
+@example(([0, "1/2", "1/2"], [1, 0], [[0, "1/2", "1/2"], [1, 0.0]]))
+@example(([0, F(1, 2)], FinitePointSet.of([0, 1]), [[0, 0.5], [0, 1]]))
+def test_raw_point_sets_match_their_point_set_forms(case):
+    # is_spectrum reads raw iterables straight onto their integer grids;
+    # the verdict is the one on the FinitePointSets, whose points are the
+    # sorted distinct Fractions
+    g, b, spoiled = case
+    assert is_spectrum(g, b) == \
+        is_spectrum(FinitePointSet.of(g), FinitePointSet.of(b))
+    for raw in (g, b):
+        assert FinitePointSet.of(raw).points == \
+            tuple(sorted(set(map(as_fraction, raw))))
+    # a float anywhere in either argument is refused
+    with pytest.raises(TypeError, match="float input is not exact"):
+        is_spectrum(*spoiled)
 
 
 @settings(max_examples=80, deadline=None)
