@@ -17,13 +17,14 @@ standard library's indented form would join a string per token.
 Each process starts cold, so it loads only the layers its command runs:
 the flag parsers need spectra, and every other layer is imported by the
 handler or parser that calls it.  The value types are plain slotted
-classes, so no command imports dataclasses or, through it, inspect.
+classes, so no command imports dataclasses or, through it, inspect.  A
+process builds the argparse parser of its own subcommand alone (see
+``_parse``), and hashes with CPython's built-in SHA-256, not OpenSSL's.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -39,6 +40,14 @@ from .spectra import (FinitePointSet, IntSet, enumerate_spectra, is_spectrum,
 
 if TYPE_CHECKING:
     from .intervals import IntervalUnion
+
+try:  # CPython's own SHA-256: hashlib would load OpenSSL for the same digest
+    from _sha2 import sha256 as _sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 SCHEMA = "spectile-certificate/1"
 
@@ -236,7 +245,7 @@ def canonical_json(obj) -> str:
 def input_hash(command: str, inputs: dict, bounds: dict) -> str:
     blob = canonical_json(
         {"bounds": bounds, "command": command, "inputs": inputs})
-    return "sha256:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return "sha256:" + _sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _write_atomic(path: str, chunks: list[str]) -> None:
@@ -254,103 +263,38 @@ def _write_atomic(path: str, chunks: list[str]) -> None:
         raise
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="spectile",
-                     description="Exact verifiers and bounded searches for "
-                                 "spectral sets and integer tilings")
-    parser.add_argument("--job", metavar="FILE",
-                        help="read the job from a JSON file instead of flags")
-    sub = parser.add_subparsers(dest="command")
-    points = dict(type=parse_point_set, required=True)
-    positive = dict(type=parse_positive_int, required=True)
-    n_max = dict(type=parse_non_negative_int, required=True)
-    family = dict(type=parse_family, required=True,
-                  help="semicolon-separated integer lists, e.g. '0,1;0,3'")
-    breakpoints = dict(type=parse_rational_list, required=True,
-                       help="rational list running 0..1/p")
-    omega = dict(type=parse_interval_union, required=True,
-                 help="intervals, e.g. '[0,3/4);[7/4,2)'")
-    budget = dict(type=parse_positive_float,
-                  help="wall-clock seconds before giving up")
-
-    def common(p):
-        p.add_argument("--output", metavar="FILE",
-                       help="write the certificate here instead of stdout")
-        p.add_argument("--summary", action="store_true",
-                       help="print a one-line human summary to stderr")
-
-    p = sub.add_parser("check-spectrum", help="exact spectral-pair verdict")
-    p.add_argument("--gamma", **points, help="rational list, e.g. 0,1/2")
-    p.add_argument("--b", **points, help="rational list, e.g. 0,1")
-    common(p)
-
-    p = sub.add_parser("enum-spectra",
-                       help="all integer spectra of gamma within a bound")
-    p.add_argument("--gamma", **points)
-    p.add_argument("--p", **positive)
-    p.add_argument("--n-max", **n_max)
-    common(p)
-
-    p = sub.add_parser("find-complement",
-                       help="all complements of a tile in Z_m containing 0")
-    p.add_argument("--a", type=parse_int_set, required=True,
-                   help="integer list, e.g. 0,1")
-    p.add_argument("--m", **positive)
-    common(p)
-
-    p = sub.add_parser("utc-verify",
-                       help="common-complement search over all spectra in bounds")
-    p.add_argument("--gamma", **points)
-    p.add_argument("--p", **positive)
-    p.add_argument("--n-max", **n_max)
-    p.add_argument("--m-max", **positive)
-    p.add_argument("--time-budget", **budget)
-    common(p)
-
-    p = sub.add_parser("build-omega",
-                       help="measure-one interval union from a family and breakpoints")
-    p.add_argument("--p", **positive)
-    p.add_argument("--family", **family)
-    p.add_argument("--breakpoints", **breakpoints)
-    common(p)
-
-    p = sub.add_parser("verify-omega",
-                       help="exact tiling check of R by omega + (1/p)(R + mZ)")
-    p.add_argument("--omega", **omega)
-    p.add_argument("--t-residues", type=parse_int_set, required=True)
-    p.add_argument("--t-period", **positive)
-    p.add_argument("--p", type=parse_positive_int, default="1")
-    common(p)
-
-    p = sub.add_parser("roundtrip",
-                       help="spectral family -> omega -> tiling of R, verified")
-    p.add_argument("--gamma", **points)
-    p.add_argument("--p", **positive)
-    p.add_argument("--family", **family)
-    p.add_argument("--breakpoints", **breakpoints)
-    p.add_argument("--m-max", **positive)
-    p.add_argument("--time-budget", **budget)
-    common(p)
-
-    p = sub.add_parser("gram-check",
-                       help="floating-point Gram cross-checks for an interval union")
-    p.add_argument("--omega", **omega)
-    p.add_argument("--p", **positive)
-    p.add_argument("--gamma", type=parse_point_set,
-                   help="base of the spectrum for the truncated Gram matrix")
-    p.add_argument("--lam", type=parse_rational,
-                   help="frequency for the period-identity residual")
-    p.add_argument("--lam-prime", type=parse_rational)
-    p.add_argument("--tolerance", type=parse_positive_float, default="1e-9",
-                   help="bound for the period-identity residual")
-    p.add_argument("--gram-tolerance", type=parse_positive_float,
-                   default="1e-8",
-                   help="bound for Gram off-diagonal and diagonal deviation")
-    common(p)
-
-    return parser
+# the subcommands by name, in --help order: (help text, flags, handler),
+# each flag a (name, add_argument keywords) pair; all end in _COMMON
+_COMMANDS: dict = {}
+_COMMON = (
+    ("--output", dict(metavar="FILE",
+                      help="write the certificate here instead of stdout")),
+    ("--summary", dict(action="store_true",
+                       help="print a one-line human summary to stderr")))
+_POINTS = dict(type=parse_point_set, required=True)
+_POSITIVE = dict(type=parse_positive_int, required=True)
+_N_MAX = ("--n-max", dict(type=parse_non_negative_int, required=True))
+_FAMILY = ("--family", dict(
+    type=parse_family, required=True,
+    help="semicolon-separated integer lists, e.g. '0,1;0,3'"))
+_BREAKPOINTS = ("--breakpoints", dict(type=parse_rational_list, required=True,
+                                      help="rational list running 0..1/p"))
+_OMEGA = ("--omega", dict(type=parse_interval_union, required=True,
+                          help="intervals, e.g. '[0,3/4);[7/4,2)'"))
+_BUDGET = ("--time-budget", dict(type=parse_positive_float,
+                                 help="wall-clock seconds before giving up"))
 
 
+def _command(name: str, text: str, *flags):
+    def register(handler):
+        _COMMANDS[name] = (text, flags + _COMMON, handler)
+        return handler
+    return register
+
+
+@_command("check-spectrum", "exact spectral-pair verdict",
+          ("--gamma", dict(_POINTS, help="rational list, e.g. 0,1/2")),
+          ("--b", dict(_POINTS, help="rational list, e.g. 0,1")))
 def _cmd_check_spectrum(ns):
     ok = is_spectrum(ns.gamma, ns.b)
     inputs = {"gamma": ns.gamma, "b": ns.b}
@@ -358,6 +302,8 @@ def _cmd_check_spectrum(ns):
     return ("true" if ok else "false", 0 if ok else 2, inputs, {}, result)
 
 
+@_command("enum-spectra", "all integer spectra of gamma within a bound",
+          ("--gamma", _POINTS), ("--p", _POSITIVE), _N_MAX)
 def _cmd_enum_spectra(ns):
     sets = enumerate_spectra(ns.gamma, ns.p, ns.n_max)
     inputs = {"gamma": ns.gamma, "p": ns.p}
@@ -366,6 +312,10 @@ def _cmd_enum_spectra(ns):
     return ("complete-within-bounds", 0, inputs, bounds, result)
 
 
+@_command("find-complement", "all complements of a tile in Z_m containing 0",
+          ("--a", dict(type=parse_int_set, required=True,
+                       help="integer list, e.g. 0,1")),
+          ("--m", _POSITIVE))
 def _cmd_find_complement(ns):
     from .tilings import find_complements
     found = find_complements(ns.a, ns.m)
@@ -375,6 +325,9 @@ def _cmd_find_complement(ns):
     return (verdict, 0 if found else 2, inputs, {}, result)
 
 
+@_command("utc-verify", "common-complement search over all spectra in bounds",
+          ("--gamma", _POINTS), ("--p", _POSITIVE), _N_MAX,
+          ("--m-max", _POSITIVE), _BUDGET)
 def _cmd_utc_verify(ns):
     from .utc import VERIFIED, utc_verify
     report = utc_verify(ns.p, ns.gamma, ns.n_max, ns.m_max,
@@ -387,6 +340,9 @@ def _cmd_utc_verify(ns):
     return (report.verdict, code, inputs, bounds, result)
 
 
+@_command("build-omega",
+          "measure-one interval union from a family and breakpoints",
+          ("--p", _POSITIVE), _FAMILY, _BREAKPOINTS)
 def _cmd_build_omega(ns):
     from .intervals import build_omega, measure
     omega = build_omega(ns.p, ns.family, ns.breakpoints)
@@ -395,6 +351,10 @@ def _cmd_build_omega(ns):
     return ("constructed", 0, inputs, {}, result)
 
 
+@_command("verify-omega", "exact tiling check of R by omega + (1/p)(R + mZ)",
+          _OMEGA, ("--t-residues", dict(type=parse_int_set, required=True)),
+          ("--t-period", _POSITIVE),
+          ("--p", dict(type=parse_positive_int, default="1")))
 def _cmd_verify_omega(ns):
     from .intervals import verify_omega_tiling
     from .tilings import PeriodicSet
@@ -405,6 +365,9 @@ def _cmd_verify_omega(ns):
     return ("true" if ok else "false", 0 if ok else 2, inputs, {}, result)
 
 
+@_command("roundtrip", "spectral family -> omega -> tiling of R, verified",
+          ("--gamma", _POINTS), ("--p", _POSITIVE), _FAMILY, _BREAKPOINTS,
+          ("--m-max", _POSITIVE), _BUDGET)
 def _cmd_roundtrip(ns):
     from .utc import INCONCLUSIVE, roundtrip
     report = roundtrip(ns.p, ns.gamma, ns.family, ns.breakpoints, ns.m_max,
@@ -421,6 +384,20 @@ def _cmd_roundtrip(ns):
     return (INCONCLUSIVE, 2, inputs, bounds, result)
 
 
+@_command("gram-check",
+          "floating-point Gram cross-checks for an interval union",
+          _OMEGA, ("--p", _POSITIVE),
+          ("--gamma", dict(
+              type=parse_point_set,
+              help="base of the spectrum for the truncated Gram matrix")),
+          ("--lam", dict(type=parse_rational,
+                         help="frequency for the period-identity residual")),
+          ("--lam-prime", dict(type=parse_rational)),
+          ("--tolerance", dict(type=parse_positive_float, default="1e-9",
+                               help="bound for the period-identity residual")),
+          ("--gram-tolerance", dict(
+              type=parse_positive_float, default="1e-8",
+              help="bound for Gram off-diagonal and diagonal deviation")))
 def _cmd_gram_check(ns):
     from .intervals import gram_matrix, period_identity_residual
     if ns.gamma is None and ns.lam is None and ns.lam_prime is None:
@@ -457,16 +434,35 @@ def _cmd_gram_check(ns):
     return (verdict, 0 if ok else 2, inputs, bounds, result)
 
 
-_HANDLERS = {
-    "check-spectrum": _cmd_check_spectrum,
-    "enum-spectra": _cmd_enum_spectra,
-    "find-complement": _cmd_find_complement,
-    "utc-verify": _cmd_utc_verify,
-    "build-omega": _cmd_build_omega,
-    "verify-omega": _cmd_verify_omega,
-    "roundtrip": _cmd_roundtrip,
-    "gram-check": _cmd_gram_check,
-}
+def _fill(parser: _Parser, name: str) -> _Parser:
+    for flag, options in _COMMANDS[name][1]:
+        parser.add_argument(flag, **options)
+    return parser
+
+
+def build_parser() -> _Parser:
+    """The parser of every subcommand, for an argv that does not start with
+    one: top-level help, --job before its file is read, and errors."""
+    parser = _Parser(prog="spectile",
+                     description="Exact verifiers and bounded searches for "
+                                 "spectral sets and integer tilings")
+    parser.add_argument("--job", metavar="FILE",
+                        help="read the job from a JSON file instead of flags")
+    sub = parser.add_subparsers(dest="command")
+    for name, (text, _, _) in _COMMANDS.items():
+        _fill(sub.add_parser(name, help=text), name)
+    return parser
+
+
+def _parse(args: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(args), building only the subparser that
+    args[0] names when it names one: the full parser hands it the rest."""
+    if not args or args[0] not in _COMMANDS:
+        return build_parser().parse_args(args)
+    parser = _fill(_Parser(prog=f"spectile {args[0]}"), args[0])
+    ns = parser.parse_args(args[1:])
+    ns.job, ns.command = None, args[0]
+    return ns
 
 
 def _argv_from_job(path: str) -> list[str]:
@@ -480,7 +476,7 @@ def _argv_from_job(path: str) -> list[str]:
     if not isinstance(job, dict) or "command" not in job:
         raise InputError("--job: file must be an object with a 'command' key")
     command = job["command"]
-    if command not in _HANDLERS:
+    if command not in _COMMANDS:
         raise InputError(f"--job: unknown command {command!r}")
     args = job.get("args", {})
     if not isinstance(args, dict):
@@ -500,16 +496,17 @@ def _argv_from_job(path: str) -> list[str]:
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        parser = build_parser()
-        ns = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
+        ns = _parse(sys.argv[1:] if argv is None else list(argv))
         if ns.job is not None:
             if ns.command:
                 raise InputError("--job replaces all other arguments")
-            ns = parser.parse_args(_argv_from_job(ns.job))
+            ns = _parse(_argv_from_job(ns.job))
         if not ns.command:
             raise InputError("no command given; see --help")
+        if ns.output == "":
+            raise InputError("--output: empty file name")
         started = time.monotonic()
-        verdict, code, inputs, bounds, result = _HANDLERS[ns.command](ns)
+        verdict, code, inputs, bounds, result = _COMMANDS[ns.command][2](ns)
         certificate = {
             "schema": SCHEMA,
             "command": ns.command,

@@ -2,6 +2,7 @@
 and re-verification of emitted certificates through the library."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -19,8 +20,10 @@ from hypothesis import strategies as st
 import spectile.cli
 from spectile import (FinitePointSet, IntervalUnion, IntSet, PeriodicSet,
                       is_tiling_of_Z)
-from spectile.cli import (_exact, canonical_json, parse_interval_union,
-                          parse_rational, run, InputError)
+from spectile.cli import (_exact, build_parser, canonical_json, input_hash,
+                          parse_interval_union, parse_rational, run,
+                          InputError)
+from test_golden import GOLDEN
 
 
 _RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -219,10 +222,47 @@ def test_canonical_json_fails_as_the_stdlib_encoder(bad):
     assert str(ours.value) == str(reference.value)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.text(max_size=12), st.dictionaries(_TEXT, _TREES, max_size=3),
+       st.dictionaries(_TEXT, _TREES, max_size=3))
+def test_input_hash_is_hashlibs_sha256(command, inputs, bounds):
+    blob = canonical_json(
+        {"bounds": bounds, "command": command, "inputs": inputs})
+    assert input_hash(command, inputs, bounds) == \
+        "sha256:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+# the input hashes of the golden jobs, with CPython's SHA-256 modules
+# blocked before spectile.cli is imported, so that it falls back to hashlib
+HASHES_WITHOUT_BUILTIN_SHA256 = """
+import contextlib, hashlib, io, json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import spectile.cli
+assert spectile.cli._sha256 is hashlib.sha256
+hashes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        spectile.cli.run(argv)
+    hashes.append(json.loads(out.getvalue())["input_hash"])
+print(json.dumps(hashes))
+"""
+
+
+def test_hashlib_fallback_writes_the_same_input_hash():
+    jobs = [argv for argv, _, _ in GOLDEN]
+    proc = subprocess.run(
+        [sys.executable, "-c", HASHES_WITHOUT_BUILTIN_SHA256,
+         json.dumps(jobs)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        _certificate_of(argv)[1]["input_hash"] for argv in jobs]
+
+
 def test_unencodable_result_writes_nothing(tmp_path, monkeypatch, capsys):
     # the whole certificate is encoded before its first byte is written
-    monkeypatch.setitem(spectile.cli._HANDLERS, "check-spectrum",
-                        lambda ns: ("true", 0, {}, {}, {"x": float("nan")}))
+    text, flags, _ = spectile.cli._COMMANDS["check-spectrum"]
+    monkeypatch.setitem(spectile.cli._COMMANDS, "check-spectrum", (
+        text, flags, lambda ns: ("true", 0, {}, {}, {"x": float("nan")})))
     out = tmp_path / "cert.json"
     for extra in ([], ["--output", str(out)]):
         assert run(["check-spectrum", "--gamma", "0", "--b", "0"] + extra) == 1
@@ -267,6 +307,26 @@ def test_output_file_mode_follows_the_umask(tmp_path):
         os.umask(previous)
     assert (new_mode, overwritten_mode) == (0o644, 0o644)
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_empty_output_path_is_invalid_input(tmp_path, monkeypatch, capsys):
+    # as a flag or as a job-file key, an empty --output is refused before
+    # any work: it must not fall back to stdout or leave a .tmp file
+    monkeypatch.chdir(tmp_path)
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({
+        "command": "check-spectrum",
+        "args": {"gamma": "0,1/2", "b": "0,1"}, "output": ""}))
+    for argv in (["check-spectrum", "--gamma", "0,1/2", "--b", "0,1",
+                  "--output="],
+                 ["check-spectrum", "--gamma", "0,1/2", "--b", "0,1",
+                  "--output", ""],
+                 ["--job", str(job)]):
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --output: empty file name\n"
+    assert list(tmp_path.iterdir()) == [job]
 
 
 def test_closed_stdout_is_one_error_line():
@@ -416,6 +476,75 @@ def test_job_file_rejects_non_scalar_values(tmp_path, capsys):
         assert "only strings, numbers and booleans" in captured.err
 
 
+def _no_full_parser():
+    raise AssertionError("built the parser of every subcommand")
+
+
+# valid argv for every subcommand: the golden jobs, an abbreviated flag,
+# flags in another order, and defaults left out
+PARSED_ARGV = [argv for argv, _, _ in GOLDEN] + [
+    ["check-spectrum", "--gam", "0,1/2", "--b", "0,1", "--sum"],
+    ["find-complement", "--output=c.json", "--m", "4", "--a", "0,2"],
+    ["verify-omega", "--omega", "[0,1)", "--t-residues", "0",
+     "--t-period", "1"],
+]
+
+
+def test_parsed_argv_cover_every_subcommand():
+    assert {argv[0] for argv in PARSED_ARGV} == set(spectile.cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", PARSED_ARGV, ids=" ".join)
+def test_command_parser_gives_the_full_parsers_namespace(argv, monkeypatch):
+    expected = build_parser().parse_args(argv)
+    monkeypatch.setattr(spectile.cli, "build_parser", _no_full_parser)
+    assert spectile.cli._parse(argv) == expected
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [
+    [name, "--help"] for name in spectile.cli._COMMANDS], ids=" ".join)
+def test_help_is_the_full_parsers(argv, capsys):
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as ours:
+        run(argv)
+    assert ours.value.code == full.value.code == 0
+    assert capsys.readouterr() == expected
+    assert expected.out.startswith("usage: spectile")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-spectrum", "--gamma", "0,1/2"],
+    ["check-spectrum", "--gamma", "0,1/2", "--b", "0,1", "--frob", "1"],
+    ["find-complement", "--a", "0,1", "--m", "0"],
+    ["check-spectrum", "--gamma", "-1,0", "--b", "0,1"],
+    ["check-spectrum", "--job", "bad-args.json"],
+    ["check-spectrum"],
+    ["frobnicate"],
+    [],
+    ["--job", "missing.json"],
+    ["--job", "bad-args.json", "check-spectrum"],
+    ["--job", "bad-args.json"],
+    ["--job"],
+    ["--summary"],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_invalid_argv_fails_as_with_the_full_parser(argv, tmp_path,
+                                                    monkeypatch, capsys):
+    # the oracle is run() with every argv read by the full parser
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad-args.json").write_text(json.dumps({
+        "command": "check-spectrum", "args": {"gamma": "0,0.5", "b": "0,1"}}))
+    with monkeypatch.context() as patch:
+        patch.setattr(spectile.cli, "_parse",
+                      lambda args: build_parser().parse_args(args))
+        expected = run(argv), capsys.readouterr()
+    assert (run(argv), capsys.readouterr()) == expected
+    code, captured = expected
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_summary_goes_to_stderr(capsys):
     code = run(["check-spectrum", "--gamma", "0,1/2", "--b", "0,1",
                 "--summary"])
@@ -561,14 +690,19 @@ def test_prime_order_near_a_billion_runs_in_small_memory():
     assert json.loads(proc.stdout)["verdict"] == "false"
 
 
-# the sorted spectile.* modules a fresh process holds after one run(argv)
+# the sorted spectile.* modules a fresh process holds after one run(argv),
+# and on a second line hashlib and _hashlib (OpenSSL) if run() loaded them:
+# counted against what start-up already loaded, which a site hook can extend
 LOADED_AFTER_RUN = """
 import contextlib, io, sys
+started = set(sys.modules)
 import spectile.cli
 with contextlib.redirect_stdout(io.StringIO()), \\
         contextlib.redirect_stderr(io.StringIO()):
     code = spectile.cli.run(sys.argv[1:])
 print(code, *sorted(n for n in sys.modules if n.startswith("spectile.")))
+print("hashing:", *sorted({"hashlib", "_hashlib"} & (set(sys.modules)
+                                                    - started)))
 """
 
 _PARSING = ("spectile.cli", "spectile.cyclotomic", "spectile.spectra")
@@ -599,9 +733,11 @@ def test_each_subcommand_loads_only_its_modules(argv, code, modules):
         [sys.executable, "-c", LOADED_AFTER_RUN, *argv.split()],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    got_code, *got = proc.stdout.split()
+    loaded, hashing = proc.stdout.splitlines()
+    got_code, *got = loaded.split()
     assert int(got_code) == code
     assert got == sorted(modules)
+    assert hashing.split() == ["hashing:"]
 
 
 def test_no_process_imports_dataclasses():
