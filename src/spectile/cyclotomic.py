@@ -98,14 +98,21 @@ class _Value:
         return type(self), self._key()
 
 
+@lru_cache(maxsize=1024)
 def _prime_factors(m: int) -> tuple[int, ...]:
-    """The distinct primes dividing m, ascending."""
-    q = next((q for q in range(2, math.isqrt(m) + 1) if m % q == 0), m)
-    if q == 1:
-        return ()
-    while m % q == 0:
-        m //= q
-    return (q,) + _prime_factors(m)
+    """The distinct primes dividing m, ascending, by trial division.
+
+    The bounded process-wide cache factors each root-of-unity order that
+    the spectral tests decide once per process, however many point sets
+    share it.  Nothing factors their modulus M = q*D up front, since M
+    can hold a large prime that no tested order has."""
+    primes, q = [], 2
+    while m > 1:
+        q = next((d for d in range(q, math.isqrt(m) + 1) if m % d == 0), m)
+        primes.append(q)
+        while m % q == 0:
+            m //= q
+    return tuple(primes)
 
 
 def _cyclotomic_divides(m: int, terms: dict[int, int]) -> bool:

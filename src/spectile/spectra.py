@@ -14,8 +14,8 @@ import operator
 import time
 from collections import Counter, deque
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, combinations, groupby, islice, product, repeat
+from itertools import (chain, combinations, groupby, islice, product, repeat,
+                       starmap)
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cyclotomic import (RationalLike, _as_int, _cyclotomic_divides, _Value,
@@ -139,25 +139,39 @@ def _point_grid(points: FinitePointSet | Iterable[RationalLike],
 
 
 def _vanishing_test(den: int, numerators: Sequence[int],
-                    q: int) -> Callable[[int], bool]:
-    """Test of  sum_{g in G} e^(2 pi i g d / q) == 0  for integers d, with
-    G the points n/den for n in numerators (a multiset), deciding each
-    order s once.
+                    q: int) -> Callable[[Iterable[int]], bool]:
+    """Test of whether  sum_{g in G} e^(2 pi i g d / q) == 0  for every d
+    in an iterable of integers, with G the points n/den for n in
+    numerators (a multiset).
 
     With M = q*den and n_g = den*g, the sum is
     sum_g zeta_M^(n_g d).  Write s = M / gcd(d, M) and d = (M/s) d' with
     gcd(d', s) = 1: the sum is the image of  sum_g zeta_s^(n_g)  under the
     Galois automorphism zeta_s -> zeta_s^d', which is injective, so the
-    answer depends on d only through s; s = 1 gives the point count.  The
+    answer depends on d only through its order s; s = 1 gives the point
+    count.  So the differences are reduced by C-level maps to their
+    distinct orders, which are decided in ascending order up to the first
+    that does not vanish.  A plain dict keeps each order's verdict, so
+    every order is decided once per (G, q) however many calls share the
+    test, and _prime_factors, behind the shift test, factors it once per
+    process.  M is factored only if it is itself a tested order.  The
     shift test reads only the exponents n_g mod s, whatever the size of s.
     """
     modulus = q * den
+    decided: dict[int, bool] = {}
 
-    @lru_cache(maxsize=None)
     def order_vanishes(s: int) -> bool:
-        return _cyclotomic_divides(s, Counter(n % s for n in numerators))
+        if s not in decided:
+            decided[s] = _cyclotomic_divides(
+                s, Counter(map(s.__rmod__, numerators)))
+        return decided[s]
 
-    return lambda d: order_vanishes(modulus // math.gcd(d, modulus))
+    def vanishes(differences: Iterable[int]) -> bool:
+        orders = set(map(modulus.__floordiv__,
+                         map(math.gcd, differences, repeat(modulus))))
+        return all(map(order_vanishes, sorted(orders)))
+
+    return vanishes
 
 
 def exponential_sum_vanishes(points: Iterable[RationalLike],
@@ -165,18 +179,20 @@ def exponential_sum_vanishes(points: Iterable[RationalLike],
     """Exact test of  sum_{g in points} e^(2 pi i delta g) == 0."""
     delta = as_fraction(delta)
     den, numerators = _over_common_denominator(tuple(map(as_fraction, points)))
-    return _vanishing_test(den, numerators, delta.denominator)(delta.numerator)
+    return _vanishing_test(den, numerators, delta.denominator)(
+        (delta.numerator,))
 
 
 def _spectrum_test(g: FinitePointSet | Iterable[RationalLike],
                    q: int) -> Callable[[Sequence[int]], bool]:
     """Test of whether (1/q)A is a spectrum of G for sets A of distinct
-    integers; G is read onto its grid once, and one order cache serves
-    every set it tests."""
+    integers.  G is read onto its grid once, and one _vanishing_test
+    serves every set tested: each set's pairwise differences are reduced
+    to their distinct orders, and each order is decided once per (G, q)."""
     den, numerators = _point_grid(g)
     vanishes = _vanishing_test(den, numerators, q)
-    return lambda a: len(a) == len(numerators) and all(
-        vanishes(y - x) for x, y in combinations(a, 2))
+    return lambda a: len(a) == len(numerators) and vanishes(
+        starmap(operator.sub, combinations(a, 2)))
 
 
 def is_spectrum(g: FinitePointSet | Iterable[RationalLike],
@@ -223,7 +239,7 @@ def admissible_differences(g: FinitePointSet | Iterable[RationalLike],
     g, p = _base_points(g, p)
     d_max = _as_int(d_max, "d_max", 1)
     vanishes = _vanishing_test(*_point_grid(g), p)
-    return tuple(d for d in range(-d_max, d_max + 1) if d and vanishes(d))
+    return tuple(d for d in range(-d_max, d_max + 1) if d and vanishes((d,)))
 
 
 def _poll_chunks(items: Iterable, deadline: Optional[float],
@@ -318,7 +334,7 @@ def _spectrum_cliques(g: FinitePointSet, p: int, n_max,
     vanishes = _vanishing_test(den, numerators, p)
     modulus = p * den
     allowed = sum(1 << d for d in range(1, min(n_max, modulus - 1) + 1)
-                  if vanishes(d))
+                  if vanishes((d,)))
     cliques = list(_cliques(allowed, p, deadline, "spectrum enumeration"))
     return cliques, lambda r: range(r, n_max + 1, modulus) if r else range(1)
 

@@ -197,3 +197,10 @@ def test_sparse_kernel_matches_dense_mask(case):
     m, terms = case
     assert cyclotomic._cyclotomic_divides(m, dict(terms)) == \
         dense_cyclotomic_divides(m, terms)
+
+
+def test_prime_factors_match_sympy_and_the_cache_is_bounded():
+    for m in list(range(1, 400)) + [223092870, 10**9 + 7, 2**31 - 1,
+                                    4 * (10**9 + 7), 2**10 * 3**7]:
+        assert cyclotomic._prime_factors(m) == tuple(sympy.primefactors(m))
+    assert isinstance(cyclotomic._prime_factors.cache_info().maxsize, int)

@@ -25,8 +25,8 @@ from spectile import (INCONCLUSIVE, FinitePointSet, IntervalUnion, IntSet,
                       admissible_differences, as_fraction, build_omega,
                       enumerate_spectra, exponential_sum_vanishes, fibers,
                       find_common_complement, find_complements, is_spectrum,
-                      roundtrip, spectral_verdict, tiles_cyclic, utc_verify,
-                      verify_omega_tiling)
+                      root_sum_is_zero, roundtrip, spectral_verdict,
+                      tiles_cyclic, utc_verify, verify_omega_tiling)
 from spectile.spectra import (_POLL_INTERVAL, _as_int, _base_points,
                               _cliques, _point_grid, _vanishing_test)
 from corpus import bases, bases_and_bounds
@@ -47,7 +47,7 @@ def stack_dfs_spectra(g, p, n_max, *, deadline=None):
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     vanishes = _vanishing_test(*_point_grid(g), p)
-    allowed = sum(1 << d for d in range(1, n_max + 1) if vanishes(d))
+    allowed = sum(1 << d for d in range(1, n_max + 1) if vanishes((d,)))
     results: list[IntSet] = []
     stack = [((0,), allowed)]
     nodes = 0
@@ -469,6 +469,106 @@ def test_is_spectrum_matches_sympy_oracle(case):
         sympy_sum_vanishes(g.points, y - x)
         for x, y in combinations(b.points, 2))
     assert is_spectrum(g, b) == expected
+
+
+def unreduced_sum(points, delta) -> ResidueMultiset:
+    """sum_g e^(2 pi i delta g) as m-th roots of unity, m the lcm of the
+    denominators of the delta*g, not reduced to its order."""
+    terms = [delta * g for g in points]
+    m = math.lcm(*(t.denominator for t in terms))
+    return ResidueMultiset.of(m, [t.numerator * (m // t.denominator)
+                                  for t in terms])
+
+
+# one large prime per example: an order is factored by trial division up
+# to its square root, about 3*10^4 steps for 10^9 + 7; 2^61 - 1 only
+# scales G down and B up, so that no order keeps it
+LARGE_PRIMES = [2**31 - 1, 10**9 + 7]
+HUGE_PRIME = 2**61 - 1
+
+
+@st.composite
+def order_sharing_pairs(draw):
+    """(G, B) as lists with negatives, repeated points and a large prime
+    denominator, most of whose pairs share a few orders: G is c times
+    {0, ..., n-1} or n distinct integers, shifted by t, and B is
+    {k/(n c) + u} for integers k, perhaps with one point moved off it."""
+    n = draw(st.integers(1, 7))
+    big = draw(st.sampled_from(LARGE_PRIMES))
+    c = draw(st.sampled_from([1, -1, 2, -3, F(1, 5), F(-1, big)]))
+    h = range(n) if draw(st.booleans()) else draw(
+        st.lists(st.integers(-20, 20), min_size=n, max_size=n, unique=True))
+    t = F(draw(st.integers(-big, big)), draw(st.sampled_from([1, 7, big])))
+    g = [c * x + t for x in h]
+    u = draw(RATIONALS)
+    b = [F(k, n) / c + u for k in draw(
+        st.lists(st.integers(-3 * n, 3 * n), min_size=n, max_size=n))]
+    if draw(st.booleans()):
+        b[draw(st.integers(0, n - 1))] += F(draw(st.integers(-5, 5)),
+                                            draw(st.sampled_from([2, 3])))
+    if draw(st.booleans()):
+        g, b = [x / HUGE_PRIME for x in g], [x * HUGE_PRIME for x in b]
+    g += draw(st.lists(st.sampled_from(g), max_size=2))
+    b += draw(st.lists(st.sampled_from(b), max_size=2))
+    return g, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(order_sharing_pairs())
+@example(([0, F(1, HUGE_PRIME)], [0, HUGE_PRIME]))
+@example((list(range(6)) + [0], [F(k, 6) for k in range(-9, 9, 3)]))
+@example((list(range(6)), [F(k, 6) for k in range(-7, 11, 3)]))
+def test_set_test_matches_the_per_pair_path(case):
+    # the set test decides each distinct order once, ascending; the
+    # per-pair path builds a test for each difference on its own, and the
+    # kernel on the unreduced terms shares neither order nor verdict cache
+    g, b = case
+    gs, bs = FinitePointSet.of(g).points, FinitePointSet.of(b).points
+    pairs = list(combinations(bs, 2))
+    expected = len(gs) == len(bs) and all(
+        exponential_sum_vanishes(gs, y - x) for x, y in pairs)
+    assert is_spectrum(g, b) == expected
+    assert expected == (len(gs) == len(bs) and all(
+        root_sum_is_zero(unreduced_sum(gs, y - x)) for x, y in pairs))
+
+
+def test_each_order_is_decided_once_and_no_modulus_is_factored(monkeypatch):
+    decided, factored = [], []
+    real_divides = spectile.spectra._cyclotomic_divides
+    real_factors = spectile.cyclotomic._prime_factors
+
+    def divides(m, terms):
+        decided.append(m)
+        return real_divides(m, terms)
+
+    def factors(m):
+        factored.append(m)
+        return real_factors(m)
+
+    monkeypatch.setattr(spectile.spectra, "_cyclotomic_divides", divides)
+    monkeypatch.setattr(spectile.cyclotomic, "_prime_factors", factors)
+    # G = {0, 1, 2, 3}/P and q = 4, so M = 4P; the sets lie in PZ, so
+    # their orders divide 4 and M is never an order
+    big = 10**9 + 7
+    test = spectile.spectra._spectrum_test([F(j, big) for j in range(4)], 4)
+    verdicts = [test([0, big, 2 * big, 3 * big]),  # orders 4, 2
+                test([0, 3 * big, 6 * big, 9 * big]),  # orders 4, 2 again
+                test([0, big, 2 * big, 4 * big]),  # order 1 first: false
+                test([-5 * big, -big, 0, 2 * big])]  # decided by the cache
+    assert verdicts == [True, True, False, False]
+    assert decided == [2, 4, 1]
+    assert 4 * big not in factored and set(factored) <= {1, 2, 4}
+    # is_spectrum makes its own test, so it decides its orders again
+    decided.clear()
+    assert is_spectrum([F(j, big) for j in range(4)],
+                       [0, F(big, 4), F(big, 2), F(3 * big, 4)])
+    assert decided == [2, 4]
+    # M = 2^61 - 1 is prime, but the one difference has order 1: nothing
+    # is trial-divided up to 2^30.5
+    decided.clear()
+    factored.clear()
+    assert is_spectrum([0, F(1, HUGE_PRIME)], [0, HUGE_PRIME]) is False
+    assert decided == [1] and factored == [1]
 
 
 def _spelled(draw, values):
