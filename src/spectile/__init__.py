@@ -21,7 +21,7 @@ _HOMES = {
     "intervals": ("CommonComplementError", "FiberCell", "FiberDecomposition",
                   "IntervalUnion", "OmegaTilingCertificate",
                   "assemble_tiling", "build_omega", "fibers", "gram_entry",
-                  "gram_matrix", "is_p_tile", "measure",
+                  "gram_matrix", "measure",
                   "period_identity_residual", "spectral_verdict",
                   "verify_omega_tiling"),
     "utc": ("INCONCLUSIVE", "NO_SPECTRA", "VERIFIED", "InvalidFamilyError",

@@ -6,8 +6,8 @@ integer sets lifted to the grid (1/p)Z, their fiber decomposition
     fiber(x) = {k in Z : x + k/p in Omega},  x in [0, 1/p),
 
 which is constant on the rational cells cut out by the interval endpoints,
-and the resulting exact verdicts: p-tile, spectrum of Gamma + pZ, and
-tilings of R by (1/p)(R + mZ).  A union is stored on its integer grid,
+and the resulting exact verdicts: spectrum of Gamma + pZ, and tilings
+of R by (1/p)(R + mZ).  A union is stored on its integer grid,
 as integer endpoints over one denominator in lowest terms; Fraction
 appears only at the API boundary, in IntervalUnion.of and the intervals
 view.  The Gram checks at the bottom are the only float code, a
@@ -147,11 +147,15 @@ class OmegaTilingCertificate(_Value):
     """A verified tiling of R: omega + (1/p)(R + mZ) = R, checked exactly
     on the fundamental domain [0, m/p)."""
 
-    __slots__ = _fields = ("omega", "p", "complement", "checked_domain")
+    __slots__ = _fields = ("omega", "p", "complement")
     omega: IntervalUnion
     p: int
     complement: PeriodicSet
-    checked_domain: tuple[Fraction, Fraction]
+
+    @property
+    def checked_domain(self) -> tuple[Fraction, Fraction]:
+        """The fundamental domain [0, m/p) of the translation set."""
+        return Fraction(0), Fraction(self.complement.period, self.p)
 
 
 def build_omega(p: int, family: Sequence, breakpoints: Sequence[RationalLike],
@@ -228,16 +232,6 @@ def fibers(omega: IntervalUnion, p: int) -> FiberDecomposition:
     return FiberDecomposition(p, tuple(cells))
 
 
-def is_p_tile(omega: IntervalUnion, p: int) -> bool:
-    """Does omega cover almost every real point exactly p times under
-    (1/p)Z-translations?  True iff every fiber cell has p elements."""
-    verdict = all(len(cell.fiber) == p for cell in fibers(omega, p).cells)
-    if verdict and measure(omega) != 1:
-        raise AssertionError(
-            f"every fiber has {p} elements but the measure is {measure(omega)}")
-    return verdict
-
-
 def spectral_verdict(omega: IntervalUnion, gamma, p: int) -> bool:
     """Exact test of whether Gamma + pZ is a spectrum of omega.
 
@@ -272,8 +266,7 @@ def _assemble_from_cells(omega: IntervalUnion,
                 f"does not tile Z by residues {complement.residues} mod {m}")
     if not verify_omega_tiling(omega, complement, p):
         raise AssertionError("tiling verification failed after fiber checks")
-    domain = (Fraction(0), Fraction(m, p))
-    return OmegaTilingCertificate(omega, p, complement, domain)
+    return OmegaTilingCertificate(omega, p, complement)
 
 
 def verify_omega_tiling(omega: IntervalUnion, complement: PeriodicSet,

@@ -88,7 +88,8 @@ def _exact_covers(tables: Sequence[int], m: int,
     value, is polled as _cliques polls it.
     """
     if not (tables
-            and all(isinstance(t, int) and 0 < t < 1 << m for t in tables)
+            and all(isinstance(t, int) and 0 < t and t.bit_length() <= m
+                    for t in tables)
             and len({t.bit_count() for t in tables}) == 1
             and m % tables[0].bit_count() == 0):
         raise ValueError(f"tables must be nonzero masks below 2**{m} with "

@@ -52,17 +52,24 @@ class RoundTripReport(_Value):
     """Outcome of the spectral-set-tiles round trip on one instance."""
 
     __slots__ = _fields = ("p", "gamma", "family", "breakpoints", "omega",
-                           "spectral_ok", "projected_complement",
-                           "omega_tiling", "consistency")
+                           "spectral_ok", "omega_tiling")
     p: int
     gamma: FinitePointSet
     family: tuple[IntSet, ...]
     breakpoints: tuple[Fraction, ...]
     omega: IntervalUnion
     spectral_ok: bool
-    projected_complement: Optional[PeriodicSet]
     omega_tiling: Optional[OmegaTilingCertificate]
-    consistency: bool
+
+    @property
+    def projected_complement(self) -> Optional[PeriodicSet]:
+        """The verified tiling's complement R + mZ, None without one."""
+        return self.omega_tiling and self.omega_tiling.complement
+
+    @property
+    def consistency(self) -> bool:
+        """Omega is spectral and its tiling of R is verified."""
+        return self.spectral_ok and self.omega_tiling is not None
 
 
 def _deadline(start: float, time_budget: Optional[float]) -> Optional[float]:
@@ -149,7 +156,8 @@ def roundtrip(p: int, gamma, family, breakpoints, m_max: int, *,
     members just checked, in order.  It then searches the fibers for a
     common complement within m_max and, on success, checks it on every
     fiber cell (hence on every member) and exactly verifies the tiling of
-    R by (1/p)(R + mZ).  consistency is true only when every stage agrees.
+    R by (1/p)(R + mZ).  The report derives consistency and the projected
+    complement from those verdicts, so it cannot claim more than they do.
     """
     start = time.monotonic()
     gamma, p = spectrum_base(gamma, p)
@@ -172,9 +180,6 @@ def roundtrip(p: int, gamma, family, breakpoints, m_max: int, *,
             decomposition.fiber_family(), m_max, deadline=deadline)
     except SearchTimeout:
         complement = None
-    certificate = None
-    if complement is not None:
-        certificate = _assemble_from_cells(omega, decomposition, complement)
-    return RoundTripReport(p, gamma, sets, rs, omega, spectral_ok,
-                           complement, certificate,
-                           spectral_ok and certificate is not None)
+    certificate = None if complement is None else _assemble_from_cells(
+        omega, decomposition, complement)
+    return RoundTripReport(p, gamma, sets, rs, omega, spectral_ok, certificate)

@@ -1,8 +1,9 @@
 """Independent oracles that the tests check the exact code against.
 
-brute_force_spectra tests every candidate set directly, and root_sum_value
-evaluates a sum of roots of unity in floating point; neither shares a
-search or a divisibility test with the code under test.
+brute_force_spectra tests every candidate set directly, root_sum_value
+evaluates a sum of roots of unity in floating point, and is_p_tile counts
+translates at sample points; none shares a search, a divisibility test or
+the fiber sweep with the code under test.
 """
 
 import cmath
@@ -43,3 +44,21 @@ def root_sum_value(multiset: ResidueMultiset) -> complex:
     oracle for root_sum_is_zero."""
     m = multiset.modulus
     return sum((cmath.exp(2j * cmath.pi * e / m) for e in multiset.entries), 0j)
+
+
+def is_p_tile(omega, p: int) -> bool:
+    """Does omega cover almost every real point exactly p times under
+    (1/p)Z-translations?  The count is constant between the endpoints
+    reduced mod 1/p, so it is taken once at the midpoint x of each such
+    cell: [a, b) holds x + k/p for ceil(p(a - x)) <= k < ceil(p(b - x)).
+    The library reads the same verdict off its fibers:
+    all(len(c.fiber) == p for c in fibers(omega, p).cells)."""
+    step = Fraction(1, p)
+    cuts = sorted({x % step for pair in omega.intervals for x in pair}
+                  | {Fraction(0), step})
+    for lo, hi in zip(cuts, cuts[1:]):
+        x = (lo + hi) / 2
+        if p != sum(math.ceil(p * (b - x)) - math.ceil(p * (a - x))
+                    for a, b in omega.intervals):
+            return False
+    return True

@@ -10,11 +10,11 @@ import time
 from fractions import Fraction as F
 
 from corpus import NEGATIVE_CORPUS, OMEGA_2, SPECTRAL_CORPUS, UNIT
-from oracles import brute_force_spectra, root_sum_value
+from oracles import brute_force_spectra, is_p_tile, root_sum_value
 from spectile import (IntervalUnion, IntSet, ResidueMultiset,
                       assemble_tiling, build_omega, enumerate_spectra, fibers,
                       find_common_complement, find_complements, gram_matrix,
-                      is_p_tile, is_tiling_of_Z, period_identity_residual,
+                      is_tiling_of_Z, period_identity_residual,
                       root_sum_is_zero, roundtrip, spectral_verdict,
                       tiles_cyclic, utc_verify, verify_omega_tiling)
 

@@ -14,12 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import NEGATIVE_CORPUS, OMEGA_2, SPECTRAL_CORPUS, UNIT, iu
+from oracles import is_p_tile
 import spectile
 from spectile import (CommonComplementError, FiberCell,
                       FiberDecomposition, IntervalUnion, IntSet, PeriodicSet,
                       assemble_tiling, build_omega,
                       enumerate_spectra, fibers, gram_entry,
-                      gram_matrix, is_p_tile, measure,
+                      gram_matrix, measure,
                       period_identity_residual, spectral_verdict,
                       tiles_cyclic, verify_omega_tiling)
 
@@ -246,6 +247,35 @@ def test_is_p_tile_examples():
     assert is_p_tile(iu((0, F(1, 2)), (F(3, 2), 2)), 2)
     assert not is_p_tile(iu((0, F(1, 2))), 2)
     assert not is_p_tile(iu((0, F(3, 2))), 2)
+    assert not is_p_tile(iu(), 1)
+
+
+@st.composite
+def _unions_and_p(draw):
+    """A union on (1/6)Z, rarely a p-tile, or one built from p-sets."""
+    p = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        ends = sorted(draw(st.lists(st.integers(-24, 24), max_size=8,
+                                    unique=True)))
+        return iu(*((F(a, 6), F(b, 6))
+                    for a, b in zip(ends[::2], ends[1::2]))), p
+    n = draw(st.integers(1, 3))
+    family = [draw(st.lists(st.integers(-6, 6), min_size=p, max_size=p,
+                            unique=True)) for _ in range(n)]
+    cuts = sorted(draw(st.sets(st.integers(1, 11), min_size=n - 1,
+                               max_size=n - 1)))
+    rs = [0, *(F(c, 12 * p) for c in cuts), F(1, p)]
+    return build_omega(p, family, rs), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unions_and_p())
+def test_p_tile_oracle_matches_the_fiber_cells(case):
+    # what replaces the removed intervals.is_p_tile: every fiber cell has
+    # p elements, which the oracle decides without the fiber sweep
+    omega, p = case
+    cells = fibers(omega, p).cells
+    assert is_p_tile(omega, p) == all(len(c.fiber) == p for c in cells)
 
 
 def test_spectral_verdict_examples():
@@ -456,20 +486,14 @@ from fractions import Fraction as F
 import spectile.cyclotomic as cyclotomic
 import spectile.intervals as intervals
 
-unit = intervals.IntervalUnion.of([(0, 1)])
 merged = intervals._merged
 intervals._merged = lambda den, pairs: merged(2 * den, pairs)
-intervals.measure = lambda omega: 2
-for label, call in [
-        ("build_omega", lambda: intervals.build_omega(2, [[0, 1], [0, 3]],
-                                                      [0, F(1, 4), F(1, 2)])),
-        ("is_p_tile", lambda: intervals.is_p_tile(unit, 1))]:
-    try:
-        call()
-    except AssertionError:
-        pass
-    else:
-        raise SystemExit(label + " accepted a union of the wrong measure")
+try:
+    intervals.build_omega(2, [[0, 1], [0, 3]], [0, F(1, 4), F(1, 2)])
+except AssertionError:
+    pass
+else:
+    raise SystemExit("build_omega accepted a union of the wrong measure")
 
 for den, ends in [(2, ((0, 2), (1, 4))), (2, ((0, 2),))]:
     try:

@@ -1,7 +1,10 @@
 """The lazy package namespace: every public name resolves to the object
-its home module defines, and unknown names fail as on any module."""
+its home module defines, and unknown names fail as on any module.  The
+package source holds no assert statement."""
 
+import ast
 import importlib
+import pathlib
 
 import pytest
 
@@ -22,13 +25,25 @@ def test_each_name_is_its_home_modules_object(name):
 
 
 @pytest.mark.parametrize("name", ["brute_force_spectra", "ResourceLimitError",
-                                  "root_sum_value"])
+                                  "root_sum_value", "is_p_tile"])
 def test_test_oracles_are_not_public(name):
     # the oracles live in tests/oracles.py, outside the package
     assert name not in spectile.__all__
     assert not hasattr(spectile, name)
     assert not hasattr(spectile.spectra, name)
     assert not hasattr(spectile.cyclotomic, name)
+    assert not hasattr(spectile.intervals, name)
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so every invariant raises
+    # AssertionError explicitly and still holds under -O
+    found = []
+    for path in sorted(pathlib.Path(spectile.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, found
 
 
 def test_star_import_binds_every_name():

@@ -350,7 +350,7 @@ def _two_values():
     return {type(a).__name__: (a, b) for a, b in pairs}
 
 
-_VALUE_TYPES = [  # as they were declared with @dataclass(frozen=True)
+_VALUE_TYPES = [  # the stored fields, as @dataclass(frozen=True) declares them
     ("ResidueMultiset", "modulus entries"),
     ("FinitePointSet", "points"),
     ("IntSet", "elements"),
@@ -358,11 +358,11 @@ _VALUE_TYPES = [  # as they were declared with @dataclass(frozen=True)
     ("IntervalUnion", "den ends"),
     ("FiberCell", "lo hi fiber"),
     ("FiberDecomposition", "p cells"),
-    ("OmegaTilingCertificate", "omega p complement checked_domain"),
+    ("OmegaTilingCertificate", "omega p complement"),
     ("UtcReport", "p gamma n_max m_max spectra_found verdict certificate "
      "timing"),
     ("RoundTripReport", "p gamma family breakpoints omega spectral_ok "
-     "projected_complement omega_tiling consistency"),
+     "omega_tiling"),
 ]
 
 

@@ -3,6 +3,7 @@ oracle for completeness at small periods."""
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -353,13 +354,28 @@ def test_exact_covers_refuse_tables_that_are_not_masks():
     # an unreduced table once yielded 8,388,608 duplicate covers of Z_24
     start = time.monotonic()
     for tables, m in [([IntSet.of([0, 24])], 24), ([1 | 1 << 24], 24),
-                      ([], 4), ([0], 4), ([0b11, 0b111], 6), ([0b111], 4),
+                      ([1 << 4], 4), ([], 4), ([0], 4), ([0b11, 0b111], 6), ([0b111], 4),
                       ([-1], 4), ([{0, 1}], 2)]:
         with pytest.raises(ValueError):
             next(_exact_covers(tables, m))
     assert time.monotonic() - start < 0.5
     assert list(_exact_covers([0b11, 0b101], 4)) == []
     assert list(_exact_covers([0b11, 0b1001], 4)) == [(0, 2)]
+
+
+def test_exact_covers_check_table_width_without_an_m_bit_integer():
+    # residue m - 1 is the table's last bit, residue m is refused above
+    assert list(_exact_covers([1 << 3], 4)) == [(0, 1, 2, 3)]
+    # a 3-bit table cannot tile Z_m for m = 10**8 + 1; the refusal reads
+    # the table's width, so it allocates nothing near 2**m (12.5 MB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"masks below 2\*\*100000001 "):
+            next(_exact_covers([0b111], 10**8 + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6, peak
 
 
 def test_find_complements_sorted_output():

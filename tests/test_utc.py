@@ -17,7 +17,8 @@ import spectile.spectra
 import spectile.tilings
 import spectile.utc
 from spectile import (INCONCLUSIVE, NO_SPECTRA, VERIFIED, IntSet,
-                      InvalidFamilyError, PeriodicSet, assemble_tiling,
+                      InvalidFamilyError, OmegaTilingCertificate,
+                      PeriodicSet, RoundTripReport, assemble_tiling,
                       build_omega, enumerate_spectra, fibers,
                       find_common_complement, find_complements, is_spectrum,
                       is_tiling_of_Z, measure, roundtrip, spectral_verdict,
@@ -25,6 +26,18 @@ from spectile import (INCONCLUSIVE, NO_SPECTRA, VERIFIED, IntSet,
 from corpus import OMEGA_2, bases_and_bounds
 
 P8_GAMMA = [0, F(1, 2), 2, F(5, 2), 4, F(9, 2), 6, F(13, 2)]
+
+
+def _assert_derived(report):
+    """The report's derived values equal their definitions."""
+    tiling = report.omega_tiling
+    assert report.consistency == (report.spectral_ok and tiling is not None)
+    if tiling is None:
+        assert report.projected_complement is None
+    else:
+        assert report.projected_complement == tiling.complement
+        assert tiling.checked_domain == \
+            (F(0), F(tiling.complement.period, tiling.p))
 
 
 def test_utc_verify_desk_instances():
@@ -95,10 +108,13 @@ def test_time_budget_refuses_nan_and_negative():
             utc_verify(9, range(9), 27, 81, time_budget=budget)
         with pytest.raises(ValueError, match="time_budget must be nonnegative"):
             roundtrip(2, [0, 1], family, rs, 8, time_budget=budget)
-    assert roundtrip(2, [0, 1], family, rs, 8).consistency
+    consistent = roundtrip(2, [0, 1], family, rs, 8)
+    assert consistent.consistency
     spent = roundtrip(2, [0, 1], family, rs, 8, time_budget=0)
     assert spent.projected_complement is None and spent.omega_tiling is None
     assert not spent.consistency
+    _assert_derived(consistent)
+    _assert_derived(spent)
 
 
 def test_utc_verify_monotonicity():
@@ -342,6 +358,35 @@ def test_roundtrip_worked_example():
     assert report.omega_tiling is not None
     assert report.consistency
     assert verify_omega_tiling(report.omega, report.projected_complement, 2)
+    assert report.omega_tiling.checked_domain == (F(0), F(1))
+    _assert_derived(report)
+
+
+def test_reports_store_only_what_was_checked():
+    # consistency, projected_complement and checked_domain are derived:
+    # neither constructor takes them, so none can claim an unchecked tiling
+    report = roundtrip(2, [0, 1], [[0, 1], [0, 3]], [0, F(1, 4), F(1, 2)], 4)
+    tiling = report.omega_tiling
+    assert RoundTripReport._fields == ("p", "gamma", "family", "breakpoints",
+                                       "omega", "spectral_ok", "omega_tiling")
+    assert OmegaTilingCertificate._fields == ("omega", "p", "complement")
+    stored = [getattr(report, name) for name in report._fields]
+    with pytest.raises(TypeError, match="takes 7 arguments, not 9"):
+        RoundTripReport(*stored[:6], report.projected_complement, tiling,
+                        report.consistency)
+    with pytest.raises(TypeError, match="takes 3 arguments, not 4"):
+        OmegaTilingCertificate(tiling.omega, tiling.p, tiling.complement,
+                               tiling.checked_domain)
+    assert RoundTripReport(*stored) == report
+    # no stored tiling, no consistency, whatever spectral_ok says
+    untiled = RoundTripReport(*stored[:6], None)
+    assert untiled.spectral_ok and not untiled.consistency
+    assert untiled.projected_complement is None
+    for name in ("consistency", "projected_complement"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
+    with pytest.raises(AttributeError):
+        tiling.checked_domain = (F(0), F(1))
 
 
 def test_roundtrip_trivial_instance():
@@ -362,6 +407,7 @@ def test_roundtrip_inconclusive_when_bound_too_small():
     assert report.projected_complement is None
     assert report.omega_tiling is None
     assert not report.consistency
+    _assert_derived(report)
 
 
 def test_roundtrip_consistency_on_verified_subfamilies():
@@ -491,3 +537,4 @@ def test_roundtrip_matches_composed_stages(instance):
     assert (report.spectral_ok, report.projected_complement,
             report.omega_tiling, report.consistency) == \
         _composed_roundtrip(*instance)
+    _assert_derived(report)
