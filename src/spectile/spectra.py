@@ -30,6 +30,16 @@ class SearchTimeout(RuntimeError):
     cooperative deadline."""
 
 
+def _deadline(start: float, time_budget: Optional[float]) -> Optional[float]:
+    """start + time_budget, None for no budget; 0 is a spent budget.  A NaN
+    deadline would never pass, so NaN, like a negative budget, raises."""
+    if time_budget is None:
+        return None
+    if not time_budget >= 0:
+        raise ValueError(f"time_budget must be nonnegative, not {time_budget}")
+    return start + time_budget
+
+
 def _check_increasing(values: tuple, what: str) -> None:
     """Raise ValueError unless values is strictly increasing."""
     if not all(map(operator.lt, values, values[1:])):
@@ -352,10 +362,8 @@ def _lifted(cliques: Iterable[tuple[int, ...]],
     # sorted drops each product tuple at once, so product reuses it
     members = map(tuple, map(sorted, chain.from_iterable(
         product(*map(lifts, clique)) for clique in cliques)))
-    spectra: list[tuple[int, ...]] = []
-    for chunk in _poll_chunks(members, deadline, "spectrum enumeration"):
-        spectra += chunk
-    spectra.sort()
+    spectra = sorted(chain.from_iterable(
+        _poll_chunks(members, deadline, "spectrum enumeration")))
     out: list[IntSet] = []
     for chunk in _poll_chunks(spectra, deadline, "spectrum enumeration"):
         out += IntSet._many(chunk)
@@ -364,7 +372,7 @@ def _lifted(cliques: Iterable[tuple[int, ...]],
 
 def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
                       p: int, n_max: int, *,
-                      deadline: Optional[float] = None) -> list[IntSet]:
+                      time_budget: Optional[float] = None) -> list[IntSet]:
     """All A within {0, ..., n_max} with 0 in A, |A| = p, and every pairwise
     difference admissible; equivalently all A for which (1/p)A is a spectrum
     of G.  Sorted lexicographically.
@@ -387,13 +395,15 @@ def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
     one lift.  Distinct (C, lift) pairs give distinct sets, since A
     determines both.
 
-    deadline is an absolute time.monotonic() value, checked before the
-    first node of the clique search and then every _POLL_INTERVAL nodes,
-    and again before every _POLL_INTERVAL lifted sets, both as they are
-    lifted and as they are wrapped after the sort; passing it raises
-    SearchTimeout.  The one sort of all the lifts is not polled.  Each
-    member is checked strictly increasing as it is wrapped, in chunks, by
-    the check IntSet itself makes, so a bad lift raises ValueError.
+    time_budget, in seconds from entry (0 is spent; NaN or negative
+    raises ValueError), is checked before the first node of the clique
+    search and then every _POLL_INTERVAL nodes, and again before every
+    _POLL_INTERVAL lifted sets, both as they are lifted and as they are
+    wrapped after the sort; passing it raises SearchTimeout.  The one sort
+    of all the lifts is not polled.  Each member is checked strictly
+    increasing as it is wrapped, in chunks, by the check IntSet itself
+    makes, so a bad lift raises ValueError.
     """
+    deadline = _deadline(time.monotonic(), time_budget)
     g, p = _base_points(g, p)
     return _lifted(*_spectrum_cliques(g, p, n_max, deadline), deadline)

@@ -16,11 +16,12 @@ inconclusive, never a refutation.
 
 from __future__ import annotations
 
+import time
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cyclotomic import _Value
 from .spectra import (IntSet, _as_int, _check_increasing, _cliques,
-                      _poll_chunks)
+                      _deadline, _poll_chunks)
 
 
 class PeriodicSet(_Value):
@@ -117,7 +118,7 @@ def find_complements(tile, m: int) -> list[tuple[int, ...]]:
 
 
 def find_common_complement(family, m_max: int, *,
-                           deadline: Optional[float] = None,
+                           time_budget: Optional[float] = None,
                            ) -> Optional[PeriodicSet]:
     """Smallest-period complement shared by every member of the family.
 
@@ -133,9 +134,11 @@ def find_common_complement(family, m_max: int, *,
     _first_common_cover); a period at which some member is not distinct
     mod m is skipped.
 
-    deadline is an absolute time.monotonic() value; passing it raises
+    time_budget, in seconds from entry (0 is spent; NaN or negative
+    raises ValueError), is polled through the search; passing it raises
     SearchTimeout so the caller can report an honest partial result.
     """
+    deadline = _deadline(time.monotonic(), time_budget)
     m_max = _as_int(m_max, "m_max", 1)
     members = [IntSet.of(s).elements for s in family]
     if not members:

@@ -10,6 +10,7 @@ verdict, never a refutation.
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 from itertools import product
@@ -19,10 +20,9 @@ from .cyclotomic import _Value
 from .intervals import (IntervalUnion, OmegaTilingCertificate,
                         _assemble_from_cells, build_omega, fibers)
 from .spectra import (FinitePointSet, IntSet, SearchTimeout, _as_int,
-                      _lifted, _spectrum_cliques, _spectrum_test,
+                      _deadline, _lifted, _spectrum_cliques, _spectrum_test,
                       as_fraction, spectrum_base)
-from .tilings import (PeriodicSet, _first_common_cover,
-                      find_common_complement, is_tiling_of_Z)
+from .tilings import PeriodicSet, _first_common_cover, is_tiling_of_Z
 
 VERIFIED = "verified-with-certificate"
 INCONCLUSIVE = "inconclusive-no-complement-in-bounds"
@@ -72,16 +72,6 @@ class RoundTripReport(_Value):
         return self.spectral_ok and self.omega_tiling is not None
 
 
-def _deadline(start: float, time_budget: Optional[float]) -> Optional[float]:
-    """start + time_budget, None for no budget; 0 is a spent budget.  A NaN
-    deadline would never pass, so NaN, like a negative budget, raises."""
-    if time_budget is None:
-        return None
-    if not time_budget >= 0:
-        raise ValueError(f"time_budget must be nonnegative, not {time_budget}")
-    return start + time_budget
-
-
 def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
                time_budget: Optional[float] = None) -> UtcReport:
     """Enumerate every integer spectrum of Gamma within {0..n_max}, then
@@ -91,10 +81,11 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
     are their lifts, and the search and its re-check read the cliques
     without reading a member.  Whether A + (R + mZ) tiles Z depends only
     on the multiset A mod m.  At period m each residue r of a clique keeps
-    its first lift in each class mod m, and representatives(m) multiplies
-    the kept lifts out over the clique.  Any choice of one lift per
-    residue is a spectrum, so each representative is one, and every
-    spectrum of the clique shares its multiset mod m with one of them.
+    its first lift in each class mod m, which are its first m / gcd(M, m)
+    lifts, and representatives(m) multiplies the kept lifts out over the
+    clique.  Any choice of one lift per residue is a spectrum, so each
+    representative is one, and every spectrum of the clique shares its
+    multiset mod m with one of them.
     The search therefore sees the classes find_common_complement would
     see on the family, and finds the same certificate, which does not
     depend on their order.
@@ -111,36 +102,30 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
     gamma, p = spectrum_base(gamma, p)
     n_max, m_max = _as_int(n_max, "n_max", 0), _as_int(m_max, "m_max", 1)
     deadline = _deadline(start, time_budget)
+
+    def representatives(m: int) -> Iterator[tuple[int, ...]]:
+        return (combo for clique in cliques for combo in product(
+            *(run[:m // math.gcd(run.step, m)] for run in map(lifts, clique))))
+
+    family, verdict, certificate = (), INCONCLUSIVE, None
     try:
         cliques, lifts = _spectrum_cliques(gamma, p, n_max, deadline)
         family = tuple(_lifted(cliques, lifts, deadline))
+        if not cliques:
+            verdict = NO_SPECTRA
+        else:
+            certificate = _first_common_cover(p, m_max, representatives,
+                                              deadline)
     except SearchTimeout:
-        return UtcReport(p, gamma, n_max, m_max, (), INCONCLUSIVE, None,
-                         time.monotonic() - start)
-    if not cliques:
-        return UtcReport(p, gamma, n_max, m_max, (), NO_SPECTRA, None,
-                         time.monotonic() - start)
-    residues = {r for clique in cliques for r in clique}
-
-    def representatives(m: int) -> Iterator[tuple[int, ...]]:
-        kept = {r: sorted({x % m: x for x in reversed(lifts(r))}.values())
-                for r in residues}
-        return (combo for clique in cliques
-                for combo in product(*map(kept.__getitem__, clique)))
-
-    try:
-        certificate = _first_common_cover(p, m_max, representatives, deadline)
-    except SearchTimeout:
-        certificate = None
-    if certificate is None:
-        return UtcReport(p, gamma, n_max, m_max, family, INCONCLUSIVE, None,
-                         time.monotonic() - start)
-    for combo in representatives(certificate.period):
-        a = IntSet.of(combo)
-        if not is_tiling_of_Z(a, certificate):
-            raise AssertionError(f"certificate {certificate} failed "
-                                 f"re-verification on {tuple(a)}")
-    return UtcReport(p, gamma, n_max, m_max, family, VERIFIED, certificate,
+        pass  # inconclusive, with the spectra lifted before the deadline
+    if certificate is not None:
+        for combo in representatives(certificate.period):
+            a = IntSet.of(combo)
+            if not is_tiling_of_Z(a, certificate):
+                raise AssertionError(f"certificate {certificate} failed "
+                                     f"re-verification on {tuple(a)}")
+        verdict = VERIFIED
+    return UtcReport(p, gamma, n_max, m_max, family, verdict, certificate,
                      time.monotonic() - start)
 
 
@@ -174,10 +159,11 @@ def roundtrip(p: int, gamma, family, breakpoints, m_max: int, *,
     rs = tuple(as_fraction(r) for r in breakpoints)
     omega = build_omega(p, sets, rs)
     decomposition = fibers(omega, p)
-    spectral_ok = decomposition.fiber_family() == members
-    try:
-        complement = find_common_complement(
-            decomposition.fiber_family(), m_max, deadline=deadline)
+    fiber_family = decomposition.fiber_family()
+    spectral_ok = fiber_family == members
+    try:  # build_omega gave every fiber p elements
+        complement = _first_common_cover(p, m_max, lambda m: fiber_family,
+                                         deadline)
     except SearchTimeout:
         complement = None
     certificate = None if complement is None else _assemble_from_cells(

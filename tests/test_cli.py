@@ -79,15 +79,21 @@ def test_exit_one_on_invalid_input(capsys):
          "--breakpoints", "0,1/4,1/2", "--m-max", "4"],
         ["build-omega", "--p", "2", "--family", "0,1", "--breakpoints", "0,1"],
         ["gram-check", "--omega", "[0,1)", "--p", "1"],
+        ["gram-check", "--omega", "[0,1)", "--p", "1", "--lam", "0"],
         # 2Z is orthogonal on [0,1) but has one point per period, not two
         ["gram-check", "--omega", "[0,1)", "--p", "2", "--gamma", "0"],
         ["no-such-command"],
         [],
     ]
-    # a non-finite float would switch the deadline or the check off
-    non_finite = [
+    # a non-finite float would switch the deadline or the check off; a
+    # float flag names itself when its value is refused
+    bad_floats = [
         (["utc-verify", "--p", "2", "--gamma", "0,1", "--n-max", "5",
           "--m-max", "8", "--time-budget", "nan"], "--time-budget"),
+        (["utc-verify", "--p", "2", "--gamma", "0,1", "--n-max", "5",
+          "--m-max", "8", "--time-budget", "abc"], "--time-budget"),
+        (["utc-verify", "--p", "2", "--gamma", "0,1", "--n-max", "5",
+          "--m-max", "8", "--time-budget", "0"], "--time-budget"),
         (["roundtrip", "--p", "2", "--gamma", "0,1", "--family", "0,1;0,3",
           "--breakpoints", "0,1/4,1/2", "--m-max", "4",
           "--time-budget", "inf"], "--time-budget"),
@@ -98,10 +104,10 @@ def test_exit_one_on_invalid_input(capsys):
         (["gram-check", "--omega", "[0,1)", "--p", "2", "--gamma", "0,1/2",
           "--gram-tolerance", "-inf"], "--gram-tolerance"),
     ]
-    for argv in cases + [argv for argv, _ in non_finite]:
+    for argv in cases + [argv for argv, _ in bad_floats]:
         assert run(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:")
-    for argv, flag in non_finite:
+    for argv, flag in bad_floats:
         assert run(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -451,13 +457,15 @@ def test_job_file_runs_and_validates(tmp_path, capsys):
     assert run(["--job", str(job)]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "true"
 
-    job.write_text(json.dumps({"command": "nope", "args": {}}))
-    assert run(["--job", str(job)]) == 1
-    capsys.readouterr()
+    for text in [json.dumps({"command": "nope", "args": {}}), "not json",
+                 json.dumps(["check-spectrum", "--gamma", "0,1/2"]),
+                 json.dumps({"command": "check-spectrum",
+                             "args": ["--gamma", "0,1/2", "--b", "0,1"]})]:
+        job.write_text(text)
+        assert run(["--job", str(job)]) == 1, text
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --job:")
     assert run(["--job", str(tmp_path / "missing.json")]) == 1
-    capsys.readouterr()
-    job.write_text("not json")
-    assert run(["--job", str(job)]) == 1
     capsys.readouterr()
 
 

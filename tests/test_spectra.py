@@ -103,6 +103,7 @@ def test_int_set_basics():
     a = IntSet.of([3, 0, 3, 1])
     assert a.elements == (0, 1, 3)
     assert IntSet.of(a) is a
+    assert (0 in a, 3 in a, 2 in a, -1 in a) == (True, True, False, False)
     assert IntSet.of(e - 5 for e in IntSet.of([7, 5])).elements == (0, 2)
     assert IntSet((0, 1)) != FinitePointSet.of([0, 1])
     with pytest.raises(TypeError):
@@ -297,11 +298,11 @@ def test_enumerate_matches_brute_force():
 
 def test_enumerate_spectra_deadline():
     with pytest.raises(SearchTimeout):
-        enumerate_spectra(range(9), 9, 36, deadline=time.monotonic() - 1)
-    # a deadline that does not pass leaves the output unchanged, across
+        enumerate_spectra(range(9), 9, 36, time_budget=0)
+    # a budget that does not run out leaves the output unchanged, across
     # more than one poll interval of search nodes
     gamma = [0, F(1, 2), 2, F(5, 2)]
-    assert enumerate_spectra(gamma, 4, 80, deadline=time.monotonic() + 3600) \
+    assert enumerate_spectra(gamma, 4, 80, time_budget=3600) \
         == enumerate_spectra(gamma, 4, 80)
 
 
@@ -309,7 +310,7 @@ def test_enumerate_spectra_polls_the_deadline_at_p_1():
     # the deadline is checked before the first node, even when that node
     # is the whole search
     with pytest.raises(SearchTimeout):
-        enumerate_spectra([0], 1, 5, deadline=time.monotonic() - 1)
+        enumerate_spectra([0], 1, 5, time_budget=0)
 
 
 def test_enumerate_spectra_has_no_recursion_limit():
@@ -702,7 +703,7 @@ def test_enumerate_spectra_deadline_during_lifting(monkeypatch):
     monkeypatch.setattr(spectile.spectra.time, "monotonic",
                         lambda: real_clock() + 1e9 * state["lifting"])
     with pytest.raises(SearchTimeout):
-        enumerate_spectra(range(9), 9, 36, deadline=real_clock() + 3600)
+        enumerate_spectra(range(9), 9, 36, time_budget=3600)
     assert state["lifting"]
     state["lifting"] = False
     report = utc_verify(9, range(9), 36, 81, time_budget=3600)
@@ -727,7 +728,7 @@ def test_enumerate_spectra_deadline_while_wrapping(monkeypatch):
     monkeypatch.setattr(spectile.spectra.time, "monotonic",
                         lambda: real_clock() + 1e9 * bool(built))
     with pytest.raises(SearchTimeout):
-        enumerate_spectra(range(9), 9, 27, deadline=real_clock() + 3600)
+        enumerate_spectra(range(9), 9, 27, time_budget=3600)
     assert 0 < len(built) <= _POLL_INTERVAL
     built.clear()
     report = utc_verify(9, range(9), 27, 81, time_budget=3600)

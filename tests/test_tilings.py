@@ -410,16 +410,16 @@ def test_find_common_complement_soundness_and_minimality():
 def test_find_common_complement_bounds_and_errors():
     assert find_common_complement([[0, 1]], 1) is None
     assert find_common_complement([[0, 2], [0, 1]], 12) is None
-    with pytest.raises(ValueError):
-        find_common_complement([], 8)
-    with pytest.raises(ValueError):
-        find_common_complement([[0, 1], [0, 1, 2]], 8)
+    for family, message in [([], "family must be nonempty"),
+                            ([[]], "family members must be nonempty"),
+                            ([[0, 1], [0, 1, 2]], "one cardinality")]:
+        with pytest.raises(ValueError, match=message):
+            find_common_complement(family, 8)
 
 
 def test_find_common_complement_deadline():
-    past = time.monotonic() - 1.0
     with pytest.raises(SearchTimeout):
-        find_common_complement([[0, 1], [0, 3]], 8, deadline=past)
+        find_common_complement([[0, 1], [0, 3]], 8, time_budget=0)
 
 
 def test_searches_with_no_complement_end_fast():
@@ -432,10 +432,11 @@ def test_searches_with_no_complement_end_fast():
         mask = sum(1 << (x % m) for x in (0, 1, 3))
         assert list(_exact_covers([mask], m, deadline)) == []
         assert find_complements([0, 1, 3], m) == []
-    assert find_common_complement([[0, 1], [0, 2]], 100,
-                                  deadline=deadline) is None
-    assert find_common_complement([[0, 1, 3], [0, 2, 4]], 150,
-                                  deadline=deadline) is None
+    # what is left of that one deadline, as a budget that cannot be negative
+    for family, m_max in (([[0, 1], [0, 2]], 100),
+                          ([[0, 1, 3], [0, 2, 4]], 150)):
+        left = max(0.0, deadline - time.monotonic())
+        assert find_common_complement(family, m_max, time_budget=left) is None
 
 
 def test_is_tiling_of_Z_examples():

@@ -4,6 +4,7 @@ round trip."""
 import math
 import random
 import re
+import time
 from fractions import Fraction as F
 from itertools import product
 
@@ -100,14 +101,49 @@ def test_utc_verify_budget_bounds_enumeration():
     assert report.certificate is None
 
 
+def test_utc_verify_budget_ends_in_the_common_search(monkeypatch):
+    # Z_9 within {0..18} lifts its one clique to 256 spectra; the clock
+    # then jumps past every deadline as the common-complement search
+    # starts, so only the search can notice it, and the report keeps the
+    # spectra found before it
+    state = {"searching": False}
+    real_cover, real_clock = spectile.utc._first_common_cover, time.monotonic
+
+    def cover(*args):
+        state["searching"] = True
+        return real_cover(*args)
+
+    monkeypatch.setattr(spectile.utc, "_first_common_cover", cover)
+    monkeypatch.setattr(spectile.spectra.time, "monotonic",
+                        lambda: real_clock() + 1e9 * state["searching"])
+    report = utc_verify(9, range(9), 18, 81, time_budget=3600)
+    assert state["searching"]
+    assert report.verdict == INCONCLUSIVE and report.certificate is None
+    assert report.spectra_found == tuple(enumerate_spectra(range(9), 9, 18))
+    assert len(report.spectra_found) == 256
+
+
 def test_time_budget_refuses_nan_and_negative():
-    # a NaN deadline never passes, so it would switch the budget off
+    # a NaN deadline never passes, so it would switch the budget off; all
+    # four bounded searches refuse it, and a negative budget, alike
     family, rs = [[0, 1], [0, 3]], [0, F(1, 4), F(1, 2)]
     for budget in (float("nan"), -1):
-        with pytest.raises(ValueError, match="time_budget must be nonnegative"):
-            utc_verify(9, range(9), 27, 81, time_budget=budget)
-        with pytest.raises(ValueError, match="time_budget must be nonnegative"):
-            roundtrip(2, [0, 1], family, rs, 8, time_budget=budget)
+        for call in (lambda: utc_verify(9, range(9), 27, 81,
+                                        time_budget=budget),
+                     lambda: roundtrip(2, [0, 1], family, rs, 8,
+                                       time_budget=budget),
+                     lambda: enumerate_spectra(range(9), 9, 36,
+                                               time_budget=budget),
+                     lambda: find_common_complement(family, 8,
+                                                    time_budget=budget)):
+            with pytest.raises(ValueError,
+                               match="^time_budget must be nonnegative, not "):
+                call()
+    # the budget is the one keyword: no absolute deadline is taken
+    with pytest.raises(TypeError):
+        enumerate_spectra(range(9), 9, 36, deadline=0.0)
+    with pytest.raises(TypeError):
+        find_common_complement(family, 8, deadline=0.0)
     consistent = roundtrip(2, [0, 1], family, rs, 8)
     assert consistent.consistency
     spent = roundtrip(2, [0, 1], family, rs, 8, time_budget=0)
