@@ -117,7 +117,7 @@ def parse_non_negative_int(text: str) -> int:
     return parse_positive_int(text, minimum=0)
 
 
-def parse_positive_float(text: str) -> float:
+def parse_positive_float(text: str, zero: bool = False) -> float:
     try:
         value = float(text)
     except ValueError:
@@ -125,8 +125,8 @@ def parse_positive_float(text: str) -> float:
     # nan would switch a deadline or a tolerance check off without a word
     if not math.isfinite(value):
         raise InputError(f"{text!r} is not a finite number")
-    if value <= 0:
-        raise InputError("must be positive")
+    if value < 0 or not (zero or value):
+        raise InputError("must be nonnegative" if zero else "must be positive")
     return value
 
 
@@ -281,8 +281,9 @@ _BREAKPOINTS = ("--breakpoints", dict(type=parse_rational_list, required=True,
                                       help="rational list running 0..1/p"))
 _OMEGA = ("--omega", dict(type=parse_interval_union, required=True,
                           help="intervals, e.g. '[0,3/4);[7/4,2)'"))
-_BUDGET = ("--time-budget", dict(type=parse_positive_float,
-                                 help="wall-clock seconds before giving up"))
+_BUDGET = ("--time-budget", dict(  # 0 is spent at entry, as in the library
+    type=lambda text: parse_positive_float(text, zero=True),
+    help="wall-clock seconds before giving up; 0 is spent"))
 
 
 def _command(name: str, text: str, *flags):

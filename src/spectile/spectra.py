@@ -330,43 +330,52 @@ def _cliques(allowed: int, k: int, deadline: Optional[float], what: str,
                 stack.append((chosen + (c,), cand & allowed << c))
 
 
-def _spectrum_cliques(g: FinitePointSet, p: int, n_max,
+def _spectrum_cliques(g: FinitePointSet, p: int, n_max: int,
                       deadline: Optional[float] = None,
-                      ) -> tuple[list[tuple[int, ...]], Callable[[int], range]]:
-    """(cliques, lifts) for enumerate_spectra, M = p * lcm(denominators of
-    G): every p-clique mod M among the residues {0, ..., min(n_max, M - 1)},
-    ascending, in lexicographic order, from _cliques on the admissible
-    differences; and lifts(r), the values residue r of a clique takes in a
-    spectrum: 0 stays 0, and r > 0 takes r, r + M, ... up to n_max.
-    """
-    n_max = _as_int(n_max, "n_max", 0)
+                      ) -> tuple[list[tuple[int, ...]], int]:
+    """(cliques, M), M = p * lcm(denominators of G): every p-clique mod M
+    among the residues {0, ..., min(n_max, M - 1)}, ascending, in
+    lexicographic order, from _cliques on the admissible differences."""
     den, numerators = _point_grid(g)
     vanishes = _vanishing_test(den, numerators, p)
     modulus = p * den
     allowed = sum(1 << d for d in range(1, min(n_max, modulus - 1) + 1)
                   if vanishes((d,)))
-    cliques = list(_cliques(allowed, p, deadline, "spectrum enumeration"))
-    return cliques, lambda r: range(r, n_max + 1, modulus) if r else range(1)
+    return (list(_cliques(allowed, p, deadline, "spectrum enumeration")),
+            modulus)
 
 
-def _lifted(cliques: Iterable[tuple[int, ...]],
-            lifts: Callable[[int], range],
+def _lifts(cliques: Iterable[tuple[int, ...]], modulus: int, n_max: int,
+           m: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """Each clique with one lift per residue, in the clique's order: 0
+    stays 0, and r > 0 takes some r + kM <= n_max, k >= 0, M = modulus;
+    every choice of lifts, or at a period m only k < m/h, h = gcd(M, m).
+    Lemma: the kept lifts of r meet each class mod m that a lift of r
+    meets, each once, and these are all the classes of r + hZ mod m once
+    n_max holds k = m/h - 1.  Proof.  m divides (k - k')M iff m/h divides
+    k - k', as m/h and M/h are coprime: the kept lifts are distinct mod m,
+    a later one is in the class of the smaller kept one at k mod m/h, and
+    all lie in r + hZ, which has m/h classes mod m.  So every lift of a
+    clique has the multiset mod m of the one kept tuple with its classes."""
+    keep = None if m is None else m // math.gcd(modulus, m)
+    for clique in cliques:
+        yield from product(*(range(r, n_max + 1, modulus)[:keep] if r
+                             else (0,) for r in clique))
+
+
+def _lifted(lifts: Iterable[tuple[int, ...]],
             deadline: Optional[float] = None) -> list[IntSet]:
-    """Every lift of every clique, sorted lexicographically.
-
-    Two passes over chunks of _POLL_INTERVAL, with the deadline checked
-    before each chunk and no Python frame per member: the first sorts the
-    values of each lift into a tuple by C-level maps, and after one sort
-    of all of them, which is not polled, the second wraps each chunk with
-    IntSet._many, which checks every member strictly increasing."""
-    # sorted drops each product tuple at once, so product reuses it
-    members = map(tuple, map(sorted, chain.from_iterable(
-        product(*map(lifts, clique)) for clique in cliques)))
-    spectra = sorted(chain.from_iterable(
-        _poll_chunks(members, deadline, "spectrum enumeration")))
+    """The lifts as IntSets, sorted lexicographically, in one pass over
+    chunks of _POLL_INTERVAL with the deadline checked before each and no
+    Python frame per member: each chunk's tuples are sorted by C-level
+    maps and wrapped by IntSet._many, which checks them strictly
+    increasing.  The one sort of all the sets, at the end, is not polled."""
     out: list[IntSet] = []
-    for chunk in _poll_chunks(spectra, deadline, "spectrum enumeration"):
+    # sorted drops each product tuple at once, so product reuses it
+    for chunk in _poll_chunks(map(tuple, map(sorted, lifts)), deadline,
+                              "spectrum enumeration"):
         out += IntSet._many(chunk)
+    out.sort(key=operator.attrgetter("elements"))
     return out
 
 
@@ -397,13 +406,13 @@ def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
 
     time_budget, in seconds from entry (0 is spent; NaN or negative
     raises ValueError), is checked before the first node of the clique
-    search and then every _POLL_INTERVAL nodes, and again before every
-    _POLL_INTERVAL lifted sets, both as they are lifted and as they are
-    wrapped after the sort; passing it raises SearchTimeout.  The one sort
-    of all the lifts is not polled.  Each member is checked strictly
-    increasing as it is wrapped, in chunks, by the check IntSet itself
-    makes, so a bad lift raises ValueError.
+    search and then every _POLL_INTERVAL nodes, then before every
+    _POLL_INTERVAL sets of the one pass that lifts and wraps them (see
+    _lifted), whose final sort is not polled; passing it raises
+    SearchTimeout.  A bad lift raises ValueError as it is wrapped.
     """
     deadline = _deadline(time.monotonic(), time_budget)
     g, p = _base_points(g, p)
-    return _lifted(*_spectrum_cliques(g, p, n_max, deadline), deadline)
+    n_max = _as_int(n_max, "n_max", 0)
+    cliques, modulus = _spectrum_cliques(g, p, n_max, deadline)
+    return _lifted(_lifts(cliques, modulus, n_max), deadline)

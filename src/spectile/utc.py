@@ -10,18 +10,17 @@ verdict, never a refutation.
 
 from __future__ import annotations
 
-import math
 import time
 from fractions import Fraction
-from itertools import product
-from typing import Iterator, Optional
+from functools import partial
+from typing import Optional
 
 from .cyclotomic import _Value
 from .intervals import (IntervalUnion, OmegaTilingCertificate,
                         _assemble_from_cells, build_omega, fibers)
 from .spectra import (FinitePointSet, IntSet, SearchTimeout, _as_int,
-                      _deadline, _lifted, _spectrum_cliques, _spectrum_test,
-                      as_fraction, spectrum_base)
+                      _deadline, _lifted, _lifts, _spectrum_cliques,
+                      _spectrum_test, as_fraction, spectrum_base)
 from .tilings import PeriodicSet, _first_common_cover, is_tiling_of_Z
 
 VERIFIED = "verified-with-certificate"
@@ -77,21 +76,16 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
     """Enumerate every integer spectrum of Gamma within {0..n_max}, then
     search for one complement R + mZ (m <= m_max) tiling Z with all of them.
 
-    Both run on residue cliques mod M (see enumerate_spectra): the spectra
-    are their lifts, and the search and its re-check read the cliques
-    without reading a member.  Whether A + (R + mZ) tiles Z depends only
-    on the multiset A mod m.  At period m each residue r of a clique keeps
-    its first lift in each class mod m, which are its first m / gcd(M, m)
-    lifts, and representatives(m) multiplies the kept lifts out over the
-    clique.  Any choice of one lift per residue is a spectrum, so each
-    representative is one, and every spectrum of the clique shares its
-    multiset mod m with one of them.
-    The search therefore sees the classes find_common_complement would
-    see on the family, and finds the same certificate, which does not
-    depend on their order.
+    Both lift residue cliques mod M (see enumerate_spectra) through one
+    generator, spectra._lifts: the spectra are every lift, and the search
+    and its re-check at period m read the lifts it keeps at m.  Whether
+    A + (R + mZ) tiles Z depends only on the multiset A mod m, which by the
+    lemma of _lifts every spectrum shares with a kept lift, itself a
+    spectrum.  So the search finds the certificate find_common_complement
+    finds on the family, which does not depend on the members' order.
 
     The verdict is verified-with-certificate only after is_tiling_of_Z
-    holds on every representative at the certificate's period, by integer
+    holds on every kept lift at the certificate's period, by integer
     code apart from the search's masks.  The spectra only fill the report.
     Exhausting m_max, or the optional wall-clock budget in seconds, gives
     an inconclusive verdict; the budget bounds the enumeration and the
@@ -102,24 +96,19 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
     gamma, p = spectrum_base(gamma, p)
     n_max, m_max = _as_int(n_max, "n_max", 0), _as_int(m_max, "m_max", 1)
     deadline = _deadline(start, time_budget)
-
-    def representatives(m: int) -> Iterator[tuple[int, ...]]:
-        return (combo for clique in cliques for combo in product(
-            *(run[:m // math.gcd(run.step, m)] for run in map(lifts, clique))))
-
     family, verdict, certificate = (), INCONCLUSIVE, None
     try:
-        cliques, lifts = _spectrum_cliques(gamma, p, n_max, deadline)
-        family = tuple(_lifted(cliques, lifts, deadline))
+        cliques, modulus = _spectrum_cliques(gamma, p, n_max, deadline)
+        lifts = partial(_lifts, cliques, modulus, n_max)
+        family = tuple(_lifted(lifts(), deadline))
         if not cliques:
             verdict = NO_SPECTRA
         else:
-            certificate = _first_common_cover(p, m_max, representatives,
-                                              deadline)
+            certificate = _first_common_cover(p, m_max, lifts, deadline)
     except SearchTimeout:
         pass  # inconclusive, with the spectra lifted before the deadline
     if certificate is not None:
-        for combo in representatives(certificate.period):
+        for combo in lifts(certificate.period):
             a = IntSet.of(combo)
             if not is_tiling_of_Z(a, certificate):
                 raise AssertionError(f"certificate {certificate} failed "

@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectile.cli
-from spectile import (FinitePointSet, IntervalUnion, IntSet, PeriodicSet,
-                      is_tiling_of_Z)
+from spectile import (INCONCLUSIVE, FinitePointSet, IntervalUnion, IntSet,
+                      PeriodicSet, is_tiling_of_Z)
 from spectile.cli import (_exact, build_parser, canonical_json, input_hash,
                           parse_interval_union, parse_rational, run,
                           InputError)
@@ -63,6 +63,21 @@ def test_exit_two_on_negative_and_inconclusive(capsys):
     capsys.readouterr()
 
 
+def test_zero_time_budget_is_spent(tmp_path):
+    # as in the library, 0 is a spent budget, not invalid input: the
+    # search ends at once with the inconclusive verdict and a certificate
+    utc = ["utc-verify", "--gamma", "0,1/3", "--p", "2", "--n-max", "6",
+           "--m-max", "6", "--time-budget", "0"]
+    trip = ["roundtrip", "--p", "2", "--gamma", "0,1", "--family", "0,1;0,3",
+            "--breakpoints", "0,1/4,1/2", "--m-max", "8", "--time-budget", "0"]
+    code, cert = run_to_file(tmp_path, "utc.json", utc)
+    assert code == 2 and cert["verdict"] == INCONCLUSIVE
+    assert cert["result"] == {"spectra": [], "certificate": None}
+    code, cert = run_to_file(tmp_path, "trip.json", trip)
+    assert code == 2 and cert["verdict"] == INCONCLUSIVE
+    assert cert["result"]["complement"] is None
+
+
 def test_exit_one_on_invalid_input(capsys):
     cases = [
         ["check-spectrum", "--gamma", "0,0.5", "--b", "0,1"],
@@ -93,7 +108,7 @@ def test_exit_one_on_invalid_input(capsys):
         (["utc-verify", "--p", "2", "--gamma", "0,1", "--n-max", "5",
           "--m-max", "8", "--time-budget", "abc"], "--time-budget"),
         (["utc-verify", "--p", "2", "--gamma", "0,1", "--n-max", "5",
-          "--m-max", "8", "--time-budget", "0"], "--time-budget"),
+          "--m-max", "8", "--time-budget", "-1"], "--time-budget"),
         (["roundtrip", "--p", "2", "--gamma", "0,1", "--family", "0,1;0,3",
           "--breakpoints", "0,1/4,1/2", "--m-max", "4",
           "--time-budget", "inf"], "--time-budget"),

@@ -28,7 +28,9 @@ from spectile import (INCONCLUSIVE, FinitePointSet, IntervalUnion, IntSet,
                       root_sum_is_zero, roundtrip, spectral_verdict,
                       tiles_cyclic, utc_verify, verify_omega_tiling)
 from spectile.spectra import (_POLL_INTERVAL, _as_int, _base_points,
-                              _cliques, _point_grid, _vanishing_test)
+                              _cliques, _lifts, _point_grid,
+                              _spectrum_cliques, _spectrum_test,
+                              _vanishing_test)
 from corpus import bases, bases_and_bounds
 from oracles import ResourceLimitError, brute_force_spectra
 
@@ -687,9 +689,38 @@ def test_enumerate_spectra_matches_the_stack_dfs(case):
         stack_dfs_spectra(gamma, p, n_max)
 
 
+def _classes(sets, m):
+    """The distinct residue multisets mod m of integer sets."""
+    return {tuple(sorted(x % m for x in a)) for a in sets}
+
+
+@settings(max_examples=150, deadline=None)
+@given(bases_and_bounds())
+@example(([0, F(1, 4)], 2, 13))  # M = 8: at m = 6, 12 is in 0's class
+@example(([0, 1, 2, 3], 4, 12))  # M = 4: 3^3 lifts, h = 4 at m = 8
+def test_lifts_kept_at_a_period_are_the_family_classes(case):
+    # the lemma of _lifts: at each period m = p, ..., 6p every kept tuple,
+    # sorted, is a spectrum within {0..n_max}, no two kept tuples of a
+    # clique take the same classes residue by residue, and together they
+    # have the residue multisets mod m of the whole family
+    gamma, p, n_max = case
+    family = enumerate_spectra(gamma, p, n_max)
+    cliques, modulus = _spectrum_cliques(_base_points(gamma, p)[0], p, n_max)
+    is_spectral = _spectrum_test(gamma, p)
+    for m in range(p, 6 * p + 1, p):
+        for clique in cliques:
+            kept = list(_lifts([clique], modulus, n_max, m))
+            assert len({tuple(x % m for x in a) for a in kept}) == len(kept)
+            for a in map(sorted, kept):
+                assert 0 <= a[0] and a[-1] <= n_max and is_spectral(a)
+        assert _classes(_lifts(cliques, modulus, n_max, m), m) == \
+            _classes(family, m)
+
+
 def test_enumerate_spectra_deadline_during_lifting(monkeypatch):
     # the clique search for Z_9 ends within its first poll; the clock then
-    # jumps past every deadline, so only the lift can notice it
+    # jumps past every deadline, so only the first poll of the one pass
+    # that lifts the cliques and wraps the lifts can notice it
     state = {"lifting": False}
     real_cliques, real_clock = spectile.spectra._spectrum_cliques, time.monotonic
 
@@ -714,8 +745,8 @@ def test_enumerate_spectra_deadline_during_lifting(monkeypatch):
 
 def test_enumerate_spectra_deadline_while_wrapping(monkeypatch):
     # Z_9 within {0..27} has 3^8 lifts; the clock passes every deadline
-    # at the first chunk of IntSets built, after the lifts are made and
-    # sorted, so only the wrapping into IntSets can notice it
+    # once the pass has lifted and wrapped its first chunk, so only the
+    # poll before its second chunk can notice it, before the final sort
     built = []
     real_many, real_clock = IntSet._many, time.monotonic
 
@@ -738,13 +769,13 @@ def test_enumerate_spectra_deadline_while_wrapping(monkeypatch):
 
 
 def test_enumerate_spectra_refuses_a_bad_lift(monkeypatch):
-    # every nonzero residue lifted to 1: the clique (0, 1, 2) of Z_3 lifts
-    # to (0, 1, 1), which the batch check must refuse as IntSet does
+    # a clique handed to the lifts with a repeated residue: (0, 1, 1) mod
+    # 3 lifts to (0, 1, 1), which the batch check must refuse as IntSet does
     real_cliques = spectile.spectra._spectrum_cliques
 
     def colliding(*args):
-        cliques, _ = real_cliques(*args)
-        return cliques, lambda r: range(1, 2) if r else range(1)
+        _, modulus = real_cliques(*args)
+        return [(0, 1, 1)], modulus
 
     monkeypatch.setattr(spectile.spectra, "_spectrum_cliques", colliding)
     with pytest.raises(ValueError, match="strictly increasing"):

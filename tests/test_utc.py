@@ -237,8 +237,8 @@ def test_utc_verify_recheck_reaches_a_late_class(monkeypatch, capsys):
     real = spectile.utc._spectrum_cliques
     for late in [(0, 2), (0, 4)]:
         def with_late_clique(*args, **kwargs):
-            cliques, lifts = real(*args, **kwargs)
-            return cliques + [late], lifts
+            cliques, modulus = real(*args, **kwargs)
+            return cliques + [late], modulus
 
         monkeypatch.setattr(spectile.utc, "_spectrum_cliques",
                             with_late_clique)
