@@ -35,8 +35,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .spectra import (FinitePointSet, IntSet, enumerate_spectra, is_spectrum,
-                      spectrum_base)
+from .spectra import (FinitePointSet, IntSet, SearchTimeout, _deadline,
+                      enumerate_spectra, is_spectrum, spectrum_base)
 
 if TYPE_CHECKING:
     from .intervals import IntervalUnion
@@ -330,15 +330,19 @@ def _cmd_find_complement(ns):
           ("--gamma", _POINTS), ("--p", _POSITIVE), _N_MAX,
           ("--m-max", _POSITIVE), _BUDGET)
 def _cmd_utc_verify(ns):
-    from .utc import VERIFIED, utc_verify
+    from .utc import INCONCLUSIVE, VERIFIED, utc_verify
+    deadline = _deadline(time.monotonic(), ns.time_budget)
     report = utc_verify(ns.p, ns.gamma, ns.n_max, ns.m_max,
                         time_budget=ns.time_budget)
     inputs = {"gamma": ns.gamma, "p": ns.p}
     bounds = {"n_max": ns.n_max, "m_max": ns.m_max}
-    result = {"spectra": report.spectra_found,
-              "certificate": report.certificate}
-    code = 0 if report.verdict == VERIFIED else 2
-    return (report.verdict, code, inputs, bounds, result)
+    verdict, certificate = report.verdict, report.certificate
+    try:  # the family is listed under what is left of the budget
+        spectra = report._lift(deadline)
+    except SearchTimeout:  # the spent-budget verdict, as in the library
+        verdict, certificate, spectra = INCONCLUSIVE, None, ()
+    result = {"spectra": spectra, "certificate": certificate}
+    return (verdict, 0 if verdict == VERIFIED else 2, inputs, bounds, result)
 
 
 @_command("build-omega",

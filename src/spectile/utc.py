@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Optional
 
 from .cyclotomic import _Value
 from .intervals import (IntervalUnion, OmegaTilingCertificate,
                         _assemble_from_cells, build_omega, fibers)
 from .spectra import (FinitePointSet, IntSet, SearchTimeout, _as_int,
-                      _deadline, _lifted, _lifts, _spectrum_cliques,
-                      _spectrum_test, as_fraction, spectrum_base)
+                      _deadline, _lifted, _lifts, _poll_chunks,
+                      _spectrum_cliques, _spectrum_test, as_fraction,
+                      spectrum_base)
 from .tilings import PeriodicSet, _first_common_cover, is_tiling_of_Z
 
 VERIFIED = "verified-with-certificate"
@@ -33,18 +34,35 @@ class InvalidFamilyError(ValueError):
 
 
 class UtcReport(_Value):
-    """Outcome of one bounded common-complement verification."""
+    """Outcome of one bounded common-complement verification.
 
-    __slots__ = _fields = ("p", "gamma", "n_max", "m_max", "spectra_found",
-                           "verdict", "certificate", "timing")
+    The spectra are stored as the residue cliques mod M = modulus that
+    enumerate_spectra lifts; spectra_found lifts them on first read."""
+
+    _fields = ("p", "gamma", "n_max", "m_max", "modulus", "cliques",
+               "verdict", "certificate", "timing")
+    __slots__ = (*_fields, "__dict__")  # __dict__ holds the lifted spectra
     p: int
     gamma: FinitePointSet
     n_max: int
     m_max: int
-    spectra_found: tuple[IntSet, ...]
+    modulus: Optional[int]  # None when the budget ends in the clique search
+    cliques: tuple[tuple[int, ...], ...]
     verdict: str
     certificate: Optional[PeriodicSet]
     timing: float
+
+    def _lift(self, deadline: Optional[float] = None) -> tuple[IntSet, ...]:
+        """Every spectrum within {0..n_max}, sorted lexicographically, as
+        enumerate_spectra lifts and wraps them, polled against deadline."""
+        return tuple(_lifted(_lifts(self.cliques, self.modulus, self.n_max),
+                             deadline))
+
+    @cached_property
+    def spectra_found(self) -> tuple[IntSet, ...]:
+        """Every spectrum within {0..n_max}, lifted without a deadline on
+        first read: the caller asked for the family."""
+        return self._lift()
 
 
 class RoundTripReport(_Value):
@@ -73,49 +91,55 @@ class RoundTripReport(_Value):
 
 def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
                time_budget: Optional[float] = None) -> UtcReport:
-    """Enumerate every integer spectrum of Gamma within {0..n_max}, then
-    search for one complement R + mZ (m <= m_max) tiling Z with all of them.
+    """Find the residue cliques mod M of every integer spectrum of Gamma
+    within {0..n_max} (see enumerate_spectra), then search for one
+    complement R + mZ (m <= m_max) tiling Z with all of those spectra.
 
-    Both lift residue cliques mod M (see enumerate_spectra) through one
-    generator, spectra._lifts: the spectra are every lift, and the search
-    and its re-check at period m read the lifts it keeps at m.  Whether
-    A + (R + mZ) tiles Z depends only on the multiset A mod m, which by the
-    lemma of _lifts every spectrum shares with a kept lift, itself a
-    spectrum.  So the search finds the certificate find_common_complement
-    finds on the family, which does not depend on the members' order.
+    The search and its re-check at period m read the lifts of the cliques
+    that spectra._lifts keeps at m.  Whether A + (R + mZ) tiles Z depends
+    only on the multiset A mod m, which by the lemma of _lifts every
+    spectrum shares with a kept lift, itself a spectrum.  So the search
+    finds the certificate find_common_complement finds on the family,
+    which does not depend on the members' order.
 
     The verdict is verified-with-certificate only after is_tiling_of_Z
     holds on every kept lift at the certificate's period, by integer
-    code apart from the search's masks.  The spectra only fill the report.
-    Exhausting m_max, or the optional wall-clock budget in seconds, gives
-    an inconclusive verdict; the budget bounds the enumeration and the
-    search together, and a budget that ends during the enumeration
-    reports no spectra.
+    code apart from the search's masks.  The verdict never lifts the
+    family: the report keeps the cliques and M, and its spectra_found
+    lifts them on first read, with no deadline, so timing covers the
+    verdict alone.  Exhausting m_max, or the optional wall-clock budget
+    in seconds, gives an inconclusive verdict; the budget bounds the
+    clique search, the common search and the re-check, and a budget that
+    ends in the clique search leaves the report no cliques, so no spectra,
+    and modulus None.
     """
     start = time.monotonic()
     gamma, p = spectrum_base(gamma, p)
     n_max, m_max = _as_int(n_max, "n_max", 0), _as_int(m_max, "m_max", 1)
     deadline = _deadline(start, time_budget)
-    family, verdict, certificate = (), INCONCLUSIVE, None
+    cliques, modulus, verdict, certificate = (), None, INCONCLUSIVE, None
     try:
         cliques, modulus = _spectrum_cliques(gamma, p, n_max, deadline)
-        lifts = partial(_lifts, cliques, modulus, n_max)
-        family = tuple(_lifted(lifts(), deadline))
+        cliques = tuple(cliques)
         if not cliques:
             verdict = NO_SPECTRA
         else:
-            certificate = _first_common_cover(p, m_max, lifts, deadline)
+            lifts = partial(_lifts, cliques, modulus, n_max)
+            found = _first_common_cover(p, m_max, lifts, deadline)
+            if found is not None:
+                for chunk in _poll_chunks(lifts(found.period), deadline,
+                                          "certificate re-check"):
+                    for combo in chunk:
+                        a = IntSet.of(combo)
+                        if not is_tiling_of_Z(a, found):
+                            raise AssertionError(
+                                f"certificate {found} failed "
+                                f"re-verification on {tuple(a)}")
+                verdict, certificate = VERIFIED, found
     except SearchTimeout:
-        pass  # inconclusive, with the spectra lifted before the deadline
-    if certificate is not None:
-        for combo in lifts(certificate.period):
-            a = IntSet.of(combo)
-            if not is_tiling_of_Z(a, certificate):
-                raise AssertionError(f"certificate {certificate} failed "
-                                     f"re-verification on {tuple(a)}")
-        verdict = VERIFIED
-    return UtcReport(p, gamma, n_max, m_max, family, verdict, certificate,
-                     time.monotonic() - start)
+        pass  # inconclusive, with the cliques found before the deadline
+    return UtcReport(p, gamma, n_max, m_max, modulus, cliques, verdict,
+                     certificate, time.monotonic() - start)
 
 
 def roundtrip(p: int, gamma, family, breakpoints, m_max: int, *,

@@ -11,6 +11,7 @@ import resource
 import stat
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectile.cli
+import spectile.utc
 from spectile import (INCONCLUSIVE, FinitePointSet, IntervalUnion, IntSet,
                       PeriodicSet, is_tiling_of_Z)
 from spectile.cli import (_exact, build_parser, canonical_json, input_hash,
@@ -76,6 +78,48 @@ def test_zero_time_budget_is_spent(tmp_path):
     code, cert = run_to_file(tmp_path, "trip.json", trip)
     assert code == 2 and cert["verdict"] == INCONCLUSIVE
     assert cert["result"]["complement"] is None
+
+
+@pytest.mark.parametrize("where", ["common search", "listing"])
+def test_budget_that_ends_after_the_cliques_lists_nothing(tmp_path,
+                                                          monkeypatch, where):
+    # utc_verify finds Z_9's one clique; the clock then jumps past the
+    # deadline as the common search starts, or once the listing of the
+    # 4^8 spectra wraps its first chunk.  The listing runs last, so either
+    # way it finds the deadline passed and the certificate is the
+    # spent-budget one, byte for byte the one a budget of 0 gives, timing
+    # aside
+    argv = ["utc-verify", "--gamma", "0,1,2,3,4,5,6,7,8", "--p", "9",
+            "--n-max", "36", "--m-max", "81", "--time-budget"]
+    assert run_to_file(tmp_path, "spent.json", argv + ["0"])[0] == 2
+    jumped, real_clock = [], time.monotonic
+    if where == "common search":
+        real_cover = spectile.utc._first_common_cover
+
+        def cover(*args):
+            jumped.append(where)
+            return real_cover(*args)
+
+        monkeypatch.setattr(spectile.utc, "_first_common_cover", cover)
+    else:
+        real_many = IntSet._many
+
+        def wrapped(chunk):
+            made = real_many(chunk)
+            jumped.append(where)
+            return made
+
+        monkeypatch.setattr(IntSet, "_many", staticmethod(wrapped))
+    monkeypatch.setattr(time, "monotonic",
+                        lambda: real_clock() + 1e9 * bool(jumped))
+    code, cert = run_to_file(tmp_path, "jumped.json", argv + ["3600"])
+    assert code == 2 and jumped
+    assert cert["verdict"] == INCONCLUSIVE
+    assert cert["result"] == {"spectra": [], "certificate": None}
+    spent, written = (re.sub(r'"timing_seconds": .*', "",
+                             (tmp_path / name).read_text())
+                      for name in ("spent.json", "jumped.json"))
+    assert written == spent
 
 
 def test_exit_one_on_invalid_input(capsys):

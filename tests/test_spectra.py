@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 
 import spectile.spectra
 import spectile.utc
-from spectile import (INCONCLUSIVE, FinitePointSet, IntervalUnion, IntSet,
-                      PeriodicSet, ResidueMultiset, SearchTimeout,
-                      admissible_differences, as_fraction, build_omega,
-                      enumerate_spectra, exponential_sum_vanishes, fibers,
+from spectile import (INCONCLUSIVE, VERIFIED, FinitePointSet, IntervalUnion,
+                      IntSet, PeriodicSet, ResidueMultiset, SearchTimeout,
+                      UtcReport, admissible_differences, as_fraction,
+                      build_omega, enumerate_spectra,
+                      exponential_sum_vanishes, fibers,
                       find_common_complement, find_complements, is_spectrum,
                       root_sum_is_zero, roundtrip, spectral_verdict,
                       tiles_cyclic, utc_verify, verify_omega_tiling)
@@ -362,7 +363,7 @@ _VALUE_TYPES = [  # the stored fields, as @dataclass(frozen=True) declares them
     ("FiberCell", "lo hi fiber"),
     ("FiberDecomposition", "p cells"),
     ("OmegaTilingCertificate", "omega p complement"),
-    ("UtcReport", "p gamma n_max m_max spectra_found verdict certificate "
+    ("UtcReport", "p gamma n_max m_max modulus cliques verdict certificate "
      "timing"),
     ("RoundTripReport", "p gamma family breakpoints omega spectral_ok "
      "omega_tiling"),
@@ -405,7 +406,7 @@ def test_value_types_behave_as_frozen_dataclasses(name, fields):
             with pytest.raises(dataclasses.FrozenInstanceError) as theirs:
                 change(ta)
             assert str(ours.value) == str(theirs.value)
-    assert hasattr(a, "__dict__") == (cls is IntervalUnion)
+    assert hasattr(a, "__dict__") == (cls in (IntervalUnion, UtcReport))
     assert weakref.ref(a)() is a
     for copied in (pickle.loads(pickle.dumps(a)), copy.copy(a),
                    copy.deepcopy(a)):
@@ -720,7 +721,9 @@ def test_lifts_kept_at_a_period_are_the_family_classes(case):
 def test_enumerate_spectra_deadline_during_lifting(monkeypatch):
     # the clique search for Z_9 ends within its first poll; the clock then
     # jumps past every deadline, so only the first poll of the one pass
-    # that lifts the cliques and wraps the lifts can notice it
+    # that lifts the cliques and wraps the lifts can notice it.
+    # utc_verify lifts nothing: its common search notices the jump, and
+    # the report keeps the one clique, lifted in full when it is read
     state = {"lifting": False}
     real_cliques, real_clock = spectile.spectra._spectrum_cliques, time.monotonic
 
@@ -739,14 +742,17 @@ def test_enumerate_spectra_deadline_during_lifting(monkeypatch):
     state["lifting"] = False
     report = utc_verify(9, range(9), 36, 81, time_budget=3600)
     assert state["lifting"]
-    assert report.verdict == INCONCLUSIVE
-    assert report.spectra_found == () and report.certificate is None
+    assert report.verdict == INCONCLUSIVE and report.certificate is None
+    assert report.cliques == (tuple(range(9)),) and report.modulus == 9
+    assert len(report.spectra_found) == 4 ** 8
 
 
 def test_enumerate_spectra_deadline_while_wrapping(monkeypatch):
     # Z_9 within {0..27} has 3^8 lifts; the clock passes every deadline
     # once the pass has lifted and wrapped its first chunk, so only the
-    # poll before its second chunk can notice it, before the final sort
+    # poll before its second chunk can notice it, before the final sort.
+    # utc_verify wraps no lift, so the clock never jumps for it; reading
+    # the report's spectra then wraps every lift, with no deadline
     built = []
     real_many, real_clock = IntSet._many, time.monotonic
 
@@ -763,9 +769,10 @@ def test_enumerate_spectra_deadline_while_wrapping(monkeypatch):
     assert 0 < len(built) <= _POLL_INTERVAL
     built.clear()
     report = utc_verify(9, range(9), 27, 81, time_budget=3600)
-    assert built
-    assert report.verdict == INCONCLUSIVE
-    assert report.spectra_found == () and report.certificate is None
+    assert not built
+    assert report.verdict == VERIFIED
+    assert report.certificate == PeriodicSet((0,), 9)
+    assert len(report.spectra_found) == len(built) == 3 ** 8
 
 
 def test_enumerate_spectra_refuses_a_bad_lift(monkeypatch):

@@ -1,10 +1,13 @@
 """End-to-end common-complement instances and the spectral-to-tiling
 round trip."""
 
+import gc
 import math
 import random
 import re
 import time
+import tracemalloc
+import weakref
 from fractions import Fraction as F
 from itertools import product
 
@@ -99,6 +102,7 @@ def test_utc_verify_budget_bounds_enumeration():
     assert report.verdict == INCONCLUSIVE
     assert report.spectra_found == ()
     assert report.certificate is None
+    assert (report.modulus, report.cliques) == (None, ())
 
 
 def test_utc_verify_budget_ends_in_the_common_search(monkeypatch):
@@ -120,6 +124,29 @@ def test_utc_verify_budget_ends_in_the_common_search(monkeypatch):
     assert state["searching"]
     assert report.verdict == INCONCLUSIVE and report.certificate is None
     assert report.spectra_found == tuple(enumerate_spectra(range(9), 9, 18))
+    assert len(report.spectra_found) == 256
+
+
+def test_utc_verify_budget_ends_in_the_recheck(monkeypatch):
+    # the common search returns the real certificate for Z_9 within
+    # {0..18}; the clock then jumps past every deadline, so only the
+    # re-check's first poll can notice it.  The verdict is inconclusive
+    # with no certificate, and the report keeps the one clique
+    state = {"found": False}
+    real_cover, real_clock = spectile.utc._first_common_cover, time.monotonic
+
+    def cover(*args):
+        found = real_cover(*args)
+        state["found"] = True
+        return found
+
+    monkeypatch.setattr(spectile.utc, "_first_common_cover", cover)
+    monkeypatch.setattr(spectile.spectra.time, "monotonic",
+                        lambda: real_clock() + 1e9 * state["found"])
+    report = utc_verify(9, range(9), 18, 81, time_budget=3600)
+    assert state["found"]
+    assert report.verdict == INCONCLUSIVE and report.certificate is None
+    assert (report.modulus, report.cliques) == (9, (tuple(range(9)),))
     assert len(report.spectra_found) == 256
 
 
@@ -335,6 +362,50 @@ def _searches(call):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectile.tilings, "_exact_covers", recording)
         return call(), searched
+
+
+def test_utc_verify_decides_on_cliques_in_small_memory(monkeypatch):
+    # Z_9 within {0..44} is 5^8 = 390,625 spectra but one clique mod 9,
+    # and the verdict reads one kept lift at period 9: nothing is lifted
+    def unreached(*args):
+        raise AssertionError("utc_verify lifted the family")
+
+    monkeypatch.setattr(spectile.utc, "_lifted", unreached)
+    tracemalloc.start()
+    try:
+        report = utc_verify(9, range(9), 44, 81)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == VERIFIED
+    assert report.certificate == PeriodicSet((0,), 9)
+    assert (report.modulus, report.cliques) == (9, (tuple(range(9)),))
+    assert peak < 2 ** 20, peak
+
+
+@settings(max_examples=100, deadline=None)
+@given(bases_and_bounds())
+@example(([0, F(1, 4)], 2, 13))  # M = 8: (0, 4) lifts to (0, 12)
+@example(([0, 1, 2, 3], 4, 12))  # M = 4: 3^3 lifts of one clique
+def test_spectra_found_is_the_enumerated_family(case):
+    gamma, p, n_max = case
+    report = utc_verify(p, gamma, n_max, 2 * p)
+    family = report.spectra_found
+    assert family == tuple(enumerate_spectra(gamma, p, n_max))
+    assert report.spectra_found is family
+
+
+def test_report_family_is_freed_without_the_collector():
+    # the lifted family hangs off the report alone, so it dies with the
+    # report even while the cyclic collector is off
+    gc.disable()
+    try:
+        report = utc_verify(9, range(9), 36, 81)
+        member = weakref.ref(report.spectra_found[0])
+        del report
+        assert member() is None
+    finally:
+        gc.enable()
 
 
 def test_utc_verify_skips_a_period_for_a_lift():
