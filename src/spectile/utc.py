@@ -10,19 +10,21 @@ verdict, never a refutation.
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Optional
 
 from .cyclotomic import _Value
 from .intervals import (IntervalUnion, OmegaTilingCertificate,
                         _assemble_from_cells, build_omega, fibers)
 from .spectra import (FinitePointSet, IntSet, SearchTimeout, _as_int,
-                      _deadline, _lifted, _lifts, _poll_chunks,
+                      _class_masks, _deadline, _lifted, _lifts, _poll_chunks,
                       _spectrum_cliques, _spectrum_test, as_fraction,
                       spectrum_base)
-from .tilings import PeriodicSet, _first_common_cover, is_tiling_of_Z
+from .tilings import (PeriodicSet, _first_common_cover, _point_classes,
+                      is_tiling_of_Z)
 
 VERIFIED = "verified-with-certificate"
 INCONCLUSIVE = "inconclusive-no-complement-in-bounds"
@@ -64,6 +66,15 @@ class UtcReport(_Value):
         first read: the caller asked for the family."""
         return self._lift()
 
+    @property
+    def spectra_count(self) -> int:
+        """len(spectra_found), counted without lifting: each clique lifts
+        to the product, over its residues r > 0, of their lifts
+        r + kM <= n_max.  0 with no cliques, as when modulus is None."""
+        return sum(math.prod(len(range(r, self.n_max + 1, self.modulus))
+                             for r in clique if r)
+                   for clique in self.cliques)
+
 
 class RoundTripReport(_Value):
     """Outcome of the spectral-set-tiles round trip on one instance."""
@@ -95,12 +106,16 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
     within {0..n_max} (see enumerate_spectra), then search for one
     complement R + mZ (m <= m_max) tiling Z with all of those spectra.
 
-    The search and its re-check at period m read the lifts of the cliques
-    that spectra._lifts keeps at m.  Whether A + (R + mZ) tiles Z depends
-    only on the multiset A mod m, which by the lemma of _lifts every
-    spectrum shares with a kept lift, itself a spectrum.  So the search
+    Whether A + (R + mZ) tiles Z depends only on the multiset A mod m,
+    which by the lemma of _lifts every spectrum shares with a lift of its
+    clique that spectra._lifts keeps at m, itself a spectrum.  The search
+    at m reads each clique as its residues' class masks, the classes of
+    their kept lifts (spectra._class_masks), and so lists no lift: by (a)
+    and (b) of that lemma the masks decide whether some kept lift repeats
+    a class, and give the differences of all kept lifts.  So the search
     finds the certificate find_common_complement finds on the family,
-    which does not depend on the members' order.
+    which does not depend on the members' order.  Only the re-check, at
+    the certificate's period, lists the kept lifts.
 
     The verdict is verified-with-certificate only after is_tiling_of_Z
     holds on every kept lift at the certificate's period, by integer
@@ -124,10 +139,13 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
         if not cliques:
             verdict = NO_SPECTRA
         else:
-            lifts = partial(_lifts, cliques, modulus, n_max)
-            found = _first_common_cover(p, m_max, lifts, deadline)
+            found = _first_common_cover(
+                p, m_max, cliques,
+                lambda chunk, m: _class_masks(chunk, modulus, n_max, m),
+                deadline)
             if found is not None:
-                for chunk in _poll_chunks(lifts(found.period), deadline,
+                lifts = _lifts(cliques, modulus, n_max, found.period)
+                for chunk in _poll_chunks(lifts, deadline,
                                           "certificate re-check"):
                     for combo in chunk:
                         a = IntSet.of(combo)
@@ -175,8 +193,8 @@ def roundtrip(p: int, gamma, family, breakpoints, m_max: int, *,
     fiber_family = decomposition.fiber_family()
     spectral_ok = fiber_family == members
     try:  # build_omega gave every fiber p elements
-        complement = _first_common_cover(p, m_max, lambda m: fiber_family,
-                                         deadline)
+        complement = _first_common_cover(p, m_max, fiber_family,
+                                         _point_classes, deadline)
     except SearchTimeout:
         complement = None
     certificate = None if complement is None else _assemble_from_cells(

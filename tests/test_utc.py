@@ -27,9 +27,14 @@ from spectile import (INCONCLUSIVE, NO_SPECTRA, VERIFIED, IntSet,
                       find_common_complement, find_complements, is_spectrum,
                       is_tiling_of_Z, measure, roundtrip, spectral_verdict,
                       utc_verify, verify_omega_tiling)
-from corpus import OMEGA_2, bases_and_bounds
+from corpus import OMEGA_2, bases, bases_and_bounds
+from spectile.spectra import (_base_points, _class_masks, _lifts,
+                              _spectrum_cliques)
+from spectile.tilings import _first_common_cover
 
 P8_GAMMA = [0, F(1, 2), 2, F(5, 2), 4, F(9, 2), 6, F(13, 2)]
+# admissible iff 6 | d and d/6 is not 0 mod 6: one clique mod M = 36
+P6_GAMMA = [0, F(1, 2), F(1, 3), F(5, 6), F(2, 3), F(7, 6)]
 
 
 def _assert_derived(report):
@@ -103,6 +108,7 @@ def test_utc_verify_budget_bounds_enumeration():
     assert report.spectra_found == ()
     assert report.certificate is None
     assert (report.modulus, report.cliques) == (None, ())
+    assert report.spectra_count == 0
 
 
 def test_utc_verify_budget_ends_in_the_common_search(monkeypatch):
@@ -231,15 +237,16 @@ def test_utc_verify_checks_each_residue_class_once(monkeypatch):
     searched = []
     real_covers = spectile.tilings._exact_covers
 
-    def recording(tables, *args):
-        searched.append(len(tables))
-        return real_covers(tables, *args)
+    def recording(differences, tables, m, *args):
+        searched.append((m, differences))
+        return real_covers(differences, tables, m, *args)
 
     monkeypatch.setattr(spectile.tilings, "_exact_covers", recording)
     report = utc_verify(9, range(9), 18, 81)
     assert report.verdict == VERIFIED and len(report.spectra_found) == 256
     assert calls == {"tiles_cyclic": 1}
-    assert searched == [1]
+    # one search, at period 9, on the one class: Z_9 less 0 is forbidden
+    assert searched == [(9, (1 << 9) - 1)]
     # the p = 8 base has 8 cliques mod 16 and 27 spectra within {0..20};
     # at period 16 each lift keeps its residue, so each clique is one class
     calls["tiles_cyclic"] = 0
@@ -256,7 +263,7 @@ def test_utc_verify_recheck_reaches_a_late_class(monkeypatch, capsys):
     # spectrum of {0, 1} and fails only on a last clique of another class:
     # {0, 2}, or {0, 4}, which is not even distinct mod 4.  The search
     # ignores the cliques here, so a late clique reaches only the re-check
-    def wrong(p, m_max, members, deadline=None):
+    def wrong(*args):
         return PeriodicSet.of([0, 2], 4)
 
     monkeypatch.setattr(spectile.utc, "_first_common_cover", wrong)
@@ -350,14 +357,15 @@ def test_utc_verify_recheck_matches_every_member(case):
 
 
 def _searches(call):
-    """call()'s result and the (period, tables) of every search it ran,
-    tables as a set: their order cannot change what is found."""
+    """call()'s result and the (period, forbidden differences) of every
+    search it ran: that mask fixes what the search finds, and its tables
+    only bound it."""
     searched = []
     real = spectile.tilings._exact_covers
 
-    def recording(tables, m, *args):
-        searched.append((m, frozenset(tables)))
-        return real(tables, m, *args)
+    def recording(differences, tables, m, *args):
+        searched.append((m, differences))
+        return real(differences, tables, m, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectile.tilings, "_exact_covers", recording)
@@ -393,6 +401,7 @@ def test_spectra_found_is_the_enumerated_family(case):
     family = report.spectra_found
     assert family == tuple(enumerate_spectra(gamma, p, n_max))
     assert report.spectra_found is family
+    assert report.spectra_count == len(family)
 
 
 def test_report_family_is_freed_without_the_collector():
@@ -454,6 +463,95 @@ def test_utc_verify_matches_the_member_search(case):
     assert (report.verdict, report.certificate) == \
         (VERIFIED if certificate else INCONCLUSIVE, certificate)
     assert searched == oracle
+
+
+@st.composite
+def _lifted_bases(draw):
+    """(gamma, p, n_max): a base from bases() and n_max up to p * M, capped
+    at 96, so that residues keep several lifts at many periods."""
+    gamma, p = draw(bases())
+    modulus = p * math.lcm(*(g.denominator for g in gamma))
+    return gamma, p, draw(st.integers(0, min(p * modulus, 96)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lifted_bases())
+@example(([0, F(1, 4)], 2, 13))  # M = 8: (0, 4) lifts to (0, 12)
+@example((P6_GAMMA, 6, 96))  # periods 24 and 30 keep 2 and 3 lifts
+def test_class_masks_decide_as_the_kept_lifts(case):
+    # the kept lifts, listed by _lifts, are the oracle: at each period the
+    # loop on class masks skips exactly when some kept tuple is not
+    # distinct mod m, and otherwise forbids the union of the kept tables'
+    # T - T, with blocks drawn from those tables.  No search is run, so
+    # every period up to 6p is decided
+    gamma, p, n_max = case
+    cliques, modulus = _spectrum_cliques(_base_points(gamma, p)[0], p, n_max)
+    if not cliques:
+        return
+    searched = []
+
+    def recording(differences, tables, m, *args):
+        searched.append((m, differences, tables))
+        return iter(())
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectile.tilings, "_exact_covers", recording)
+        assert _first_common_cover(
+            p, 6 * p, cliques,
+            lambda chunk, m: _class_masks(chunk, modulus, n_max, m)) is None
+    expected = {}
+    for m in range(p, 6 * p + 1, p):
+        kept = [{x % m for x in t}
+                for t in _lifts(cliques, modulus, n_max, m)]
+        if all(len(t) == p for t in kept):
+            differences = sum({1 << (y - x) % m for t in kept
+                               for x in t for y in t})
+            expected[m] = differences, {sum(1 << x for x in t) for t in kept}
+    assert [(m, d) for m, d, _ in searched] == \
+        [(m, d) for m, (d, _) in expected.items()]
+    for m, _, tables in searched:
+        assert tables and set(tables) <= expected[m][1], m
+
+
+def test_skipped_periods_list_no_lifts(monkeypatch):
+    # the p = 6 base within {0..250} keeps 2 lifts of each residue at
+    # period 24 and 5 at period 30, which the class masks skip: residue 0
+    # shares a class with a lift of 12 mod 24 and of 30 mod 30.  The kept
+    # lifts are listed only at 36, for the re-check
+    listed, masked = [], []
+    real_lifts, real_masks = spectile.utc._lifts, spectile.utc._class_masks
+
+    def lifts(cliques, modulus, n_max, m=None):
+        listed.append(m)
+        return real_lifts(cliques, modulus, n_max, m)
+
+    def masks(cliques, modulus, n_max, m):
+        masked.append(m)
+        return real_masks(cliques, modulus, n_max, m)
+
+    monkeypatch.setattr(spectile.utc, "_lifts", lifts)
+    monkeypatch.setattr(spectile.utc, "_class_masks", masks)
+    report, searched = _searches(lambda: utc_verify(6, P6_GAMMA, 250, 72))
+    assert report.verdict == VERIFIED
+    assert report.certificate == PeriodicSet((0, 1, 2, 3, 4, 5), 36)
+    assert listed == [36]
+    assert masked == [6, 12, 18, 24, 30, 36]
+    assert 24 not in [m for m, _ in searched]
+    assert 30 not in [m for m, _ in searched]
+
+
+def test_spectra_count_needs_no_lift(monkeypatch):
+    # the p = 6 base's one clique mod 36 lifts four of its residues 2,778
+    # times within {0..10**5} and 30 only 2,777 times: the report counts
+    # those spectra without lifting one, and decides at period 36
+    def unreached(*args):
+        raise AssertionError("the count lifted the family")
+
+    monkeypatch.setattr(spectile.utc, "_lifted", unreached)
+    report = utc_verify(6, P6_GAMMA, 10**5, 72, time_budget=60)
+    assert report.verdict == VERIFIED
+    assert report.certificate == PeriodicSet((0, 1, 2, 3, 4, 5), 36)
+    assert report.spectra_count == 2778 ** 4 * 2777 == 165388323678893712
 
 
 def test_roundtrip_worked_example():
