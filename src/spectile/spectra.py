@@ -359,33 +359,35 @@ def _lifts(cliques: Iterable[tuple[int, ...]], modulus: int, n_max: int,
     clique has the multiset mod m of the one kept tuple with its classes.
     The kept tuples of a clique take one lift per residue in every way, so
     their classes mod m are every choice of one class from each S_r, the
-    classes that r's kept lifts meet (S_0 = {0}; see _class_masks).  So
-    (a) some kept tuple repeats a class mod m iff two S_r meet, and (b) the
-    union of T - T mod m over the kept tuples T is {0} and every S_r - S_r'
-    with r != r': each two classes of different residues lie in one T."""
+    classes that r's kept lifts meet (S_0 = {0}): (a) some kept tuple
+    repeats a class mod m iff two S_r of the clique meet."""
     keep = None if m is None else m // math.gcd(modulus, m)
     for clique in cliques:
         yield from product(*(range(r, n_max + 1, modulus)[:keep] if r
                              else (0,) for r in clique))
 
 
-def _class_masks(cliques: Iterable[tuple[int, ...]], modulus: int,
-                 n_max: int, m: int) -> Iterator[tuple[int, ...]]:
-    """Each clique as the tuple of its residues' class masks mod m, in the
-    clique's order: bit x of the mask S_r is set iff a lift of r that
-    _lifts keeps at m is x mod m, so S_0 = 1.  These tuples hold the kept
-    lifts' classes whatever their number, (m/h)^(p-1) per clique at most
-    (see the lemma of _lifts); each residue's mask is made once a call."""
+def _kept_distinct(cliques: Iterable[tuple[int, ...]], modulus: int,
+                   n_max: int, m: int,
+                   deadline: Optional[float] = None) -> bool:
+    """Whether every tuple that _lifts keeps at m is distinct mod m,
+    decided by (a) of its lemma without listing one: S_r is the m-bit
+    mask of the classes of r's kept lifts, made once a call, and masks
+    that meet carry when added.  deadline is polled before every
+    _POLL_INTERVAL cliques."""
     keep = m // math.gcd(modulus, m)
     masks = {0: 1}  # 0 stays 0
-    for clique in cliques:
-        for r in clique:
-            if r not in masks:
-                mask = 0
-                for x in range(r, n_max + 1, modulus)[:keep]:
-                    mask |= 1 << x % m
-                masks[r] = mask
-        yield tuple(map(masks.__getitem__, clique))
+    for chunk in _poll_chunks(cliques, deadline,
+                              f"common-complement search at period {m}"):
+        for clique in chunk:
+            for r in clique:
+                if r not in masks:  # the kept lifts are distinct mod m
+                    masks[r] = sum(1 << x % m for x in
+                                   range(r, n_max + 1, modulus)[:keep])
+            s = [masks[r] for r in clique]
+            if sum(s).bit_count() < sum(map(int.bit_count, s)):
+                return False
+    return True
 
 
 def _lifted(lifts: Iterable[tuple[int, ...]],

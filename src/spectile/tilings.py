@@ -10,18 +10,13 @@ Both complement searches list them with spectra._cliques, the kernel
 that finds the spectra too, in lexicographic order, bounded by the
 classes' translates as an exact-cover search is: a certificate is the
 smallest common complement at its period, whatever the order of the
-members.  The common search reads each member as one class mask per
-element, and a residue clique as one mask per residue holding the
-classes of all its kept lifts, so it never lists those lifts: it needs
-only the union of the T - T, which the masks give directly.  A search
-that finds nothing within its period bound is inconclusive, never a
-refutation.
+members.  A search that finds nothing within its period bound is
+inconclusive, never a refutation.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cyclotomic import _Value
@@ -76,43 +71,22 @@ def is_tiling_of_Z(tile, complement: PeriodicSet) -> bool:
     return tiles_cyclic(tile, complement.residues, complement.period)
 
 
-def _differences(masks: Sequence[int], total: int, m: int) -> int:
-    """{0} and every class of one mask minus a class of another, mod m,
-    as an m-bit mask; the masks are pairwise disjoint residue sets mod m,
-    and total is their sum.  This is the union of T - T over the tables T
-    that take one class from each mask, since each two classes of
-    different masks lie in one T.  Each class x of a mask S turns the
-    other masks' classes back by x: one rotation per class, however many
-    tables the masks hold."""
-    out = 1
-    for mask in masks:
-        others = total ^ mask
-        while mask:
-            x = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            out |= others >> x | others << (m - x)
-    return out & (1 << m) - 1
-
-
-def _exact_covers(differences: int, tables: Sequence[int], m: int,
+def _exact_covers(tables: Sequence[int], m: int,
                   deadline: Optional[float] = None,
                   ) -> Iterator[tuple[int, ...]]:
-    """Every residue set R with 0 in R and m/p residues whose nonzero
-    differences mod m are none of differences (bit d for d), ascending,
-    in lexicographic order.
+    """Every residue set R with 0 in R such that T + R covers Z_m once
+    for every table T, ascending, in lexicographic order.
 
     tables are residue sets mod m as m-bit masks (bit x for residue x),
-    all of one popcount p dividing m, each T with T - T in differences;
-    bad tables raise ValueError when the search starts.  By the difference
-    criterion, T + R covers Z_m once iff |T||R| = m and (T - T) and
-    (R - R) share only 0, so with differences the union of the T - T of
-    some tables, these R are exactly their common covers: the
-    (m/p)-cliques of _cliques on the other differences, in an order that
-    the tables cannot change.  The tables are its blocks: a prefix ends
-    once some residue it leaves uncovered lies in no candidate's
-    translate of some table, so a period with no cover is refuted early.
-    deadline, an absolute time.monotonic() value, is polled as _cliques
-    polls it.
+    all of one popcount p dividing m; anything else raises ValueError
+    when the search starts.  By the difference criterion, T + R covers
+    Z_m once iff |T||R| = m and (T - T) and (R - R) share only 0, so the
+    covers are the (m/p)-cliques of _cliques on the differences in no
+    T - T, and the order of the tables cannot change them.  The tables
+    are its blocks: a prefix ends once some residue it leaves uncovered
+    lies in no candidate's translate of some table, so a period with no
+    cover is refuted early.  deadline, an absolute time.monotonic()
+    value, is polled as _cliques polls it.
     """
     if not (tables
             and all(isinstance(t, int) and 0 < t and t.bit_length() <= m
@@ -122,7 +96,11 @@ def _exact_covers(differences: int, tables: Sequence[int], m: int,
         raise ValueError(f"tables must be nonzero masks below 2**{m} with "
                          f"one popcount dividing {m}")
     blocks = [[x for x in range(m) if t >> x & 1] for t in tables]
-    yield from _cliques(~differences & (1 << m) - 2, m // len(blocks[0]),
+    differences = 0  # every T - T mod m: T turned back by each residue
+    for t, block in zip(tables, blocks):
+        for x in block:
+            differences |= t >> x | t << (m - x)
+    yield from _cliques(~differences & (1 << m) - 1, m // len(blocks[0]),
                         deadline, f"common-complement search at period {m}",
                         blocks, m)
 
@@ -133,11 +111,10 @@ def find_complements(tile, m: int) -> list[tuple[int, ...]]:
     each difference the tile's residues do not have."""
     m = _as_int(m, "modulus", 1)
     tile = IntSet.of(tile)
-    bits = {1 << (x % m) for x in tile.elements}
-    if not tile or m % len(tile) or len(bits) < len(tile):
+    mask = sum({1 << (x % m) for x in tile.elements})
+    if not tile or m % len(tile) or mask.bit_count() < len(tile):
         return []
-    total = sum(bits)
-    return list(_exact_covers(_differences(bits, total, m), [total], m))
+    return list(_exact_covers([mask], m))
 
 
 def find_common_complement(family, m_max: int, *,
@@ -153,9 +130,9 @@ def find_common_complement(family, m_max: int, *,
     the certificate does not depend on their order.
 
     Whether A + (R + mZ) tiles Z depends only on A mod m, so each period
-    reads every member as the masks of its elements' classes mod m (see
-    _point_classes) and searches one table per class of the members; a
-    period at which some member is not distinct mod m is skipped.
+    searches one m-bit mask per class of the members' elements (see
+    _first_common_cover); a period at which some member is not distinct
+    mod m is skipped.
 
     time_budget, in seconds from entry (0 is spent; NaN or negative
     raises ValueError), is polled through the search; passing it raises
@@ -171,7 +148,7 @@ def find_common_complement(family, m_max: int, *,
         raise ValueError("family members must be nonempty")
     if any(len(a) != p for a in members):
         raise ValueError("family members must share one cardinality")
-    return _first_common_cover(p, m_max, members, _point_classes, deadline)
+    return _first_common_cover(p, m_max, lambda m: members, deadline)
 
 
 class _Bits(dict):
@@ -186,63 +163,40 @@ class _Bits(dict):
         return bit
 
 
-def _point_classes(members: Iterable[Iterable[int]],
-                   m: int) -> Iterator[tuple[int, ...]]:
-    """The distinct tuples of the members' single-class masks mod m, each
-    ascending.  A member is read as the sum of its points' bits, from one
-    point -> bit table, all C-level per member, and each distinct sum is
-    split into its bits once.  A member that repeats a class carries in
-    its sum, so its tuple has fewer masks than it has points."""
-    sums = set(map(sum, map(map, repeat(_Bits(m).__getitem__), members)))
-    return (tuple(1 << x for x in range(m) if total >> x & 1)
-            for total in sums)
-
-
-def _first_common_cover(p: int, m_max: int, items: Sequence,
-                        classes: Callable[[list, int],
-                                          Iterable[tuple[int, ...]]],
+def _first_common_cover(p: int, m_max: int,
+                        members: Callable[[int],
+                                          Optional[Iterable[Sequence[int]]]],
                         deadline: Optional[float] = None,
                         ) -> Optional[PeriodicSet]:
     """The period loop of the common-complement search: at the first
     m = p, 2p, ..., m_max that has one, the lexicographically smallest
-    residue set R with 0 in R such that T + R covers Z_m once for every
-    table T that classes gives; None when the bound is exhausted.
+    exact cover shared by the p-element integer sets members(m), which
+    need hold only one set of each of the family's classes mod m, in any
+    order; None when the bound is exhausted.  members(m) is None when the
+    caller knows, without listing them, that some member is not distinct
+    mod m, and the period is skipped.
 
-    Each period reads the items, members or residue cliques, chunk by
-    chunk: classes(chunk, m) gives tuples of class masks mod m (bit x for
-    the class x), each standing for every table that takes one class from
-    each of its masks.  These are the members' single-class masks
-    (_point_classes), or the cliques' residues' kept classes
-    (spectra._class_masks), whose tables are the classes of the kept
-    lifts.  A tuple with fewer than p masks, or whose masks meet, holds a
-    table that is not distinct mod m, and the period is skipped once it
-    is read; sum(masks) has as many bits as the masks have together iff
-    no two meet, since adding masks that meet carries.  Otherwise the
-    search forbids the union of the tables' T - T, each tuple's by
-    _differences, and takes as blocks one table per distinct tuple, its
-    masks' lowest classes: any table bounds the search soundly, so the
-    blocks change only its speed, and a member's one table is itself.
-    The deadline is checked before every _POLL_INTERVAL items and inside
-    the search.
+    Each period writes a member as the m-bit mask of its residues, the sum
+    of its points' bits from one point -> bit table (_Bits), so the mask
+    has p bits set iff the member is distinct mod m: a repeated residue
+    carries into a higher bit.  A period with a mask of fewer bits is
+    skipped unsearched, once that mask is read; otherwise the distinct
+    masks are searched.  The deadline is checked before every
+    _POLL_INTERVAL members and inside the search.
     """
     for m in range(p, m_max + 1, p):
-        seen, differences, tables = set(), 1, set()
-        for chunk in _poll_chunks(items, deadline,
+        sets = members(m)
+        if sets is None:
+            continue
+        bit, classes = _Bits(m).__getitem__, set()
+        for chunk in _poll_chunks(sets, deadline,
                                   f"common-complement search at period {m}"):
-            for masks in set(classes(chunk, m)) - seen:
-                total = sum(masks)
-                if (len(masks) < p or total.bit_count()
-                        < sum(map(int.bit_count, masks))):
-                    break  # some table is not distinct mod m
-                seen.add(masks)
-                differences |= _differences(masks, total, m)
-                tables.add(sum(mask & -mask for mask in masks))
-            else:
-                continue
-            break  # the period is skipped
+            fresh = {sum(map(bit, s)) for s in chunk}
+            if any(mask.bit_count() < p for mask in fresh):
+                break  # some member is not distinct mod m
+            classes |= fresh
         else:
-            found = next(_exact_covers(differences, list(tables), m,
-                                       deadline), None)
+            found = next(_exact_covers(list(classes), m, deadline), None)
             if found is not None:
                 return PeriodicSet(found, m)
     return None

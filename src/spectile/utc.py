@@ -13,18 +13,17 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 from .cyclotomic import _Value
 from .intervals import (IntervalUnion, OmegaTilingCertificate,
                         _assemble_from_cells, build_omega, fibers)
 from .spectra import (FinitePointSet, IntSet, SearchTimeout, _as_int,
-                      _class_masks, _deadline, _lifted, _lifts, _poll_chunks,
-                      _spectrum_cliques, _spectrum_test, as_fraction,
-                      spectrum_base)
-from .tilings import (PeriodicSet, _first_common_cover, _point_classes,
-                      is_tiling_of_Z)
+                      _deadline, _kept_distinct, _lifted, _lifts,
+                      _poll_chunks, _spectrum_cliques, _spectrum_test,
+                      as_fraction, spectrum_base)
+from .tilings import PeriodicSet, _first_common_cover, is_tiling_of_Z
 
 VERIFIED = "verified-with-certificate"
 INCONCLUSIVE = "inconclusive-no-complement-in-bounds"
@@ -106,16 +105,15 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
     within {0..n_max} (see enumerate_spectra), then search for one
     complement R + mZ (m <= m_max) tiling Z with all of those spectra.
 
-    Whether A + (R + mZ) tiles Z depends only on the multiset A mod m,
-    which by the lemma of _lifts every spectrum shares with a lift of its
-    clique that spectra._lifts keeps at m, itself a spectrum.  The search
-    at m reads each clique as its residues' class masks, the classes of
-    their kept lifts (spectra._class_masks), and so lists no lift: by (a)
-    and (b) of that lemma the masks decide whether some kept lift repeats
-    a class, and give the differences of all kept lifts.  So the search
+    The search and its re-check at period m read the lifts of the cliques
+    that spectra._lifts keeps at m.  Whether A + (R + mZ) tiles Z depends
+    only on the multiset A mod m, which by the lemma of _lifts every
+    spectrum shares with a kept lift, itself a spectrum.  So the search
     finds the certificate find_common_complement finds on the family,
-    which does not depend on the members' order.  Only the re-check, at
-    the certificate's period, lists the kept lifts.
+    which does not depend on the members' order.  A period m that does
+    not divide M, at which some kept lift repeats a class, is skipped
+    without listing one, on the residues' class masks
+    (spectra._kept_distinct).
 
     The verdict is verified-with-certificate only after is_tiling_of_Z
     holds on every kept lift at the certificate's period, by integer
@@ -139,13 +137,19 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
         if not cliques:
             verdict = NO_SPECTRA
         else:
-            found = _first_common_cover(
-                p, m_max, cliques,
-                lambda chunk, m: _class_masks(chunk, modulus, n_max, m),
-                deadline)
+            lifts = partial(_lifts, cliques, modulus, n_max)
+
+            def kept(m):  # None: some kept lift repeats a class mod m
+                # where m divides M each residue keeps one lift, which the
+                # loop reads as cheaply as its class mask
+                if modulus % m and not _kept_distinct(cliques, modulus,
+                                                      n_max, m, deadline):
+                    return None
+                return lifts(m)
+
+            found = _first_common_cover(p, m_max, kept, deadline)
             if found is not None:
-                lifts = _lifts(cliques, modulus, n_max, found.period)
-                for chunk in _poll_chunks(lifts, deadline,
+                for chunk in _poll_chunks(lifts(found.period), deadline,
                                           "certificate re-check"):
                     for combo in chunk:
                         a = IntSet.of(combo)
@@ -193,8 +197,8 @@ def roundtrip(p: int, gamma, family, breakpoints, m_max: int, *,
     fiber_family = decomposition.fiber_family()
     spectral_ok = fiber_family == members
     try:  # build_omega gave every fiber p elements
-        complement = _first_common_cover(p, m_max, fiber_family,
-                                         _point_classes, deadline)
+        complement = _first_common_cover(p, m_max, lambda m: fiber_family,
+                                         deadline)
     except SearchTimeout:
         complement = None
     certificate = None if complement is None else _assemble_from_cells(

@@ -87,23 +87,6 @@ def packed_exact_covers(members, m, deadline=None):
                 stack.append((covered | mask, chosen + (t,)))
 
 
-def table_differences(tables, m):
-    """The union of T - T mod m over the tables, as an m-bit mask, by
-    brute force over every pair of residues of each table."""
-    out = 0
-    for t in tables:
-        residues = [x for x in range(m) if t >> x & 1]
-        for x in residues:
-            for y in residues:
-                out |= 1 << (y - x) % m
-    return out
-
-
-def search_covers(tables, m, deadline=None):
-    """_exact_covers on the tables, forbidding their own differences."""
-    return _exact_covers(table_differences(tables, m), tables, m, deadline)
-
-
 def frozenset_common_complement(family, m_max):
     """Reference grouping for find_common_complement: at each period, the
     first member of each residue set mod m (a frozenset), in family order,
@@ -330,9 +313,9 @@ def test_exact_covers_match_the_packed_search_in_order(case):
         if any(t.bit_count() < p for t in tables):
             continue
         expected = sorted(packed_exact_covers(sets, m))
-        assert list(search_covers(tables, m)) == expected, (family, m)
+        assert list(_exact_covers(tables, m)) == expected, (family, m)
         others = [sum({1 << (x % m) for x in a}) for a in shuffled]
-        assert list(search_covers(others, m)) == expected, (shuffled, m)
+        assert list(_exact_covers(others, m)) == expected, (shuffled, m)
 
 
 @st.composite
@@ -374,21 +357,21 @@ def test_exact_covers_refuse_tables_that_are_not_masks():
                       ([1 << 4], 4), ([], 4), ([0], 4), ([0b11, 0b111], 6), ([0b111], 4),
                       ([-1], 4), ([{0, 1}], 2)]:
         with pytest.raises(ValueError):
-            next(_exact_covers(1, tables, m))
+            next(_exact_covers(tables, m))
     assert time.monotonic() - start < 0.5
-    assert list(search_covers([0b11, 0b101], 4)) == []
-    assert list(search_covers([0b11, 0b1001], 4)) == [(0, 2)]
+    assert list(_exact_covers([0b11, 0b101], 4)) == []
+    assert list(_exact_covers([0b11, 0b1001], 4)) == [(0, 2)]
 
 
 def test_exact_covers_check_table_width_without_an_m_bit_integer():
     # residue m - 1 is the table's last bit, residue m is refused above
-    assert list(search_covers([1 << 3], 4)) == [(0, 1, 2, 3)]
+    assert list(_exact_covers([1 << 3], 4)) == [(0, 1, 2, 3)]
     # a 3-bit table cannot tile Z_m for m = 10**8 + 1; the refusal reads
     # the table's width, so it allocates nothing near 2**m (12.5 MB)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"masks below 2\*\*100000001 "):
-            next(_exact_covers(1, [0b111], 10**8 + 1))
+            next(_exact_covers([0b111], 10**8 + 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -447,7 +430,7 @@ def test_searches_with_no_complement_end_fast():
     deadline = time.monotonic() + 5.0
     for m in (48, 72, 96, 300):
         mask = sum(1 << (x % m) for x in (0, 1, 3))
-        assert list(search_covers([mask], m, deadline)) == []
+        assert list(_exact_covers([mask], m, deadline)) == []
         assert find_complements([0, 1, 3], m) == []
     # what is left of that one deadline, as a budget that cannot be negative
     for family, m_max in (([[0, 1], [0, 2]], 100),

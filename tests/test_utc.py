@@ -28,9 +28,8 @@ from spectile import (INCONCLUSIVE, NO_SPECTRA, VERIFIED, IntSet,
                       is_tiling_of_Z, measure, roundtrip, spectral_verdict,
                       utc_verify, verify_omega_tiling)
 from corpus import OMEGA_2, bases, bases_and_bounds
-from spectile.spectra import (_base_points, _class_masks, _lifts,
+from spectile.spectra import (_base_points, _kept_distinct, _lifts,
                               _spectrum_cliques)
-from spectile.tilings import _first_common_cover
 
 P8_GAMMA = [0, F(1, 2), 2, F(5, 2), 4, F(9, 2), 6, F(13, 2)]
 # admissible iff 6 | d and d/6 is not 0 mod 6: one clique mod M = 36
@@ -237,16 +236,15 @@ def test_utc_verify_checks_each_residue_class_once(monkeypatch):
     searched = []
     real_covers = spectile.tilings._exact_covers
 
-    def recording(differences, tables, m, *args):
-        searched.append((m, differences))
-        return real_covers(differences, tables, m, *args)
+    def recording(tables, *args):
+        searched.append(len(tables))
+        return real_covers(tables, *args)
 
     monkeypatch.setattr(spectile.tilings, "_exact_covers", recording)
     report = utc_verify(9, range(9), 18, 81)
     assert report.verdict == VERIFIED and len(report.spectra_found) == 256
     assert calls == {"tiles_cyclic": 1}
-    # one search, at period 9, on the one class: Z_9 less 0 is forbidden
-    assert searched == [(9, (1 << 9) - 1)]
+    assert searched == [1]
     # the p = 8 base has 8 cliques mod 16 and 27 spectra within {0..20};
     # at period 16 each lift keeps its residue, so each clique is one class
     calls["tiles_cyclic"] = 0
@@ -263,7 +261,7 @@ def test_utc_verify_recheck_reaches_a_late_class(monkeypatch, capsys):
     # spectrum of {0, 1} and fails only on a last clique of another class:
     # {0, 2}, or {0, 4}, which is not even distinct mod 4.  The search
     # ignores the cliques here, so a late clique reaches only the re-check
-    def wrong(*args):
+    def wrong(p, m_max, members, deadline=None):
         return PeriodicSet.of([0, 2], 4)
 
     monkeypatch.setattr(spectile.utc, "_first_common_cover", wrong)
@@ -357,15 +355,14 @@ def test_utc_verify_recheck_matches_every_member(case):
 
 
 def _searches(call):
-    """call()'s result and the (period, forbidden differences) of every
-    search it ran: that mask fixes what the search finds, and its tables
-    only bound it."""
+    """call()'s result and the (period, tables) of every search it ran,
+    tables as a set: their order cannot change what is found."""
     searched = []
     real = spectile.tilings._exact_covers
 
-    def recording(differences, tables, m, *args):
-        searched.append((m, differences))
-        return real(differences, tables, m, *args)
+    def recording(tables, m, *args):
+        searched.append((m, frozenset(tables)))
+        return real(tables, m, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectile.tilings, "_exact_covers", recording)
@@ -479,65 +476,44 @@ def _lifted_bases(draw):
 @example(([0, F(1, 4)], 2, 13))  # M = 8: (0, 4) lifts to (0, 12)
 @example((P6_GAMMA, 6, 96))  # periods 24 and 30 keep 2 and 3 lifts
 def test_class_masks_decide_as_the_kept_lifts(case):
-    # the kept lifts, listed by _lifts, are the oracle: at each period the
-    # loop on class masks skips exactly when some kept tuple is not
-    # distinct mod m, and otherwise forbids the union of the kept tables'
-    # T - T, with blocks drawn from those tables.  No search is run, so
-    # every period up to 6p is decided
+    # the kept lifts, listed by _lifts, are the oracle: at each period up
+    # to 6p the class masks find a tuple that is not distinct mod m
+    # exactly when one of the kept tuples is not
     gamma, p, n_max = case
     cliques, modulus = _spectrum_cliques(_base_points(gamma, p)[0], p, n_max)
-    if not cliques:
-        return
-    searched = []
-
-    def recording(differences, tables, m, *args):
-        searched.append((m, differences, tables))
-        return iter(())
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectile.tilings, "_exact_covers", recording)
-        assert _first_common_cover(
-            p, 6 * p, cliques,
-            lambda chunk, m: _class_masks(chunk, modulus, n_max, m)) is None
-    expected = {}
     for m in range(p, 6 * p + 1, p):
-        kept = [{x % m for x in t}
-                for t in _lifts(cliques, modulus, n_max, m)]
-        if all(len(t) == p for t in kept):
-            differences = sum({1 << (y - x) % m for t in kept
-                               for x in t for y in t})
-            expected[m] = differences, {sum(1 << x for x in t) for t in kept}
-    assert [(m, d) for m, d, _ in searched] == \
-        [(m, d) for m, (d, _) in expected.items()]
-    for m, _, tables in searched:
-        assert tables and set(tables) <= expected[m][1], m
+        kept = _lifts(cliques, modulus, n_max, m)
+        assert _kept_distinct(cliques, modulus, n_max, m) == \
+            all(len({x % m for x in t}) == p for t in kept), m
 
 
-def test_skipped_periods_list_no_lifts(monkeypatch):
-    # the p = 6 base within {0..250} keeps 2 lifts of each residue at
-    # period 24 and 5 at period 30, which the class masks skip: residue 0
-    # shares a class with a lift of 12 mod 24 and of 30 mod 30.  The kept
-    # lifts are listed only at 36, for the re-check
-    listed, masked = [], []
-    real_lifts, real_masks = spectile.utc._lifts, spectile.utc._class_masks
+def test_periods_skipped_on_class_masks_list_no_lifts(monkeypatch):
+    # the p = 6 base within {0..250} is the clique of the multiples of 6
+    # mod 36, which keeps 2 lifts of each residue at period 24 and 5 at
+    # period 30; the class masks skip both: residue 0 shares a class with
+    # a lift of 12 mod 24 and of 30 mod 30.  Periods that divide 36 keep
+    # one lift per residue, which the loop reads itself: it skips 6, 12
+    # and 18 on their first tuple, and lists them again at 36 for the
+    # re-check
+    listed, decided = [], []
+    real_lifts, real_distinct = spectile.utc._lifts, _kept_distinct
 
     def lifts(cliques, modulus, n_max, m=None):
         listed.append(m)
         return real_lifts(cliques, modulus, n_max, m)
 
-    def masks(cliques, modulus, n_max, m):
-        masked.append(m)
-        return real_masks(cliques, modulus, n_max, m)
+    def distinct(cliques, modulus, n_max, m, deadline=None):
+        decided.append(m)
+        return real_distinct(cliques, modulus, n_max, m, deadline)
 
     monkeypatch.setattr(spectile.utc, "_lifts", lifts)
-    monkeypatch.setattr(spectile.utc, "_class_masks", masks)
+    monkeypatch.setattr(spectile.utc, "_kept_distinct", distinct)
     report, searched = _searches(lambda: utc_verify(6, P6_GAMMA, 250, 72))
     assert report.verdict == VERIFIED
     assert report.certificate == PeriodicSet((0, 1, 2, 3, 4, 5), 36)
-    assert listed == [36]
-    assert masked == [6, 12, 18, 24, 30, 36]
-    assert 24 not in [m for m, _ in searched]
-    assert 30 not in [m for m, _ in searched]
+    assert decided == [24, 30]
+    assert listed == [6, 12, 18, 36, 36]
+    assert [m for m, _ in searched] == [36]
 
 
 def test_spectra_count_needs_no_lift(monkeypatch):
