@@ -133,8 +133,9 @@ class IntSet(_Value):
 
 def _over_common_denominator(points: tuple[Fraction, ...]) -> tuple[int, list[int]]:
     """(D, [D*x for x in points]) with D the lcm of the denominators."""
-    den = math.lcm(*(x.denominator for x in points))
-    return den, [x.numerator * (den // x.denominator) for x in points]
+    ratios = list(map(Fraction.as_integer_ratio, points))
+    den = math.lcm(*(d for _, d in ratios))
+    return den, [n * (den // d) for n, d in ratios]
 
 
 def _point_grid(points: FinitePointSet | Iterable[RationalLike],
@@ -345,49 +346,14 @@ def _spectrum_cliques(g: FinitePointSet, p: int, n_max: int,
             modulus)
 
 
-def _lifts(cliques: Iterable[tuple[int, ...]], modulus: int, n_max: int,
-           m: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+def _lifts(cliques: Iterable[tuple[int, ...]], modulus: int,
+           n_max: int) -> Iterator[tuple[int, ...]]:
     """Each clique with one lift per residue, in the clique's order: 0
     stays 0, and r > 0 takes some r + kM <= n_max, k >= 0, M = modulus;
-    every choice of lifts, or at a period m only k < m/h, h = gcd(M, m).
-    Lemma: the kept lifts of r meet each class mod m that a lift of r
-    meets, each once, and these are all the classes of r + hZ mod m once
-    n_max holds k = m/h - 1.  Proof.  m divides (k - k')M iff m/h divides
-    k - k', as m/h and M/h are coprime: the kept lifts are distinct mod m,
-    a later one is in the class of the smaller kept one at k mod m/h, and
-    all lie in r + hZ, which has m/h classes mod m.  So every lift of a
-    clique has the multiset mod m of the one kept tuple with its classes.
-    The kept tuples of a clique take one lift per residue in every way, so
-    their classes mod m are every choice of one class from each S_r, the
-    classes that r's kept lifts meet (S_0 = {0}): (a) some kept tuple
-    repeats a class mod m iff two S_r of the clique meet."""
-    keep = None if m is None else m // math.gcd(modulus, m)
+    every choice of lifts."""
     for clique in cliques:
-        yield from product(*(range(r, n_max + 1, modulus)[:keep] if r
-                             else (0,) for r in clique))
-
-
-def _kept_distinct(cliques: Iterable[tuple[int, ...]], modulus: int,
-                   n_max: int, m: int,
-                   deadline: Optional[float] = None) -> bool:
-    """Whether every tuple that _lifts keeps at m is distinct mod m,
-    decided by (a) of its lemma without listing one: S_r is the m-bit
-    mask of the classes of r's kept lifts, made once a call, and masks
-    that meet carry when added.  deadline is polled before every
-    _POLL_INTERVAL cliques."""
-    keep = m // math.gcd(modulus, m)
-    masks = {0: 1}  # 0 stays 0
-    for chunk in _poll_chunks(cliques, deadline,
-                              f"common-complement search at period {m}"):
-        for clique in chunk:
-            for r in clique:
-                if r not in masks:  # the kept lifts are distinct mod m
-                    masks[r] = sum(1 << x % m for x in
-                                   range(r, n_max + 1, modulus)[:keep])
-            s = [masks[r] for r in clique]
-            if sum(s).bit_count() < sum(map(int.bit_count, s)):
-                return False
-    return True
+        yield from product(*(range(r, n_max + 1, modulus) if r else (0,)
+                             for r in clique))
 
 
 def _lifted(lifts: Iterable[tuple[int, ...]],

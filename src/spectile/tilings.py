@@ -173,8 +173,8 @@ def _first_common_cover(p: int, m_max: int,
     exact cover shared by the p-element integer sets members(m), which
     need hold only one set of each of the family's classes mod m, in any
     order; None when the bound is exhausted.  members(m) is None when the
-    caller knows, without listing them, that some member is not distinct
-    mod m, and the period is skipped.
+    caller has shown that m is not the first period with a common
+    complement, and the period is skipped.
 
     Each period writes a member as the m-bit mask of its residues, the sum
     of its points' bits from one point -> bit table (_Bits), so the mask

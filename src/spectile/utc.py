@@ -13,16 +13,16 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Optional
 
 from .cyclotomic import _Value
 from .intervals import (IntervalUnion, OmegaTilingCertificate,
                         _assemble_from_cells, build_omega, fibers)
 from .spectra import (FinitePointSet, IntSet, SearchTimeout, _as_int,
-                      _deadline, _kept_distinct, _lifted, _lifts,
-                      _poll_chunks, _spectrum_cliques, _spectrum_test,
-                      as_fraction, spectrum_base)
+                      _deadline, _lifted, _lifts, _poll_chunks,
+                      _spectrum_cliques, _spectrum_test, as_fraction,
+                      spectrum_base)
 from .tilings import PeriodicSet, _first_common_cover, is_tiling_of_Z
 
 VERIFIED = "verified-with-certificate"
@@ -105,26 +105,39 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
     within {0..n_max} (see enumerate_spectra), then search for one
     complement R + mZ (m <= m_max) tiling Z with all of those spectra.
 
-    The search and its re-check at period m read the lifts of the cliques
-    that spectra._lifts keeps at m.  Whether A + (R + mZ) tiles Z depends
-    only on the multiset A mod m, which by the lemma of _lifts every
-    spectrum shares with a kept lift, itself a spectrum.  So the search
-    finds the certificate find_common_complement finds on the family,
-    which does not depend on the members' order.  A period m that does
-    not divide M, at which some kept lift repeats a class, is skipped
-    without listing one, on the residues' class masks
-    (spectra._kept_distinct).
+    Whether A + (R + mZ) tiles Z depends only on A mod m, so the search
+    reads the cliques in place of their lifts, by the following lemma.
+    Say shift holds when some residue r > 0 of some clique has
+    r + M <= n_max.  Without shift no residue lifts twice, and each clique
+    is its own one lift: the cliques are the family.  Shift lemma: with
+    shift, every common complement R + mZ of the family equals R' + hZ
+    with h = gcd(M, m).  Proof.  The family holds A and A' that differ
+    only in r against r + M.  If both tile with R + mZ, then
+    (A - {r}) + R + mZ misses exactly r + R + mZ, and also exactly
+    r + M + R + mZ, so R + M = R mod m: R is invariant under M and m, so
+    under h.  So with shift a common complement at a period m that does
+    not divide M is also one at the period h below it, a multiple of p
+    as |A||R'| = h, and the loop has stopped at h or before; such an m is
+    skipped.  At a period m dividing M every member is its clique mod m.
+    Either way the search finds the certificate find_common_complement
+    finds on the family, the smallest common complement at the first
+    period that has one.
 
-    The verdict is verified-with-certificate only after is_tiling_of_Z
-    holds on every kept lift at the certificate's period, by integer
-    code apart from the search's masks.  The verdict never lifts the
-    family: the report keeps the cliques and M, and its spectra_found
-    lifts them on first read, with no deadline, so timing covers the
-    verdict alone.  Exhausting m_max, or the optional wall-clock budget
-    in seconds, gives an inconclusive verdict; the budget bounds the
-    clique search, the common search and the re-check, and a budget that
-    ends in the clique search leaves the report no cliques, so no spectra,
-    and modulus None.
+    The verdict is verified-with-certificate only after a re-check that
+    does not rely on the search, by integer code: with shift, the
+    certificate R + mZ must equal R + M + mZ, and then is_tiling_of_Z must
+    hold on every clique.  The re-check is exact.  Invariance under M and
+    m gives R + mZ = R' + hZ; each member is its clique mod h, so it tiles
+    iff the clique does.  Conversely, if every member tiles, the lemma
+    forces the invariance, and the cliques are themselves members.
+
+    The verdict never lifts the family: the report keeps the cliques and
+    M, and its spectra_found lifts them on first read, with no deadline,
+    so timing covers the verdict alone.  Exhausting m_max, or the optional
+    wall-clock budget in seconds, gives an inconclusive verdict; the
+    budget bounds the clique search, the common search and the re-check,
+    and a budget that ends in the clique search leaves the report no
+    cliques, so no spectra, and modulus None.
     """
     start = time.monotonic()
     gamma, p = spectrum_base(gamma, p)
@@ -137,26 +150,25 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
         if not cliques:
             verdict = NO_SPECTRA
         else:
-            lifts = partial(_lifts, cliques, modulus, n_max)
-
-            def kept(m):  # None: some kept lift repeats a class mod m
-                # where m divides M each residue keeps one lift, which the
-                # loop reads as cheaply as its class mask
-                if modulus % m and not _kept_distinct(cliques, modulus,
-                                                      n_max, m, deadline):
-                    return None
-                return lifts(m)
-
-            found = _first_common_cover(p, m_max, kept, deadline)
+            shift = any(0 < r <= n_max - modulus
+                        for clique in cliques for r in clique)
+            found = _first_common_cover(
+                p, m_max,
+                lambda m: None if shift and modulus % m else cliques,
+                deadline)
             if found is not None:
-                for chunk in _poll_chunks(lifts(found.period), deadline,
+                if shift and found != PeriodicSet.of(
+                        (r + modulus for r in found.residues), found.period):
+                    raise AssertionError(
+                        f"certificate {found} failed re-verification: "
+                        f"not invariant under {modulus}")
+                for chunk in _poll_chunks(cliques, deadline,
                                           "certificate re-check"):
-                    for combo in chunk:
-                        a = IntSet.of(combo)
-                        if not is_tiling_of_Z(a, found):
+                    for clique in chunk:
+                        if not is_tiling_of_Z(clique, found):
                             raise AssertionError(
                                 f"certificate {found} failed "
-                                f"re-verification on {tuple(a)}")
+                                f"re-verification on {clique}")
                 verdict, certificate = VERIFIED, found
     except SearchTimeout:
         pass  # inconclusive, with the cliques found before the deadline

@@ -1,6 +1,7 @@
 """Independent oracles that the tests check the exact code against.
 
-brute_force_spectra tests every candidate set directly, root_sum_value
+brute_force_spectra tests every candidate set directly,
+brute_common_complement every candidate complement, root_sum_value
 evaluates a sum of roots of unity in floating point, and is_p_tile counts
 translates at sample points; none shares a search, a divisibility test or
 the fiber sweep with the code under test.
@@ -11,7 +12,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from spectile import FinitePointSet, IntSet, is_spectrum
+from spectile import FinitePointSet, IntSet, PeriodicSet, is_spectrum
 from spectile.cyclotomic import ResidueMultiset
 from spectile.spectra import _as_int, _base_points
 
@@ -37,6 +38,35 @@ def brute_force_spectra(g, p: int, n_max: int) -> list[IntSet]:
         if is_spectrum(g, scaled):
             out.append(IntSet(a))
     return out
+
+
+def brute_common_complements(family, m: int):
+    """Every R with 0 in R and |R| = m/p in Z_m, in lexicographic order,
+    such that each member A of the family (p elements each) covers every
+    residue of Z_m exactly once with A + R, by counting the covers."""
+    p = len(family[0])
+    for rest in combinations(range(1, m), m // p - 1):
+        residues = (0,) + rest
+        for a in family:
+            counts = [0] * m
+            for x in a:
+                for r in residues:
+                    counts[(x + r) % m] += 1
+            if counts != [1] * m:
+                break
+        else:
+            yield residues
+
+
+def brute_common_complement(family, m_max: int):
+    """Independent oracle for the common-complement searches: at each
+    period m = p, 2p, ..., m_max in turn, the first R that
+    brute_common_complements lists, as R + mZ; None if no period has one."""
+    p = len(family[0])
+    for m in range(p, m_max + 1, p):
+        for residues in brute_common_complements(family, m):
+            return PeriodicSet(residues, m)
+    return None
 
 
 def root_sum_value(multiset: ResidueMultiset) -> complex:

@@ -29,9 +29,7 @@ from spectile import (INCONCLUSIVE, VERIFIED, FinitePointSet, IntervalUnion,
                       root_sum_is_zero, roundtrip, spectral_verdict,
                       tiles_cyclic, utc_verify, verify_omega_tiling)
 from spectile.spectra import (_POLL_INTERVAL, _as_int, _base_points,
-                              _cliques, _lifts, _point_grid,
-                              _spectrum_cliques, _spectrum_test,
-                              _vanishing_test)
+                              _cliques, _point_grid, _vanishing_test)
 from corpus import bases, bases_and_bounds
 from oracles import ResourceLimitError, brute_force_spectra
 
@@ -688,34 +686,6 @@ def test_enumerate_spectra_matches_the_stack_dfs(case):
     gamma, p, n_max = case
     assert enumerate_spectra(gamma, p, n_max) == \
         stack_dfs_spectra(gamma, p, n_max)
-
-
-def _classes(sets, m):
-    """The distinct residue multisets mod m of integer sets."""
-    return {tuple(sorted(x % m for x in a)) for a in sets}
-
-
-@settings(max_examples=150, deadline=None)
-@given(bases_and_bounds())
-@example(([0, F(1, 4)], 2, 13))  # M = 8: at m = 6, 12 is in 0's class
-@example(([0, 1, 2, 3], 4, 12))  # M = 4: 3^3 lifts, h = 4 at m = 8
-def test_lifts_kept_at_a_period_are_the_family_classes(case):
-    # the lemma of _lifts: at each period m = p, ..., 6p every kept tuple,
-    # sorted, is a spectrum within {0..n_max}, no two kept tuples of a
-    # clique take the same classes residue by residue, and together they
-    # have the residue multisets mod m of the whole family
-    gamma, p, n_max = case
-    family = enumerate_spectra(gamma, p, n_max)
-    cliques, modulus = _spectrum_cliques(_base_points(gamma, p)[0], p, n_max)
-    is_spectral = _spectrum_test(gamma, p)
-    for m in range(p, 6 * p + 1, p):
-        for clique in cliques:
-            kept = list(_lifts([clique], modulus, n_max, m))
-            assert len({tuple(x % m for x in a) for a in kept}) == len(kept)
-            for a in map(sorted, kept):
-                assert 0 <= a[0] and a[-1] <= n_max and is_spectral(a)
-        assert _classes(_lifts(cliques, modulus, n_max, m), m) == \
-            _classes(family, m)
 
 
 def test_enumerate_spectra_deadline_during_lifting(monkeypatch):

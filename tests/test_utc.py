@@ -28,8 +28,7 @@ from spectile import (INCONCLUSIVE, NO_SPECTRA, VERIFIED, IntSet,
                       is_tiling_of_Z, measure, roundtrip, spectral_verdict,
                       utc_verify, verify_omega_tiling)
 from corpus import OMEGA_2, bases, bases_and_bounds
-from spectile.spectra import (_base_points, _kept_distinct, _lifts,
-                              _spectrum_cliques)
+from oracles import brute_common_complement, brute_common_complements
 
 P8_GAMMA = [0, F(1, 2), 2, F(5, 2), 4, F(9, 2), 6, F(13, 2)]
 # admissible iff 6 | d and d/6 is not 0 mod 6: one clique mod M = 36
@@ -327,6 +326,8 @@ def _stubbed_certificates(draw):
 @given(_stubbed_certificates())
 # (0, 3) tiles with the certificate, and its lift (0, 5) does not
 @example((2, [0, 1], 9, (0, 3), PeriodicSet.of([0, 1, 2, 6, 7, 8], 12)))
+# the same with (0, 5) the last lift: 3 + M = n_max still shifts
+@example((2, [0, 1], 5, (0, 3), PeriodicSet.of([0, 1, 2, 6, 7, 8], 12)))
 def test_utc_verify_recheck_matches_every_member(case):
     # the per-member check is the oracle: the re-check on cliques refuses
     # a certificate exactly when some member does not tile with it.  The
@@ -369,9 +370,16 @@ def _searches(call):
         return call(), searched
 
 
+def _shift(report):
+    """Whether some residue r > 0 of the report's cliques lifts to
+    r + M <= n_max."""
+    return any(0 < r <= report.n_max - report.modulus
+               for clique in report.cliques for r in clique)
+
+
 def test_utc_verify_decides_on_cliques_in_small_memory(monkeypatch):
     # Z_9 within {0..44} is 5^8 = 390,625 spectra but one clique mod 9,
-    # and the verdict reads one kept lift at period 9: nothing is lifted
+    # and the verdict reads that clique at period 9: nothing is lifted
     def unreached(*args):
         raise AssertionError("utc_verify lifted the family")
 
@@ -459,60 +467,92 @@ def test_utc_verify_matches_the_member_search(case):
         lambda: find_common_complement(report.spectra_found, m_max))
     assert (report.verdict, report.certificate) == \
         (VERIFIED if certificate else INCONCLUSIVE, certificate)
-    assert searched == oracle
+    # under shift the periods that do not divide M are skipped unsearched
+    assert searched == [(m, tables) for m, tables in oracle
+                        if not (_shift(report) and report.modulus % m)]
 
 
 @st.composite
-def _lifted_bases(draw):
-    """(gamma, p, n_max): a base from bases() and n_max up to p * M, capped
-    at 96, so that residues keep several lifts at many periods."""
-    gamma, p = draw(bases())
+def _shift_bases(draw):
+    """(p, gamma, n_max, m_max): a base with p <= 4 and spectra, M <= 24,
+    n_max within 3 of r + M, r the least nonzero residue of its cliques
+    (its spectra within {0..M - 1}), so that shift holds on one side and
+    not on the other, and m_max from p to 16."""
+    gamma, p = draw(bases().filter(lambda base: base[1] <= 4))
     modulus = p * math.lcm(*(g.denominator for g in gamma))
-    return gamma, p, draw(st.integers(0, min(p * modulus, 96)))
+    assume(modulus <= 24)
+    residues = [x for a in enumerate_spectra(gamma, p, modulus - 1)
+                for x in a if x]
+    assume(residues)
+    n_max = min(residues) + modulus + draw(st.integers(-3, 3))
+    return p, gamma, n_max, draw(st.integers(p, 16))
 
 
-@settings(max_examples=100, deadline=None)
-@given(_lifted_bases())
-@example(([0, F(1, 4)], 2, 13))  # M = 8: (0, 4) lifts to (0, 12)
-@example((P6_GAMMA, 6, 96))  # periods 24 and 30 keep 2 and 3 lifts
-def test_class_masks_decide_as_the_kept_lifts(case):
-    # the kept lifts, listed by _lifts, are the oracle: at each period up
-    # to 6p the class masks find a tuple that is not distinct mod m
-    # exactly when one of the kept tuples is not
-    gamma, p, n_max = case
-    cliques, modulus = _spectrum_cliques(_base_points(gamma, p)[0], p, n_max)
-    for m in range(p, 6 * p + 1, p):
-        kept = _lifts(cliques, modulus, n_max, m)
-        assert _kept_distinct(cliques, modulus, n_max, m) == \
-            all(len({x % m for x in t}) == p for t in kept), m
+@settings(max_examples=60, deadline=None)
+@given(_shift_bases())
+@example((2, [0, 1], 3, 8))  # shift: (0, 1) and (0, 3), M = 2
+@example((2, [0, F(1, 4)], 13, 16))  # shift: (0, 4) and (0, 12), M = 8
+@example((2, [0, F(1, 4)], 11, 16))  # no shift: (0, 4) alone
+@example((2, [0, 1], 0, 2))  # no spectra
+def test_utc_verify_matches_brute_force(case):
+    # the brute-force oracle tries every complement at every period on the
+    # family; utc_verify, which skips periods that do not divide M under
+    # shift and re-checks on the cliques, gives its verdict and certificate
+    p, gamma, n_max, m_max = case
+    report = utc_verify(p, gamma, n_max, m_max)
+    family = enumerate_spectra(gamma, p, n_max)
+    assert report.spectra_found == tuple(family)
+    if not family:
+        assert report.verdict == NO_SPECTRA
+        return
+    brute = brute_common_complement(family, m_max)
+    assert (report.verdict, report.certificate) == \
+        (VERIFIED if brute else INCONCLUSIVE, brute)
 
 
-def test_periods_skipped_on_class_masks_list_no_lifts(monkeypatch):
+@settings(max_examples=60, deadline=None)
+@given(_shift_bases())
+@example((2, [0, 1], 3, 8))  # {0, 2} mod 4, {0, 2, 4} mod 6, ... off M = 2
+def test_common_complements_off_M_have_period_gcd(case):
+    # the shift lemma: under shift, every common complement R + mZ of the
+    # family at a period m that does not divide M is invariant under
+    # h = gcd(M, m), so it has period h
+    p, gamma, n_max, m_max = case
+    report = utc_verify(p, gamma, n_max, m_max)
+    if not _shift(report):
+        return
+    family = report.spectra_found
+    for m in range(p, m_max + 1, p):
+        h = math.gcd(report.modulus, m)
+        if h == m:
+            continue
+        for residues in brute_common_complements(family, m):
+            assert {(r + h) % m for r in residues} == set(residues), \
+                (m, residues)
+
+
+def test_periods_off_M_are_skipped_under_shift(monkeypatch):
     # the p = 6 base within {0..250} is the clique of the multiples of 6
-    # mod 36, which keeps 2 lifts of each residue at period 24 and 5 at
-    # period 30; the class masks skip both: residue 0 shares a class with
-    # a lift of 12 mod 24 and of 30 mod 30.  Periods that divide 36 keep
-    # one lift per residue, which the loop reads itself: it skips 6, 12
-    # and 18 on their first tuple, and lists them again at 36 for the
-    # re-check
-    listed, decided = [], []
-    real_lifts, real_distinct = spectile.utc._lifts, _kept_distinct
+    # mod 36, each residue r > 0 lifted 7 times, so shift holds: the loop
+    # is offered the clique only at the periods that divide 36, skips 6,
+    # 12 and 18, at which the clique is not distinct, and searches at 36
+    offered = []
+    real = spectile.utc._first_common_cover
 
-    def lifts(cliques, modulus, n_max, m=None):
-        listed.append(m)
-        return real_lifts(cliques, modulus, n_max, m)
+    def cover(p, m_max, members, deadline=None):
+        def spied(m):
+            sets = members(m)
+            if sets is not None:
+                offered.append(m)
+            return sets
 
-    def distinct(cliques, modulus, n_max, m, deadline=None):
-        decided.append(m)
-        return real_distinct(cliques, modulus, n_max, m, deadline)
+        return real(p, m_max, spied, deadline)
 
-    monkeypatch.setattr(spectile.utc, "_lifts", lifts)
-    monkeypatch.setattr(spectile.utc, "_kept_distinct", distinct)
+    monkeypatch.setattr(spectile.utc, "_first_common_cover", cover)
     report, searched = _searches(lambda: utc_verify(6, P6_GAMMA, 250, 72))
     assert report.verdict == VERIFIED
     assert report.certificate == PeriodicSet((0, 1, 2, 3, 4, 5), 36)
-    assert decided == [24, 30]
-    assert listed == [6, 12, 18, 36, 36]
+    assert offered == [6, 12, 18, 36]
     assert [m for m, _ in searched] == [36]
 
 
