@@ -20,12 +20,13 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence, Union
 
 from .cyclotomic import _Value
 from .spectra import (IntSet, RationalLike, _as_int, _over_common_denominator,
                       _spectrum_test, as_fraction, spectrum_base)
-from .tilings import PeriodicSet, tiles_cyclic
+from .tilings import PeriodicSet, _cover_test
 
 NumberLike = Union[Fraction, int, float, str]
 
@@ -53,11 +54,10 @@ class IntervalUnion(_Value):
                              f"lowest terms for the endpoints")
         for a, b in ends:
             if not a < b:
-                raise ValueError(f"empty or reversed interval {_shown(den, a, b)}")
-        for (a1, b1), (a2, b2) in zip(ends, ends[1:]):
-            if not b1 < a2:
-                raise ValueError(f"overlapping or adjacent intervals "
-                                 f"{_shown(den, a2, b2)} and {_shown(den, a1, b1)}")
+                raise _reversed(den, a, b)
+        for first, second in zip(ends, ends[1:]):
+            if not first[1] < second[0]:
+                raise _overlapping(den, first, second)
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[RationalLike, RationalLike]],
@@ -66,6 +66,16 @@ class IntervalUnion(_Value):
         den, grid = _over_common_denominator(tuple(
             as_fraction(x) for pair in pairs for x in pair))
         return _merged(den, list(zip(grid[::2], grid[1::2])))
+
+    @classmethod
+    def _trusted(cls, den: int, ends: tuple[tuple[int, int], ...],
+                 ) -> "IntervalUnion":
+        """cls(den, ends) for a caller that has made the constructor's
+        checks itself: made by object.__new__ and the slots' setters."""
+        union = object.__new__(cls)
+        cls.den.__set__(union, den)
+        cls.ends.__set__(union, ends)
+        return union
 
     @cached_property
     def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -87,20 +97,45 @@ def _shown(den: int, a: int, b: int) -> str:
     return f"[{Fraction(a, den)}, {Fraction(b, den)})"
 
 
+def _reversed(den: int, a: int, b: int) -> ValueError:
+    """The error for an empty or reversed interval [a/den, b/den)."""
+    return ValueError(f"empty or reversed interval {_shown(den, a, b)}")
+
+
+def _overlapping(den: int, first: Sequence[int],
+                 second: Sequence[int]) -> ValueError:
+    """The error for an interval pair (a1, b1), (a2, b2) with b1 >= a2."""
+    return ValueError(f"overlapping or adjacent intervals "
+                      f"{_shown(den, *second)} and {_shown(den, *first)}")
+
+
 def _merged(den: int, pairs: list[tuple[int, int]]) -> IntervalUnion:
-    """The union of the intervals [a/den, b/den): one integer sort, then
-    adjacent ones merge.  A merge would hide a reversed interval, so each
-    is checked first; the constructor checks the rest, in lowest terms."""
+    """The union of the intervals [a/den, b/den), den >= 1, in one pass
+    that leaves the constructor nothing to check.  One integer sort, then
+    adjacent intervals merge.  A merge would hide a reversed interval, so
+    each is refused first.  An interval that starts before the end of the
+    last one overlaps it: the first such pair is refused once the loop is
+    done, as the two merged intervals the constructor would name, since
+    an interval's start never moves and its end moves only until the next
+    one is appended.  Dividing by g = gcd(den, endpoints) puts the union
+    in lowest terms, and IntervalUnion._trusted builds it unchecked."""
     merged: list[list[int]] = []
+    overlap = 0  # the first interval that overlaps the one before; 0: none
     for a, b in sorted(pairs):
         if not a < b:
-            raise ValueError(f"empty or reversed interval {_shown(den, a, b)}")
+            raise _reversed(den, a, b)
         if merged and a == merged[-1][1]:
             merged[-1][1] = b
-        else:
-            merged.append([a, b])
-    g = math.gcd(den, *(x for e in merged for x in e))
-    return IntervalUnion(den // g, tuple((a // g, b // g) for a, b in merged))
+            continue
+        if merged and a < merged[-1][1] and not overlap:
+            overlap = len(merged)
+        merged.append([a, b])
+    if overlap:
+        raise _overlapping(den, merged[overlap - 1], merged[overlap])
+    g = math.gcd(den, *chain.from_iterable(merged))
+    if g > 1:
+        den, merged = den // g, [(a // g, b // g) for a, b in merged]
+    return IntervalUnion._trusted(den, tuple(map(tuple, merged)))
 
 
 def _on_grid(omega: IntervalUnion, p: int) -> tuple[int, list[tuple[int, int]]]:
@@ -210,6 +245,11 @@ def fibers(omega: IntervalUnion, p: int) -> FiberDecomposition:
     ascending order, emitting one cell per gap and applying that residue's
     flips between cells.  Cost: O(n log n) for n intervals, plus the size
     of the output.  The empty union has one cell with the empty fiber.
+
+    The sweep collects each cell's fiber as the sorted tuple of its set,
+    and its upper end as an integer; one IntSet._many call then wraps the
+    tuples, with no Python frame per fiber, and the integer ends over den
+    become the cells' Fraction bounds.
     """
     p = _as_int(p, "p", 1)
     den, ends = _on_grid(omega, p)
@@ -222,14 +262,14 @@ def fibers(omega: IntervalUnion, p: int) -> FiberDecomposition:
         for q, r in ((q_a, r_a), (q_b, r_b)):
             if r:
                 flips.setdefault(r, []).append(q)
-    cells = []
-    lo = Fraction(0)
-    for r in sorted(flips) + [step]:
-        hi = Fraction(r, den)
-        cells.append(FiberCell(lo, hi, IntSet(tuple(sorted(fiber)))))
+    cuts = sorted(flips) + [step]
+    sweep = []
+    for r in cuts:
+        sweep.append(tuple(sorted(fiber)))
         fiber.symmetric_difference_update(flips.get(r, ()))
-        lo = hi
-    return FiberDecomposition(p, tuple(cells))
+    bounds = [Fraction(r, den) for r in cuts]
+    return FiberDecomposition(p, tuple(map(
+        FiberCell, [Fraction(0), *bounds[:-1]], bounds, IntSet._many(sweep))))
 
 
 def spectral_verdict(omega: IntervalUnion, gamma, p: int) -> bool:
@@ -258,9 +298,21 @@ def assemble_tiling(omega: IntervalUnion, p: int, residues: Iterable[int],
 def _assemble_from_cells(omega: IntervalUnion,
                          decomposition: FiberDecomposition,
                          complement: PeriodicSet) -> OmegaTilingCertificate:
+    """The certificate for omega + (1/p)(R + mZ), once every fiber of the
+    decomposition tiles Z by R + mZ and verify_omega_tiling holds.
+
+    Cells that carry one fiber share its verdict, so each distinct fiber
+    is checked once, in cell order, by tilings._cover_test: exact integer
+    code on masks that shares nothing with the search.  The first fiber
+    that fails is the fiber of the first cell that fails, and the error
+    names that cell.  verify_omega_tiling then checks the tiling of R on
+    omega itself."""
     p, m = decomposition.p, complement.period
-    for cell in decomposition.cells:
-        if not tiles_cyclic(cell.fiber, complement.residues, m):
+    cells = decomposition.cells
+    covers = _cover_test(complement)
+    for fiber in dict.fromkeys(cell.fiber.elements for cell in cells):
+        if not covers(fiber):
+            cell = next(c for c in cells if c.fiber.elements == fiber)
             raise CommonComplementError(
                 f"fiber {tuple(cell.fiber)} on cell [{cell.lo}, {cell.hi}) "
                 f"does not tile Z by residues {complement.residues} mod {m}")

@@ -336,12 +336,15 @@ def _spectrum_cliques(g: FinitePointSet, p: int, n_max: int,
                       ) -> tuple[list[tuple[int, ...]], int]:
     """(cliques, M), M = p * lcm(denominators of G): every p-clique mod M
     among the residues {0, ..., min(n_max, M - 1)}, ascending, in
-    lexicographic order, from _cliques on the admissible differences."""
+    lexicographic order, from _cliques on the admissible differences.
+    The differences are tested in chunks of _POLL_INTERVAL, with the
+    deadline checked before each, the first included."""
     den, numerators = _point_grid(g)
     vanishes = _vanishing_test(den, numerators, p)
     modulus = p * den
-    allowed = sum(1 << d for d in range(1, min(n_max, modulus - 1) + 1)
-                  if vanishes((d,)))
+    chunks = _poll_chunks(range(1, min(n_max, modulus - 1) + 1), deadline,
+                          "spectrum enumeration")
+    allowed = sum(1 << d for chunk in chunks for d in chunk if vanishes((d,)))
     return (list(_cliques(allowed, p, deadline, "spectrum enumeration")),
             modulus)
 
@@ -398,8 +401,9 @@ def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
     determines both.
 
     time_budget, in seconds from entry (0 is spent; NaN or negative
-    raises ValueError), is checked before the first node of the clique
-    search and then every _POLL_INTERVAL nodes, then before every
+    raises ValueError), is checked before every _POLL_INTERVAL
+    differences of the admissibility test, the first included, then
+    every _POLL_INTERVAL nodes of the clique search, then before every
     _POLL_INTERVAL sets of the one pass that lifts and wraps them (see
     _lifted), whose final sort is not polled; passing it raises
     SearchTimeout.  A bad lift raises ValueError as it is wrapped.

@@ -135,9 +135,10 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
     M, and its spectra_found lifts them on first read, with no deadline,
     so timing covers the verdict alone.  Exhausting m_max, or the optional
     wall-clock budget in seconds, gives an inconclusive verdict; the
-    budget bounds the clique search, the common search and the re-check,
-    and a budget that ends in the clique search leaves the report no
-    cliques, so no spectra, and modulus None.
+    budget bounds the admissibility test, the clique search, the common
+    search and the re-check, and a budget that ends before the clique
+    search is done leaves the report no cliques, so no spectra, and
+    modulus None.
     """
     start = time.monotonic()
     gamma, p = spectrum_base(gamma, p)
@@ -187,26 +188,33 @@ def roundtrip(p: int, gamma, family, breakpoints, m_max: int, *,
     fiber is, so spectral_ok holds when the distinct fibers are exactly the
     members just checked, in order.  It then searches the fibers for a
     common complement within m_max and, on success, checks it on every
-    fiber cell (hence on every member) and exactly verifies the tiling of
-    R by (1/p)(R + mZ).  The report derives consistency and the projected
-    complement from those verdicts, so it cannot claim more than they do.
+    distinct fiber (hence on every cell and every member) and exactly
+    verifies the tiling of R by (1/p)(R + mZ).  The report derives
+    consistency and the projected complement from those verdicts, so it
+    cannot claim more than they do.
+
+    The members are read as sorted tuples by C-level maps and wrapped in
+    one IntSet._many call, not one IntSet.of per member, and the distinct
+    members and fibers are deduped and compared as tuples.
     """
     start = time.monotonic()
     gamma, p = spectrum_base(gamma, p)
     m_max = _as_int(m_max, "m_max", 1)
     deadline = _deadline(start, time_budget)
-    sets = tuple(IntSet.of(a) for a in family)
-    members = list(dict.fromkeys(sets))
+    read = [tuple(sorted(set(map(_as_int, a)))) for a in family]
+    sets = tuple(IntSet._many(read))
+    members = list(dict.fromkeys(read))
     is_spectral = _spectrum_test(gamma, p)
     for a in members:
         if not is_spectral(a):
             raise InvalidFamilyError(
-                f"family member {sets.index(a)} = {tuple(a)} scaled by 1/{p} "
+                f"family member {read.index(a)} = {a} scaled by 1/{p} "
                 f"is not a spectrum of the base")
     rs = tuple(as_fraction(r) for r in breakpoints)
     omega = build_omega(p, sets, rs)
     decomposition = fibers(omega, p)
-    fiber_family = decomposition.fiber_family()
+    fiber_family = list(dict.fromkeys(
+        cell.fiber.elements for cell in decomposition.cells))
     spectral_ok = fiber_family == members
     try:  # build_omega gave every fiber p elements
         complement = _first_common_cover(p, m_max, lambda m: fiber_family,

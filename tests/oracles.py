@@ -1,7 +1,8 @@
 """Independent oracles that the tests check the exact code against.
 
 brute_force_spectra tests every candidate set directly,
-brute_common_complement every candidate complement, root_sum_value
+brute_common_complement every candidate complement, covers_once counts
+the covers of each residue by a tile and its complement, root_sum_value
 evaluates a sum of roots of unity in floating point, and is_p_tile counts
 translates at sample points; none shares a search, a divisibility test or
 the fiber sweep with the code under test.
@@ -40,6 +41,16 @@ def brute_force_spectra(g, p: int, n_max: int) -> list[IntSet]:
     return out
 
 
+def covers_once(a, residues, m: int) -> bool:
+    """Does A + (R + mZ) cover every integer exactly once?  Counts the
+    covers of each residue of Z_m by the sums x + r, x in A, r in R."""
+    counts = [0] * m
+    for x in a:
+        for r in residues:
+            counts[(x + r) % m] += 1
+    return counts == [1] * m
+
+
 def brute_common_complements(family, m: int):
     """Every R with 0 in R and |R| = m/p in Z_m, in lexicographic order,
     such that each member A of the family (p elements each) covers every
@@ -47,14 +58,7 @@ def brute_common_complements(family, m: int):
     p = len(family[0])
     for rest in combinations(range(1, m), m // p - 1):
         residues = (0,) + rest
-        for a in family:
-            counts = [0] * m
-            for x in a:
-                for r in residues:
-                    counts[(x + r) % m] += 1
-            if counts != [1] * m:
-                break
-        else:
+        if all(covers_once(a, residues, m) for a in family):
             yield residues
 
 

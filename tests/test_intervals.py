@@ -10,11 +10,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import NEGATIVE_CORPUS, OMEGA_2, SPECTRAL_CORPUS, UNIT, iu
-from oracles import is_p_tile
+from oracles import covers_once, is_p_tile
 import spectile
 from spectile import (CommonComplementError, FiberCell,
                       FiberDecomposition, IntervalUnion, IntSet, PeriodicSet,
@@ -315,6 +315,74 @@ def test_assemble_tiling_names_offending_cell():
         assemble_tiling(UNIT, 2, [0, 1], 2)
     assert "[0, 1/2)" in str(err.value)
     assert "(0, 1)" in str(err.value)
+    # a fiber too small for the period fails before any m-bit mask is made
+    with pytest.raises(CommonComplementError, match="mod 1000000000000$"):
+        assemble_tiling(UNIT, 1, [10**12 - 1], 10**12)
+
+
+@st.composite
+def cells_and_complements(draw):
+    """(p, family, breakpoints, residues, m): a family of integer sets,
+    some repeated across cells, the cuts 0 = r_0 < ... < r_n = 1/p of
+    their cells, and a complement R mod m.  Half the draws take R = a *
+    {0..b-1} mod m = ab and offer members that lift a translate of
+    {0..a-1}, so that some fibers tile, and the family may open with
+    such a member; the others take any R, and any member may repeat a
+    residue mod m or miss |A||R| = m."""
+    p = draw(st.integers(1, 3))
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    m = a * b
+    if draw(st.booleans()):
+        residues = list(range(0, m, a))
+    else:
+        residues = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    tiles = st.builds(
+        lambda t, lifts: sorted(x + t + m * k for x, k in enumerate(lifts)),
+        st.integers(-3, 6), st.lists(st.integers(-1, 2), min_size=a,
+                                     max_size=a))
+    anything = st.lists(st.integers(-4, 12), max_size=4, unique=True)
+    pool = draw(st.lists(tiles, min_size=1, max_size=2)) + draw(
+        st.lists(anything.map(sorted), max_size=2))
+    family = [pool[0]] * draw(st.integers(0, 2)) + draw(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    grid = 12 * len(family)
+    inner = sorted(draw(st.sets(st.integers(1, grid - 1),
+                                min_size=len(family) - 1,
+                                max_size=len(family) - 1)))
+    breakpoints = [F(c, p * grid) for c in [0, *inner, grid]]
+    return p, family, breakpoints, residues, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells_and_complements())
+# three translates of {0} mod 2 carry into 2^2 - 1: only |A||R| = m refuses
+@example((1, [[0, 2, 4]], [F(0), F(1)], [0], 2))
+def test_assemble_tiling_fails_iff_a_fiber_fails_the_cover_count(instance):
+    # the cells of the construction are the runs of equal members; the
+    # re-check must refuse the complement iff some run's member fails the
+    # brute-force cover count, naming the first such run as a cell
+    p, family, breakpoints, residues, m = instance
+    omega = IntervalUnion.of(
+        (lo + F(k, p), hi + F(k, p))
+        for lo, hi, a in zip(breakpoints, breakpoints[1:], family)
+        for k in a)
+    runs = []  # [lo, hi, fiber]
+    for lo, hi, a in zip(breakpoints, breakpoints[1:], family):
+        if runs and runs[-1][2] == a:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi, a])
+    failing = [run for run in runs if not covers_once(run[2], residues, m)]
+    if not failing:
+        cert = assemble_tiling(omega, p, residues, m)
+        assert cert.complement == PeriodicSet(tuple(residues), m)
+        return
+    lo, hi, a = failing[0]
+    with pytest.raises(CommonComplementError) as err:
+        assemble_tiling(omega, p, residues, m)
+    assert str(err.value) == (
+        f"fiber {tuple(a)} on cell [{lo}, {hi}) does not tile Z by "
+        f"residues {tuple(residues)} mod {m}")
 
 
 def test_verify_omega_tiling_examples():

@@ -314,6 +314,28 @@ def test_enumerate_spectra_polls_the_deadline_at_p_1():
         enumerate_spectra([0], 1, 5, time_budget=0)
 
 
+def test_a_spent_budget_stops_before_the_admissibility_test(monkeypatch):
+    # {0, 1/10^7} at n_max 2 * 10^7 has 2 * 10^7 - 1 differences to test
+    # before the clique search starts; the deadline is checked before the
+    # first of them, so a spent budget decides no order
+    decided = []
+    real_divides = spectile.spectra._cyclotomic_divides
+
+    def divides(*args):
+        decided.append(args[0])
+        return real_divides(*args)
+
+    monkeypatch.setattr(spectile.spectra, "_cyclotomic_divides", divides)
+    gamma, n_max = [0, F(1, 10**7)], 2 * 10**7
+    with pytest.raises(SearchTimeout):
+        enumerate_spectra(gamma, 2, n_max, time_budget=0)
+    report = utc_verify(2, gamma, n_max, 4, time_budget=0)
+    assert report.verdict == INCONCLUSIVE
+    assert (report.modulus, report.cliques) == (None, ())
+    assert report.certificate is None
+    assert decided == []
+
+
 def test_enumerate_spectra_has_no_recursion_limit():
     # Z_1100 has one spectrum within {0..1099}, found 1100 levels deep,
     # past the interpreter's default recursion limit
