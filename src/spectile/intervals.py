@@ -26,7 +26,7 @@ from typing import Iterable, Sequence, Union
 from .cyclotomic import _Value
 from .spectra import (IntSet, RationalLike, _as_int, _over_common_denominator,
                       _spectrum_test, as_fraction, spectrum_base)
-from .tilings import PeriodicSet, _cover_test
+from .tilings import PeriodicSet, tiles_cyclic
 
 NumberLike = Union[Fraction, int, float, str]
 
@@ -174,8 +174,12 @@ class FiberDecomposition(_Value):
     cells: tuple[FiberCell, ...]
 
     def fiber_family(self) -> list[IntSet]:
-        """Distinct fibers in cell order."""
-        return list(dict.fromkeys(cell.fiber for cell in self.cells))
+        """Distinct fibers in cell order, told apart by their element
+        tuples, which hash and compare without a Python frame."""
+        family: dict[tuple[int, ...], IntSet] = {}
+        for cell in self.cells:
+            family.setdefault(cell.fiber.elements, cell.fiber)
+        return list(family.values())
 
 
 class OmegaTilingCertificate(_Value):
@@ -301,18 +305,15 @@ def _assemble_from_cells(omega: IntervalUnion,
     """The certificate for omega + (1/p)(R + mZ), once every fiber of the
     decomposition tiles Z by R + mZ and verify_omega_tiling holds.
 
-    Cells that carry one fiber share its verdict, so each distinct fiber
-    is checked once, in cell order, by tilings._cover_test: exact integer
-    code on masks that shares nothing with the search.  The first fiber
-    that fails is the fiber of the first cell that fails, and the error
-    names that cell.  verify_omega_tiling then checks the tiling of R on
-    omega itself."""
+    Cells that carry one fiber share its verdict, so tiles_cyclic checks
+    each distinct fiber once, in cell order: exact integer code that
+    shares nothing with the search.  The first fiber that fails is the
+    fiber of the first cell that fails, and the error names that cell.
+    verify_omega_tiling then checks the tiling of R on omega itself."""
     p, m = decomposition.p, complement.period
-    cells = decomposition.cells
-    covers = _cover_test(complement)
-    for fiber in dict.fromkeys(cell.fiber.elements for cell in cells):
-        if not covers(fiber):
-            cell = next(c for c in cells if c.fiber.elements == fiber)
+    for fiber in decomposition.fiber_family():
+        if not tiles_cyclic(fiber, complement.residues, m):
+            cell = next(c for c in decomposition.cells if c.fiber == fiber)
             raise CommonComplementError(
                 f"fiber {tuple(cell.fiber)} on cell [{cell.lo}, {cell.hi}) "
                 f"does not tile Z by residues {complement.residues} mod {m}")

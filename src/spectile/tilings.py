@@ -55,52 +55,21 @@ class PeriodicSet(_Value):
 
 def tiles_cyclic(tile, residues: Iterable[int], m: int) -> bool:
     """Exact test of A + (R + mZ) = Z with every integer covered once:
-    A distinct mod m, |A|*|R| = m, and the sums (a + r) mod m pairwise
-    distinct."""
+    |A||R| = m, and the m-bit masks of R turned by each a in A (bit
+    (r + a) % m for each r in R) sum to 2^m - 1.  A sum of integers has
+    at most as many bits set as its terms together, and just as many only
+    when no two terms share a bit.  The turned masks have |A||R| = m bits
+    together, and 2^m - 1 has m: so the sum is 2^m - 1 iff A is distinct
+    mod m and the translates a + R are disjoint mod m and cover Z_m.  No
+    mask is made unless |A||R| = m, which bounds m."""
     m = _as_int(m, "modulus", 1)
     a = IntSet.of(tile).elements
     r = set(_as_int(x) % m for x in residues)
-    a_mod = set(x % m for x in a)
-    if len(a_mod) != len(a) or len(a) * len(r) != m:
+    if len(a) * len(r) != m:
         return False
-    return len({(x + t) % m for t in r for x in a_mod}) == m
-
-
-class _Turns(dict):
-    """x -> the m-bit mask of R turned by x mod m (bit (r + x) % m for
-    each r in R), each entry made when it is first read."""
-
-    def __init__(self, complement: PeriodicSet):
-        self.m = m = complement.period
-        self.mask = sum(1 << r for r in complement.residues)
-        self.full = (1 << m) - 1
-
-    def __missing__(self, x: int) -> int:
-        m, s = self.m, x % self.m
-        turn = self[x] = (self.mask << s | self.mask >> (m - s)) & self.full
-        return turn
-
-
-def _cover_test(complement: PeriodicSet) -> Callable[[Sequence[int]], bool]:
-    """Test of A + (R + mZ) = Z, every integer covered once, for tuples A
-    of integers: |A||R| = m, and the masks of R turned by each a in A sum
-    to 2^m - 1.  A sum of integers has at most as many bits set as its
-    terms together, and just as many only when no two terms share a bit.
-    The turned masks have |A||R| = m bits together, and 2^m - 1 has m: so
-    the sum is 2^m - 1 iff the translates a + R are disjoint mod m and
-    cover Z_m.  Exact integer code that shares nothing with the search.
-    No m-bit mask is made before some A has |A||R| = m, which bounds m."""
-    m, size = complement.period, len(complement)
-    turns = None
-
-    def covers(a: Sequence[int]) -> bool:
-        nonlocal turns
-        if len(a) * size != m:
-            return False
-        if turns is None:
-            turns = _Turns(complement)
-        return sum(map(turns.__getitem__, a)) == turns.full
-    return covers
+    mask, full = sum(1 << x for x in r), (1 << m) - 1
+    twice = mask << m | mask  # a turns the mask: twice >> (m - a % m)
+    return sum(twice >> (m - x % m) & full for x in a) == full
 
 
 def is_tiling_of_Z(tile, complement: PeriodicSet) -> bool:

@@ -194,8 +194,8 @@ def roundtrip(p: int, gamma, family, breakpoints, m_max: int, *,
     cannot claim more than they do.
 
     The members are read as sorted tuples by C-level maps and wrapped in
-    one IntSet._many call, not one IntSet.of per member, and the distinct
-    members and fibers are deduped and compared as tuples.
+    one IntSet._many call, not one IntSet.of per member; the distinct
+    members and fibers are told apart by their element tuples.
     """
     start = time.monotonic()
     gamma, p = spectrum_base(gamma, p)
@@ -213,9 +213,8 @@ def roundtrip(p: int, gamma, family, breakpoints, m_max: int, *,
     rs = tuple(as_fraction(r) for r in breakpoints)
     omega = build_omega(p, sets, rs)
     decomposition = fibers(omega, p)
-    fiber_family = list(dict.fromkeys(
-        cell.fiber.elements for cell in decomposition.cells))
-    spectral_ok = fiber_family == members
+    fiber_family = decomposition.fiber_family()
+    spectral_ok = [fiber.elements for fiber in fiber_family] == members
     try:  # build_omega gave every fiber p elements
         complement = _first_common_cover(p, m_max, lambda m: fiber_family,
                                          deadline)

@@ -684,40 +684,34 @@ def _counting(monkeypatch, calls, name, *modules):
 
 def test_roundtrip_checks_each_distinct_member_once(monkeypatch):
     # (0, 1) repeats adjacently and again after (0, 3): three fiber cells,
-    # two distinct members, one order cache for both, and one cover check
+    # two distinct members, one order cache for both, and one tiling check
     # per distinct fiber
     calls = dict.fromkeys(["spectrum predicate", "_vanishing_test",
-                           "is_tiling_of_Z", "tiles_cyclic", "cover predicate",
+                           "is_tiling_of_Z", "tiles_cyclic",
                            "verify_omega_tiling"], 0)
+    real_test = spectile.spectra._spectrum_test
 
-    def counting_predicate(name, real_test):
-        def counted_test(*args):
-            predicate = real_test(*args)
+    def counted_test(*args):
+        predicate = real_test(*args)
 
-            def counted(a):
-                calls[name] += 1
-                return predicate(a)
-            return counted
-        return counted_test
+        def counted(a):
+            calls["spectrum predicate"] += 1
+            return predicate(a)
+        return counted
 
-    counted_test = counting_predicate("spectrum predicate",
-                                      spectile.spectra._spectrum_test)
     for module in (spectile.spectra, spectile.utc, spectile.intervals):
         monkeypatch.setattr(module, "_spectrum_test", counted_test)
-    monkeypatch.setattr(spectile.intervals, "_cover_test", counting_predicate(
-        "cover predicate", spectile.tilings._cover_test))
     _counting(monkeypatch, calls, "_vanishing_test", spectile.spectra)
     _counting(monkeypatch, calls, "is_tiling_of_Z",
               spectile.utc, spectile.tilings)
-    _counting(monkeypatch, calls, "tiles_cyclic", spectile.tilings)
+    _counting(monkeypatch, calls, "tiles_cyclic", spectile.intervals)
     _counting(monkeypatch, calls, "verify_omega_tiling", spectile.intervals)
     family = [[0, 1], [0, 1], [0, 3], [0, 1]]
     rs = [0, F(1, 8), F(1, 4), F(3, 8), F(1, 2)]
     report = roundtrip(2, [0, 1], family, rs, 8)
     assert report.spectral_ok and report.consistency
     assert calls == {"spectrum predicate": 2, "_vanishing_test": 1,
-                     "is_tiling_of_Z": 0, "tiles_cyclic": 0,
-                     "cover predicate": 2,
+                     "is_tiling_of_Z": 0, "tiles_cyclic": 2,
                      "verify_omega_tiling": 1}
 
     # a repeated invalid member is reported at its first index
