@@ -245,12 +245,12 @@ def admissible_differences(g: FinitePointSet | Iterable[RationalLike],
     sum_{g in G} e^(2 pi i g d / p) vanishes exactly.
 
     These are precisely the differences allowed between elements of an
-    integer set A for which (1/p)A is a spectrum of G.
+    integer set A for which (1/p)A is a spectrum of G.  The sum at -d is
+    the conjugate of the sum at d, so only d > 0 is tested (_admissible).
     """
     g, p = _base_points(g, p)
-    d_max = _as_int(d_max, "d_max", 1)
-    vanishes = _vanishing_test(*_point_grid(g), p)
-    return tuple(d for d in range(-d_max, d_max + 1) if d and vanishes((d,)))
+    positive = _admissible(*_point_grid(g), p, _as_int(d_max, "d_max", 1))
+    return (*(-d for d in reversed(positive)), *positive)
 
 
 def _poll_chunks(items: Iterable, deadline: Optional[float],
@@ -331,41 +331,49 @@ def _cliques(allowed: int, k: int, deadline: Optional[float], what: str,
                 stack.append((chosen + (c,), cand & allowed << c))
 
 
+def _admissible(den: int, numerators: Sequence[int], p: int, d_max: int,
+                deadline: Optional[float] = None) -> list[int]:
+    """The d in 1..d_max, ascending, at which the sum over the points
+    n/den, n in numerators, of e^(2 pi i n d / (p den)) vanishes, tested in
+    chunks of _POLL_INTERVAL with the deadline checked before each, the
+    first included."""
+    vanishes = _vanishing_test(den, numerators, p)
+    return [d for chunk in _poll_chunks(range(1, d_max + 1), deadline,
+                                        "spectrum enumeration")
+            for d in chunk if vanishes((d,))]
+
+
 def _spectrum_cliques(g: FinitePointSet, p: int, n_max: int,
                       deadline: Optional[float] = None,
                       ) -> tuple[list[tuple[int, ...]], int]:
     """(cliques, M), M = p * lcm(denominators of G): every p-clique mod M
     among the residues {0, ..., min(n_max, M - 1)}, ascending, in
-    lexicographic order, from _cliques on the admissible differences.
-    The differences are tested in chunks of _POLL_INTERVAL, with the
-    deadline checked before each, the first included."""
+    lexicographic order, from _cliques on the admissible differences."""
     den, numerators = _point_grid(g)
-    vanishes = _vanishing_test(den, numerators, p)
     modulus = p * den
-    chunks = _poll_chunks(range(1, min(n_max, modulus - 1) + 1), deadline,
-                          "spectrum enumeration")
-    allowed = sum(1 << d for chunk in chunks for d in chunk if vanishes((d,)))
+    allowed = sum(1 << d for d in _admissible(
+        den, numerators, p, min(n_max, modulus - 1), deadline))
     return (list(_cliques(allowed, p, deadline, "spectrum enumeration")),
             modulus)
 
 
-def _lifts(cliques: Iterable[tuple[int, ...]], modulus: int,
-           n_max: int) -> Iterator[tuple[int, ...]]:
-    """Each clique with one lift per residue, in the clique's order: 0
-    stays 0, and r > 0 takes some r + kM <= n_max, k >= 0, M = modulus;
-    every choice of lifts."""
-    for clique in cliques:
-        yield from product(*(range(r, n_max + 1, modulus) if r else (0,)
-                             for r in clique))
+def _lift_ranges(clique: tuple[int, ...], modulus: int,
+                 n_max: int) -> list[range]:
+    """The lifts of each residue of the clique, in its order: 0 stays 0,
+    and r > 0 takes every r + kM <= n_max, k >= 0, M = modulus."""
+    return [range(r, n_max + 1, modulus) if r else range(1) for r in clique]
 
 
-def _lifted(lifts: Iterable[tuple[int, ...]],
+def _lifted(cliques: Iterable[tuple[int, ...]], modulus: int, n_max: int,
             deadline: Optional[float] = None) -> list[IntSet]:
-    """The lifts as IntSets, sorted lexicographically, in one pass over
-    chunks of _POLL_INTERVAL with the deadline checked before each and no
-    Python frame per member: each chunk's tuples are sorted by C-level
-    maps and wrapped by IntSet._many, which checks them strictly
-    increasing.  The one sort of all the sets, at the end, is not polled."""
+    """Every choice of lifts of each clique (_lift_ranges) as IntSets,
+    sorted lexicographically, in one pass over chunks of _POLL_INTERVAL
+    with the deadline checked before each and no Python frame per member:
+    each chunk's tuples are sorted by C-level maps and wrapped by
+    IntSet._many, which checks them strictly increasing.  The one sort of
+    all the sets, at the end, is not polled."""
+    lifts = chain.from_iterable(product(*_lift_ranges(c, modulus, n_max))
+                                for c in cliques)
     out: list[IntSet] = []
     # sorted drops each product tuple at once, so product reuses it
     for chunk in _poll_chunks(map(tuple, map(sorted, lifts)), deadline,
@@ -412,4 +420,4 @@ def enumerate_spectra(g: FinitePointSet | Iterable[RationalLike],
     g, p = _base_points(g, p)
     n_max = _as_int(n_max, "n_max", 0)
     cliques, modulus = _spectrum_cliques(g, p, n_max, deadline)
-    return _lifted(_lifts(cliques, modulus, n_max), deadline)
+    return _lifted(cliques, modulus, n_max, deadline)

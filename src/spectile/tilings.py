@@ -6,18 +6,19 @@ Everything here reduces to that cyclic check, so all verdicts are exact.
 By the difference criterion, the complements R with 0 in R shared by
 residue classes T mod m (the cyclic check reads A only mod m) are the
 (m/p)-cliques through 0 of Z_m joined at each difference in no T - T.
-Both complement searches list them with spectra._cliques, the kernel
-that finds the spectra too, in lexicographic order, bounded by the
-classes' translates as an exact-cover search is: a certificate is the
-smallest common complement at its period, whatever the order of the
-members.  A search that finds nothing within its period bound is
-inconclusive, never a refutation.
+Both complement searches hand their integer sets to _exact_covers, the
+one place that turns them into class masks, which lists the cliques with
+spectra._cliques, the kernel that finds the spectra too, in lexicographic
+order, bounded by the classes' translates as an exact-cover search is: a
+certificate is the smallest common complement at the first of the periods
+it is offered that has one, whatever the order of the members.  A search
+that finds nothing within its periods is inconclusive, never a refutation.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cyclotomic import _Value
 from .spectra import (IntSet, _as_int, _check_increasing, _cliques,
@@ -77,37 +78,54 @@ def is_tiling_of_Z(tile, complement: PeriodicSet) -> bool:
     return tiles_cyclic(tile, complement.residues, complement.period)
 
 
-def _exact_covers(tables: Sequence[int], m: int,
+class _Bits(dict):
+    """x -> 1 << (x % m), each entry made when it is first read, so no
+    pass over the members collects their points first."""
+
+    def __init__(self, m: int):
+        self.m = m
+
+    def __missing__(self, x: int) -> int:
+        bit = self[x] = 1 << (x % self.m)
+        return bit
+
+
+def _exact_covers(sets: Sequence[Sequence[int]], m: int,
                   deadline: Optional[float] = None,
                   ) -> Iterator[tuple[int, ...]]:
-    """Every residue set R with 0 in R such that T + R covers Z_m once
-    for every table T, ascending, in lexicographic order.
+    """Every residue set R with 0 in R such that A + (R + mZ) tiles Z for
+    every A in sets, a nonempty sequence of p-element integer sets,
+    ascending, in lexicographic order; nothing unless p divides m.
 
-    tables are residue sets mod m as m-bit masks (bit x for residue x),
-    all of one popcount p dividing m; anything else raises ValueError
-    when the search starts.  By the difference criterion, T + R covers
-    Z_m once iff |T||R| = m and (T - T) and (R - R) share only 0, so the
-    covers are the (m/p)-cliques of _cliques on the differences in no
-    T - T, and the order of the tables cannot change them.  The tables
-    are its blocks: a prefix ends once some residue it leaves uncovered
-    lies in no candidate's translate of some table, so a period with no
-    cover is refuted early.  deadline, an absolute time.monotonic()
-    value, is polled as _cliques polls it.
+    Each set is written as the m-bit mask of its residues, the sum of its
+    points' bits from one point -> bit table (_Bits), so the mask has p
+    bits set iff the set is distinct mod m: a repeated residue carries
+    into a higher bit, and then nothing is yielded.  The sets of one mask
+    are one class T, read from one of them.  By the difference criterion,
+    T + R covers Z_m once iff |T||R| = m and (T - T) and (R - R) share
+    only 0, so the covers are the (m/p)-cliques of _cliques on the
+    differences in no T - T, and the order of the sets cannot change
+    them.  The classes are its blocks: a prefix ends once some residue it
+    leaves uncovered lies in no candidate's translate of some class, so a
+    period with no cover is refuted early.  deadline, an absolute
+    time.monotonic() value, is checked before every _POLL_INTERVAL sets
+    and inside the search, as _cliques checks it.
     """
-    if not (tables
-            and all(isinstance(t, int) and 0 < t and t.bit_length() <= m
-                    for t in tables)
-            and len({t.bit_count() for t in tables}) == 1
-            and m % tables[0].bit_count() == 0):
-        raise ValueError(f"tables must be nonzero masks below 2**{m} with "
-                         f"one popcount dividing {m}")
-    blocks = [[x for x in range(m) if t >> x & 1] for t in tables]
+    p, what = len(sets[0]), f"common-complement search at period {m}"
+    if m % p:
+        return
+    bit, classes = _Bits(m).__getitem__, {}
+    for chunk in _poll_chunks(sets, deadline, what):
+        fresh = dict(zip([sum(map(bit, s)) for s in chunk], chunk))
+        if any(mask.bit_count() < p for mask in fresh):
+            return  # some set is not distinct mod m
+        classes |= fresh
+    blocks = [sorted({x % m for x in s}) for s in classes.values()]
     differences = 0  # every T - T mod m: T turned back by each residue
-    for t, block in zip(tables, blocks):
+    for t, block in zip(classes, blocks):
         for x in block:
             differences |= t >> x | t << (m - x)
-    yield from _cliques(~differences & (1 << m) - 1, m // len(blocks[0]),
-                        deadline, f"common-complement search at period {m}",
+    yield from _cliques(~differences & (1 << m) - 1, m // p, deadline, what,
                         blocks, m)
 
 
@@ -117,10 +135,7 @@ def find_complements(tile, m: int) -> list[tuple[int, ...]]:
     each difference the tile's residues do not have."""
     m = _as_int(m, "modulus", 1)
     tile = IntSet.of(tile)
-    mask = sum({1 << (x % m) for x in tile.elements})
-    if not tile or m % len(tile) or mask.bit_count() < len(tile):
-        return []
-    return list(_exact_covers([mask], m))
+    return list(_exact_covers([tile.elements], m)) if tile else []
 
 
 def find_common_complement(family, m_max: int, *,
@@ -137,8 +152,8 @@ def find_common_complement(family, m_max: int, *,
 
     Whether A + (R + mZ) tiles Z depends only on A mod m, so each period
     searches one m-bit mask per class of the members' elements (see
-    _first_common_cover); a period at which some member is not distinct
-    mod m is skipped.
+    _exact_covers); a period at which some member is not distinct mod m
+    has no common complement.
 
     time_budget, in seconds from entry (0 is spent; NaN or negative
     raises ValueError), is polled through the search; passing it raises
@@ -154,55 +169,19 @@ def find_common_complement(family, m_max: int, *,
         raise ValueError("family members must be nonempty")
     if any(len(a) != p for a in members):
         raise ValueError("family members must share one cardinality")
-    return _first_common_cover(p, m_max, lambda m: members, deadline)
+    return _first_common_cover(members, range(p, m_max + 1, p), deadline)
 
 
-class _Bits(dict):
-    """x -> 1 << (x % m), each entry made when it is first read, so no
-    pass over the members collects their points first."""
-
-    def __init__(self, m: int):
-        self.m = m
-
-    def __missing__(self, x: int) -> int:
-        bit = self[x] = 1 << (x % self.m)
-        return bit
-
-
-def _first_common_cover(p: int, m_max: int,
-                        members: Callable[[int],
-                                          Optional[Iterable[Sequence[int]]]],
+def _first_common_cover(sets: Sequence[Sequence[int]],
+                        periods: Iterable[int],
                         deadline: Optional[float] = None,
                         ) -> Optional[PeriodicSet]:
-    """The period loop of the common-complement search: at the first
-    m = p, 2p, ..., m_max that has one, the lexicographically smallest
-    exact cover shared by the p-element integer sets members(m), which
-    need hold only one set of each of the family's classes mod m, in any
-    order; None when the bound is exhausted.  members(m) is None when the
-    caller has shown that m is not the first period with a common
-    complement, and the period is skipped.
-
-    Each period writes a member as the m-bit mask of its residues, the sum
-    of its points' bits from one point -> bit table (_Bits), so the mask
-    has p bits set iff the member is distinct mod m: a repeated residue
-    carries into a higher bit.  A period with a mask of fewer bits is
-    skipped unsearched, once that mask is read; otherwise the distinct
-    masks are searched.  The deadline is checked before every
-    _POLL_INTERVAL members and inside the search.
-    """
-    for m in range(p, m_max + 1, p):
-        sets = members(m)
-        if sets is None:
-            continue
-        bit, classes = _Bits(m).__getitem__, set()
-        for chunk in _poll_chunks(sets, deadline,
-                                  f"common-complement search at period {m}"):
-            fresh = {sum(map(bit, s)) for s in chunk}
-            if any(mask.bit_count() < p for mask in fresh):
-                break  # some member is not distinct mod m
-            classes |= fresh
-        else:
-            found = next(_exact_covers(list(classes), m, deadline), None)
-            if found is not None:
-                return PeriodicSet(found, m)
+    """The lexicographically smallest exact cover shared by the p-element
+    integer sets (see _exact_covers), which need hold only one set of each
+    of the family's classes mod m, in any order, at the first of the
+    periods that has one; None when the periods run out."""
+    for m in periods:
+        found = next(_exact_covers(sets, m, deadline), None)
+        if found is not None:
+            return PeriodicSet(found, m)
     return None

@@ -20,7 +20,7 @@ from .cyclotomic import _Value
 from .intervals import (IntervalUnion, OmegaTilingCertificate,
                         _assemble_from_cells, build_omega, fibers)
 from .spectra import (FinitePointSet, IntSet, SearchTimeout, _as_int,
-                      _deadline, _lifted, _lifts, _poll_chunks,
+                      _deadline, _lift_ranges, _lifted, _poll_chunks,
                       _spectrum_cliques, _spectrum_test, as_fraction,
                       spectrum_base)
 from .tilings import PeriodicSet, _first_common_cover, is_tiling_of_Z
@@ -56,7 +56,7 @@ class UtcReport(_Value):
     def _lift(self, deadline: Optional[float] = None) -> tuple[IntSet, ...]:
         """Every spectrum within {0..n_max}, sorted lexicographically, as
         enumerate_spectra lifts and wraps them, polled against deadline."""
-        return tuple(_lifted(_lifts(self.cliques, self.modulus, self.n_max),
+        return tuple(_lifted(self.cliques, self.modulus, self.n_max,
                              deadline))
 
     @cached_property
@@ -68,10 +68,10 @@ class UtcReport(_Value):
     @property
     def spectra_count(self) -> int:
         """len(spectra_found), counted without lifting: each clique lifts
-        to the product, over its residues r > 0, of their lifts
-        r + kM <= n_max.  0 with no cliques, as when modulus is None."""
-        return sum(math.prod(len(range(r, self.n_max + 1, self.modulus))
-                             for r in clique if r)
+        to the product of its residues' numbers of lifts (_lift_ranges).
+        0 with no cliques, as when modulus is None."""
+        return sum(math.prod(map(len, _lift_ranges(clique, self.modulus,
+                                                   self.n_max)))
                    for clique in self.cliques)
 
 
@@ -118,7 +118,8 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
     under h.  So with shift a common complement at a period m that does
     not divide M is also one at the period h below it, a multiple of p
     as |A||R'| = h, and the loop has stopped at h or before; such an m is
-    skipped.  At a period m dividing M every member is its clique mod m.
+    not offered to the search.  At a period m dividing M every member is
+    its clique mod m.
     Either way the search finds the certificate find_common_complement
     finds on the family, the smallest common complement at the first
     period that has one.
@@ -151,12 +152,13 @@ def utc_verify(p: int, gamma, n_max: int, m_max: int, *,
         if not cliques:
             verdict = NO_SPECTRA
         else:
-            shift = any(0 < r <= n_max - modulus
-                        for clique in cliques for r in clique)
-            found = _first_common_cover(
-                p, m_max,
-                lambda m: None if shift and modulus % m else cliques,
-                deadline)
+            shift = any(len(lifts) > 1 for clique in cliques
+                        for lifts in _lift_ranges(clique, modulus, n_max))
+            periods = range(p, m_max + 1, p)
+            if shift:  # by the shift lemma, only the periods dividing M
+                periods = [m for m in range(p, min(m_max, modulus) + 1, p)
+                           if not modulus % m]
+            found = _first_common_cover(cliques, periods, deadline)
             if found is not None:
                 if shift and found != PeriodicSet.of(
                         (r + modulus for r in found.residues), found.period):
@@ -216,8 +218,8 @@ def roundtrip(p: int, gamma, family, breakpoints, m_max: int, *,
     fiber_family = decomposition.fiber_family()
     spectral_ok = [fiber.elements for fiber in fiber_family] == members
     try:  # build_omega gave every fiber p elements
-        complement = _first_common_cover(p, m_max, lambda m: fiber_family,
-                                         deadline)
+        complement = _first_common_cover(
+            fiber_family, range(p, m_max + 1, p), deadline)
     except SearchTimeout:
         complement = None
     certificate = None if complement is None else _assemble_from_cells(

@@ -31,7 +31,7 @@ from spectile import (INCONCLUSIVE, VERIFIED, FinitePointSet, IntervalUnion,
 from spectile.spectra import (_POLL_INTERVAL, _as_int, _base_points,
                               _cliques, _point_grid, _vanishing_test)
 from corpus import bases, bases_and_bounds
-from oracles import ResourceLimitError, brute_force_spectra
+from oracles import ResourceLimitError, brute_force_spectra, root_sum_value
 
 X = sympy.Symbol("x")
 
@@ -260,6 +260,24 @@ def test_admissible_differences_symmetry():
     ds = admissible_differences([0, F(1, 3)], 2, 12)
     assert ds == tuple(sorted(-d for d in ds))
     assert all(d != 0 for d in ds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bases(), st.integers(1, 60))
+@example(([F(0), F(1, 3)], 2), 12)
+@example(([F(0), F(1, 2), F(1), F(3, 2)], 4), 8)
+def test_admissible_differences_match_a_float_scan(base, d_max):
+    # the exact scan tests only d > 0 and mirrors it; the float oracle
+    # sums e^(2 pi i g d / p) over G at every d from -d_max to d_max, as
+    # the roots zeta_M^(D g d) with D the lcm of G's denominators
+    gamma, p = base
+    den = math.lcm(*(g.denominator for g in gamma))
+    modulus = p * den
+    expected = tuple(
+        d for d in range(-d_max, d_max + 1)
+        if d and abs(root_sum_value(ResidueMultiset.of(
+            modulus, (int(g * den) * d for g in gamma)))) < 1e-9)
+    assert admissible_differences(gamma, p, d_max) == expected
 
 
 def test_admissible_differences_errors():

@@ -90,8 +90,8 @@ def packed_exact_covers(members, m, deadline=None):
 def frozenset_common_complement(family, m_max):
     """Reference grouping for find_common_complement: at each period, the
     first member of each residue set mod m (a frozenset), in family order,
-    searched by packed_exact_covers; a member that is not distinct mod m
-    skips the period."""
+    searched by packed_exact_covers for the smallest cover; a member that
+    is not distinct mod m skips the period."""
     sets = [IntSet.of(a) for a in family]
     p = len(sets[0])
     for m in range(p, m_max + 1, p):
@@ -102,7 +102,8 @@ def frozenset_common_complement(family, m_max):
                 break
             reps.setdefault(key, s)
         else:
-            found = next(packed_exact_covers(list(reps.values()), m), None)
+            found = min(packed_exact_covers(list(reps.values()), m),
+                        default=None)
             if found is not None:
                 return PeriodicSet(found, m)
     return None
@@ -309,13 +310,10 @@ def test_exact_covers_match_the_packed_search_in_order(case):
     sets = [IntSet.of(a) for a in family]
     p = len(sets[0])
     for m in range(p, m_max + 1, p):
-        tables = [sum({1 << (x % m) for x in a.elements}) for a in sets]
-        if any(t.bit_count() < p for t in tables):
-            continue
+        # both list nothing when some member is not distinct mod m
         expected = sorted(packed_exact_covers(sets, m))
-        assert list(_exact_covers(tables, m)) == expected, (family, m)
-        others = [sum({1 << (x % m) for x in a}) for a in shuffled]
-        assert list(_exact_covers(others, m)) == expected, (shuffled, m)
+        assert list(_exact_covers(sets, m)) == expected, (family, m)
+        assert list(_exact_covers(shuffled, m)) == expected, (shuffled, m)
 
 
 @st.composite
@@ -342,6 +340,7 @@ def signed_families(draw):
 @example(case=([[0, 2, 8, 10], [5, 11, 13, 19], [0, 18, 8, 10]], 16))
 @example(case=([[0, 24], [0, 1]], 24))
 @example(case=([[-3, 5], [1, 9], [-7, 2]], 12))
+@example(case=([[3, 11, 13, 5]], 16))  # first packed cover (0, 3, 4, 7)
 def test_find_common_complement_matches_the_frozenset_grouping(case):
     # grouping members by m-bit masks finds the same certificate as
     # grouping them by frozensets of residues
@@ -350,32 +349,30 @@ def test_find_common_complement_matches_the_frozenset_grouping(case):
         frozenset_common_complement(family, m_max)
 
 
-def test_exact_covers_refuse_tables_that_are_not_masks():
-    # an unreduced table once yielded 8,388,608 duplicate covers of Z_24
+def test_exact_covers_read_each_set_mod_m():
+    # an unreduced table once yielded 8,388,608 duplicate covers of Z_24;
+    # a set that is not distinct mod m now yields none, at once
     start = time.monotonic()
-    for tables, m in [([IntSet.of([0, 24])], 24), ([1 | 1 << 24], 24),
-                      ([1 << 4], 4), ([], 4), ([0], 4), ([0b11, 0b111], 6), ([0b111], 4),
-                      ([-1], 4), ([{0, 1}], 2)]:
-        with pytest.raises(ValueError):
-            next(_exact_covers(tables, m))
+    assert list(_exact_covers([IntSet.of([0, 24])], 24)) == []
     assert time.monotonic() - start < 0.5
-    assert list(_exact_covers([0b11, 0b101], 4)) == []
-    assert list(_exact_covers([0b11, 0b1001], 4)) == [(0, 2)]
+    assert list(_exact_covers([(0, 1), (0, 2)], 4)) == []
+    assert list(_exact_covers([(0, 1), (0, 3)], 4)) == [(0, 2)]
+    # residue m - 1 is the last residue: 3 and 7 are one class mod 4
+    assert list(_exact_covers([(3,), (7,)], 4)) == [(0, 1, 2, 3)]
 
 
-def test_exact_covers_check_table_width_without_an_m_bit_integer():
-    # residue m - 1 is the table's last bit, residue m is refused above
-    assert list(_exact_covers([1 << 3], 4)) == [(0, 1, 2, 3)]
-    # a 3-bit table cannot tile Z_m for m = 10**8 + 1; the refusal reads
-    # the table's width, so it allocates nothing near 2**m (12.5 MB)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=r"masks below 2\*\*100000001 "):
-            next(_exact_covers([0b111], 10**8 + 1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10**6, peak
+def test_exact_covers_yield_nothing_without_an_m_bit_integer():
+    # 3 does not divide m = 10**8 + 1, and 10**8 + 2 repeats the residue
+    # 0 mod m = 10**8 + 2: neither period is searched, and neither check
+    # allocates anything near 2**m (12.5 MB)
+    for sets, m in [([(0, 1, 2)], 10**8 + 1), ([(0, 10**8 + 2)], 10**8 + 2)]:
+        tracemalloc.start()
+        try:
+            assert list(_exact_covers(sets, m)) == [], m
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6, (m, peak)
 
 
 def test_find_complements_sorted_output():
@@ -429,8 +426,7 @@ def test_searches_with_no_complement_end_fast():
     # deadline here
     deadline = time.monotonic() + 5.0
     for m in (48, 72, 96, 300):
-        mask = sum(1 << (x % m) for x in (0, 1, 3))
-        assert list(_exact_covers([mask], m, deadline)) == []
+        assert list(_exact_covers([(0, 1, 3)], m, deadline)) == []
         assert find_complements([0, 1, 3], m) == []
     # what is left of that one deadline, as a budget that cannot be negative
     for family, m_max in (([[0, 1], [0, 2]], 100),

@@ -356,17 +356,17 @@ def test_utc_verify_recheck_matches_every_member(case):
 
 
 def _searches(call):
-    """call()'s result and the (period, tables) of every search it ran,
-    tables as a set: their order cannot change what is found."""
+    """call()'s result and the (period, classes) of every search it ran,
+    classes as a set: their order cannot change what is found."""
     searched = []
-    real = spectile.tilings._exact_covers
+    real = spectile.tilings._cliques
 
-    def recording(tables, m, *args):
-        searched.append((m, frozenset(tables)))
-        return real(tables, m, *args)
+    def recording(allowed, k, deadline, what, blocks, modulus):
+        searched.append((modulus, frozenset(map(tuple, blocks))))
+        return real(allowed, k, deadline, what, blocks, modulus)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectile.tilings, "_exact_covers", recording)
+        patch.setattr(spectile.tilings, "_cliques", recording)
         return call(), searched
 
 
@@ -534,19 +534,14 @@ def test_common_complements_off_M_have_period_gcd(case):
 def test_periods_off_M_are_skipped_under_shift(monkeypatch):
     # the p = 6 base within {0..250} is the clique of the multiples of 6
     # mod 36, each residue r > 0 lifted 7 times, so shift holds: the loop
-    # is offered the clique only at the periods that divide 36, skips 6,
-    # 12 and 18, at which the clique is not distinct, and searches at 36
+    # is offered only the periods that divide 36, skips 6, 12 and 18, at
+    # which the clique is not distinct, and searches at 36
     offered = []
     real = spectile.utc._first_common_cover
 
-    def cover(p, m_max, members, deadline=None):
-        def spied(m):
-            sets = members(m)
-            if sets is not None:
-                offered.append(m)
-            return sets
-
-        return real(p, m_max, spied, deadline)
+    def cover(sets, periods, deadline=None):
+        offered.extend(periods)
+        return real(sets, periods, deadline)
 
     monkeypatch.setattr(spectile.utc, "_first_common_cover", cover)
     report, searched = _searches(lambda: utc_verify(6, P6_GAMMA, 250, 72))
