@@ -11,9 +11,10 @@ float evaluator in tests/oracles.py.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Optional, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -65,6 +66,17 @@ class _Value:
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
         self.__post_init__()
+
+    @classmethod
+    def _unchecked(cls, *columns) -> list:
+        """[cls(*row) for row in zip(*columns)], one column per field in
+        _fields order, without __post_init__ and without a Python frame
+        per object: made by object.__new__ and each slot's setter.  Only
+        for a caller that has made the constructor's checks itself."""
+        out = list(map(object.__new__, repeat(cls, len(columns[0]))))
+        for name, column in zip(cls._fields, columns):
+            deque(map(getattr(cls, name).__set__, out, column), 0)
+        return out
 
     def __post_init__(self):
         """Validate the fields; the base accepts any values."""

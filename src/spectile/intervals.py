@@ -67,16 +67,6 @@ class IntervalUnion(_Value):
             as_fraction(x) for pair in pairs for x in pair))
         return _merged(den, list(zip(grid[::2], grid[1::2])))
 
-    @classmethod
-    def _trusted(cls, den: int, ends: tuple[tuple[int, int], ...],
-                 ) -> "IntervalUnion":
-        """cls(den, ends) for a caller that has made the constructor's
-        checks itself: made by object.__new__ and the slots' setters."""
-        union = object.__new__(cls)
-        cls.den.__set__(union, den)
-        cls.ends.__set__(union, ends)
-        return union
-
     @cached_property
     def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """The intervals as Fraction pairs (a, b)."""
@@ -118,7 +108,7 @@ def _merged(den: int, pairs: list[tuple[int, int]]) -> IntervalUnion:
     done, as the two merged intervals the constructor would name, since
     an interval's start never moves and its end moves only until the next
     one is appended.  Dividing by g = gcd(den, endpoints) puts the union
-    in lowest terms, and IntervalUnion._trusted builds it unchecked."""
+    in lowest terms, and IntervalUnion._unchecked builds it."""
     merged: list[list[int]] = []
     overlap = 0  # the first interval that overlaps the one before; 0: none
     for a, b in sorted(pairs):
@@ -135,7 +125,7 @@ def _merged(den: int, pairs: list[tuple[int, int]]) -> IntervalUnion:
     g = math.gcd(den, *chain.from_iterable(merged))
     if g > 1:
         den, merged = den // g, [(a // g, b // g) for a, b in merged]
-    return IntervalUnion._trusted(den, tuple(map(tuple, merged)))
+    return IntervalUnion._unchecked([den], [tuple(map(tuple, merged))])[0]
 
 
 def _on_grid(omega: IntervalUnion, p: int) -> tuple[int, list[tuple[int, int]]]:
@@ -158,12 +148,6 @@ class FiberCell(_Value):
     lo: Fraction
     hi: Fraction
     fiber: IntSet
-
-    # fibers() builds one per cell; the base's loop would add to each
-    def __init__(self, lo: Fraction, hi: Fraction, fiber: IntSet):
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "fiber", fiber)
 
 
 class FiberDecomposition(_Value):
@@ -251,9 +235,10 @@ def fibers(omega: IntervalUnion, p: int) -> FiberDecomposition:
     of the output.  The empty union has one cell with the empty fiber.
 
     The sweep collects each cell's fiber as the sorted tuple of its set,
-    and its upper end as an integer; one IntSet._many call then wraps the
-    tuples, with no Python frame per fiber, and the integer ends over den
-    become the cells' Fraction bounds.
+    and its upper end as an integer.  The integer ends over den become the
+    cells' Fraction bounds, one IntSet._many call wraps the tuples, and
+    FiberCell._unchecked builds the cells, with no Python frame per fiber
+    or per cell.
     """
     p = _as_int(p, "p", 1)
     den, ends = _on_grid(omega, p)
@@ -272,8 +257,8 @@ def fibers(omega: IntervalUnion, p: int) -> FiberDecomposition:
         sweep.append(tuple(sorted(fiber)))
         fiber.symmetric_difference_update(flips.get(r, ()))
     bounds = [Fraction(r, den) for r in cuts]
-    return FiberDecomposition(p, tuple(map(
-        FiberCell, [Fraction(0), *bounds[:-1]], bounds, IntSet._many(sweep))))
+    return FiberDecomposition(p, tuple(FiberCell._unchecked(
+        [Fraction(0), *bounds[:-1]], bounds, IntSet._many(sweep))))
 
 
 def spectral_verdict(omega: IntervalUnion, gamma, p: int) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
 from itertools import (chain, combinations, groupby, islice, product, repeat,
                        starmap)
@@ -81,12 +81,6 @@ class IntSet(_Value):
     __slots__ = _fields = ("elements",)
     elements: tuple[int, ...]
 
-    # a family can hold tens of thousands of these, and roundtrip compares
-    # and hashes its fibers, so the one-field methods skip the base's loops
-    def __init__(self, elements: tuple[int, ...]):
-        object.__setattr__(self, "elements", elements)
-        self.__post_init__()
-
     def __post_init__(self):
         _check_increasing(self.elements, "elements")
 
@@ -96,24 +90,14 @@ class IntSet(_Value):
 
         Each run of tuples of one length k is flattened once and checked
         column by column, element j of every tuple below its element
-        j + 1, raising the ValueError cls(t) raises; the sets are then
-        made by object.__new__ and the slot's setter."""
+        j + 1, raising the ValueError cls(t) raises; _unchecked then
+        makes the sets."""
         for k, run in groupby(chunk, len):
             flat = list(chain.from_iterable(run))
             if not all(all(map(operator.lt, flat[j::k], flat[j + 1::k]))
                        for j in range(k - 1)):
                 raise ValueError("elements must be strictly increasing")
-        out = list(map(object.__new__, repeat(cls, len(chunk))))
-        deque(map(cls.elements.__set__, out, chunk), 0)
-        return out
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.elements == other.elements
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.elements,))
+        return cls._unchecked(chunk)
 
     @classmethod
     def of(cls, elements: Iterable[int]) -> "IntSet":

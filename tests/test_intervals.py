@@ -76,6 +76,7 @@ def test_of_matches_the_sort_merge_reference(pairs):
     union = outcome(IntervalUnion.of)
     assert outcome(sort_merge_reference) == \
         (union if isinstance(union, str) else union.intervals)
+    assert isinstance(union, str) or IntervalUnion(union.den, union.ends) == union
 
 
 def test_equal_unions_have_equal_fields():

@@ -46,6 +46,28 @@ def test_package_has_no_assert_statements():
     assert not found, found
 
 
+def test_object_new_is_called_only_in_value_unchecked():
+    # one constructor skips the value types' checks: _Value._unchecked
+    found = []
+    for path in sorted(pathlib.Path(spectile.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        scopes = [(path.stem, tree)]
+        while scopes:
+            scope, node = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                    inner = f"{scope}.{child.name}"
+                if (isinstance(child, ast.Attribute)
+                        and child.attr == "__new__"
+                        and isinstance(child.value, ast.Name)
+                        and child.value.id == "object"):
+                    found.append(inner)
+                scopes.append((inner, child))
+    assert found == ["cyclotomic._Value._unchecked"], found
+
+
 def test_star_import_binds_every_name():
     namespace = {}
     exec("from spectile import *", namespace)
