@@ -10,9 +10,9 @@ every exact value is written by ``canonical_json``.  Floats appear solely
 in measured numerical results and tolerances.  Certificates are
 deterministic: re-running an identical job reproduces the file byte for
 byte except for the timing field, which is excluded from the input hash.
-They are written by spectile's own encoder, byte for byte the
-``json.dumps(sort_keys=True, indent=2)`` form, one chunk per row: the
-standard library's indented form would join a string per token.
+The text is compact canonical JSON from the standard library's C encoder:
+sorted keys, no spaces, one line and a newline (``python -m json.tool``
+prints it indented).
 
 Each process starts cold, so it loads only the layers its command runs:
 the flag parsers need spectra, and every other layer is imported by the
@@ -32,7 +32,6 @@ import re
 import sys
 import time
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .spectra import (FinitePointSet, IntSet, SearchTimeout, _deadline,
@@ -49,7 +48,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-SCHEMA = "spectile-certificate/1"
+SCHEMA = "spectile-certificate/2"
+_SLICE = 1 << 16  # characters per write to stdout
 
 _RATIONAL = r"[+-]?\d+(?:/[1-9]\d*)?"
 _RATIONAL_RE = re.compile(rf"^{_RATIONAL}$")
@@ -165,81 +165,11 @@ def _exact(value):
     raise TypeError(f"{type(value).__name__} has no certificate form")
 
 
-def _inline(value) -> Optional[str]:
-    """The JSON text of a scalar; None for a container or an exact value."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        raise ValueError("Out of range float values are not JSON compliant: "
-                         + repr(value))
-    return None
-
-
-def _encode(value, out: list[str], head: str, indent: str) -> None:
-    """Append head and then value's JSON text to out; indent is a newline
-    and two spaces per level of value's own line.  A scalar or a list of
-    plain ints is one chunk, the list joined in C, so a big certificate
-    costs one chunk per row, not one per token."""
-    text = _inline(value)
-    if text is not None:
-        out.append(head + text)
-    elif isinstance(value, (list, tuple)):
-        inner = indent + "  "
-        if not value:
-            out.append(head + "[]")
-        elif {*map(type, value)} == {int}:
-            out.append(f"{head}[{inner}"
-                       f"{(',' + inner).join(map(int.__repr__, value))}"
-                       f"{indent}]")
-        else:
-            head, sep = head + "[" + inner, "," + inner
-            for item in value:
-                _encode(item, out, head, inner)
-                head = sep
-            out.append(indent + "]")
-    elif isinstance(value, dict):
-        inner = indent + "  "
-        if not value:
-            out.append(head + "{}")
-        else:
-            head, sep = head + "{" + inner, "," + inner
-            for key, item in sorted(value.items()):
-                name = key if isinstance(key, str) else _inline(key)
-                if name is None:
-                    raise TypeError(f"keys must be str, int, float, bool or "
-                                    f"None, not {key.__class__.__name__}")
-                _encode(item, out, head + _quote(name) + ": ", inner)
-                head = sep
-            out.append(indent + "}")
-    else:
-        _encode(_exact(value), out, head, indent)
-
-
-def _json_chunks(obj) -> list[str]:
-    """canonical_json's text as a list of row-sized chunks, complete before
-    any of it is written, so an encoding error writes nothing."""
-    out: list[str] = []
-    _encode(obj, out, "", "\n")
-    out.append("\n")
-    return out
-
-
 def canonical_json(obj) -> str:
-    """The certificate text of obj, byte for byte
-    json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
-    default=_exact) and a newline.  Not json.dumps itself: an indent keeps
-    it on the pure-Python encoder, which yields one string per token."""
-    return "".join(_json_chunks(obj))
+    """The certificate text of obj: one line of sorted-key JSON with no
+    spaces, exact values in their certificate form, and a newline."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False, default=_exact) + "\n"
 
 
 def input_hash(command: str, inputs: dict, bounds: dict) -> str:
@@ -248,14 +178,14 @@ def input_hash(command: str, inputs: dict, bounds: dict) -> str:
     return "sha256:" + _sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _write_atomic(path: str, chunks: list[str]) -> None:
+def _write_atomic(path: str, text: str) -> None:
     # a fresh file next to the target, made with mode 0o666 so that the
     # umask applies, as it does to a shell redirect, then moved over it
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
+            handle.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -522,16 +452,20 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             "input_hash": input_hash(ns.command, inputs, bounds),
             "timing_seconds": round(time.monotonic() - started, 6),
         }
-        chunks = _json_chunks(certificate)
+        text = canonical_json(certificate)
         if ns.output:
             try:
-                _write_atomic(ns.output, chunks)
+                _write_atomic(ns.output, text)
             except OSError as exc:
                 raise InputError(f"--output: cannot write {ns.output}: "
                                  f"{exc.strerror or exc}") from None
         else:
             try:
-                sys.stdout.writelines(chunks)
+                # a write that the reader leaves part way through comes
+                # back short, not as an error, and the text layer drops
+                # the count: in slices, the next one raises instead
+                for start in range(0, len(text), _SLICE):
+                    sys.stdout.write(text[start:start + _SLICE])
                 sys.stdout.flush()
             except OSError as exc:
                 # what is still buffered would fail again at exit

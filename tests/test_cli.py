@@ -22,7 +22,7 @@ import spectile.cli
 import spectile.utc
 from spectile import (INCONCLUSIVE, FinitePointSet, IntervalUnion, IntSet,
                       PeriodicSet, is_tiling_of_Z)
-from spectile.cli import (_exact, build_parser, canonical_json, input_hash,
+from spectile.cli import (build_parser, canonical_json, input_hash,
                           parse_interval_union, parse_rational, run,
                           InputError)
 from test_golden import GOLDEN
@@ -116,7 +116,7 @@ def test_budget_that_ends_after_the_cliques_lists_nothing(tmp_path,
     assert code == 2 and jumped
     assert cert["verdict"] == INCONCLUSIVE
     assert cert["result"] == {"spectra": [], "certificate": None}
-    spent, written = (re.sub(r'"timing_seconds": .*', "",
+    spent, written = (re.sub(r'"timing_seconds":[^,}]*', "",
                              (tmp_path / name).read_text())
                       for name in ("spent.json", "jumped.json"))
     assert written == spent
@@ -236,13 +236,6 @@ def test_certificate_round_trips_byte_identically(tmp_path):
     assert canonical_json(json.loads(raw)) == raw
 
 
-def _stdlib_json(obj):
-    """The reference form of a certificate: the standard library's
-    pure-Python encoder, which indent=2 selects."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
-                      default=_exact) + "\n"
-
-
 _SMALL = st.integers(-9, 9)
 # quotes, escapes, control, non-ASCII and astral characters
 _TEXT = st.text("a\"\\/\n\t\x00\x1f\x7f\xe9\u2028\u20ac\U0001f600",
@@ -270,21 +263,28 @@ _TREES = st.recursive(_JSON_LEAVES, lambda children: st.one_of(
 
 @settings(max_examples=100, deadline=None)
 @given(_TREES)
-def test_canonical_json_matches_the_stdlib_encoder(tree):
-    assert canonical_json(tree) == _stdlib_json(tree)
+def test_canonical_json_is_one_line_that_reads_back(tree):
+    first = canonical_json(tree)
+    assert first.endswith("\n") and "\n" not in first[:-1]
+    # a key that is not a string sorts by its value, as in json.dumps, and
+    # reads back as a string: {-1: 0, -2: 0} is written "-2" first, so the
+    # text is a fixed point from the first one read back on
+    text = canonical_json(json.loads(first))
+    assert json.loads(text) == json.loads(first)
+    assert canonical_json(json.loads(text)) == text
 
 
-@pytest.mark.parametrize("bad", [
-    float("nan"), {"a": [0, float("inf")]}, [float("-inf")],
-    {float("nan"): 0}, {(0, 1): 0}, [object()], {"x": {1, 2}},
+_NON_FINITE = [float("nan"), {"a": [0, float("inf")]}, [float("-inf")],
+               {float("nan"): 0}]
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE + [
+    {(0, 1): 0}, [object()], {"x": {1, 2}},
 ])
 def test_canonical_json_fails_as_the_stdlib_encoder(bad):
-    with pytest.raises((TypeError, ValueError)) as ours:
+    # the type only: the message for a non-finite float varies by version
+    with pytest.raises(ValueError if bad in _NON_FINITE else TypeError):
         canonical_json(bad)
-    with pytest.raises((TypeError, ValueError)) as reference:
-        _stdlib_json(bad)
-    assert type(ours.value) is type(reference.value)
-    assert str(ours.value) == str(reference.value)
 
 
 @settings(max_examples=100, deadline=None)
@@ -394,19 +394,32 @@ def test_empty_output_path_is_invalid_input(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == [job]
 
 
-def test_closed_stdout_is_one_error_line():
-    # the reader goes away before the certificate (about 0.5 MB, more than
-    # a pipe holds) is written: one error line, no traceback, exit 1
+def _check_closed_stdout(n_max: str, read: int) -> None:
+    """enum-spectra on Z_9 whose reader takes `read` characters and closes
+    stdout: one error line, no traceback, exit 1."""
     with subprocess.Popen(
             [sys.executable, "-m", "spectile", "enum-spectra",
-             "--gamma", "0,1,2,3,4,5,6,7,8", "--p", "9", "--n-max", "27"],
+             "--gamma", "0,1,2,3,4,5,6,7,8", "--p", "9", "--n-max", n_max],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        proc.stdout.read(read)
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
     assert err.startswith("error: stdout: cannot write: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_closed_stdout_is_one_error_line():
+    # the reader goes away before the certificate (about 170 kB, more than
+    # a pipe holds) is written
+    _check_closed_stdout("27", read=0)
+
+
+def test_stdout_closed_mid_write_is_one_error_line():
+    # the reader takes one byte of the certificate (about 1.7 MB) and goes
+    # away: a write cut short must not pass for a whole one
+    _check_closed_stdout("36", read=1)
 
 
 def test_emitted_certificate_reverifies(tmp_path):

@@ -1,11 +1,12 @@
 """Cyclic tiling verdicts and complement searches, with a brute-force
 oracle for completeness at small periods."""
 
+import math
 import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -199,6 +200,41 @@ def test_find_complements_matches_brute_force():
        m=st.integers(1, 12))
 def test_find_complements_property_matches_brute_force(tile, m):
     assert find_complements(tile, m) == brute_force_complements(tile, m)
+
+
+@st.composite
+def cyclic_tiles(draw):
+    """A translate of a tile A of Z_m with |A| <= 6 and m <= 24, built
+    digit by digit: m is a product of radices, A takes every digit at some
+    levels and 0 at the rest, and each element moves by a multiple of m."""
+    radices = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)
+                   .filter(lambda rs: math.prod(rs) <= 24))
+    levels = draw(st.lists(st.booleans(), min_size=len(radices),
+                           max_size=len(radices))
+                  .filter(lambda ls: math.prod(
+                      r for r, own in zip(radices, ls) if own) <= 6))
+    m, shift, weights = math.prod(radices), draw(st.integers(-9, 9)), []
+    for r, own in zip(radices, levels):
+        weights.append([d * math.prod(radices[:len(weights)])
+                        for d in range(r if own else 1)])
+    return [shift + sum(digits) + m * draw(st.integers(-2, 2))
+            for digits in product(*weights)], m
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=cyclic_tiles())
+@example(case=([0, 1, 4, 5], 16))
+@example(case=([0, 8, 16, 18, 26, 34], 48))
+def test_a_unit_of_the_tiles_size_keeps_its_complements(case):
+    # Tijdeman (1995): if A + C = Z_m and t is coprime to |A|, then
+    # tA + C = Z_m, so every complement of A is one of tA.  m stays small:
+    # 16·{0, 1, 2} in Z_48 has 3^15 complements
+    tile, m = case
+    found = set(find_complements(tile, m))
+    assert found
+    for t in range(1, m):
+        if math.gcd(t, len(tile)) == 1:
+            assert found <= set(find_complements([t * a for a in tile], m))
 
 
 @st.composite
